@@ -13,7 +13,7 @@ from .ball_oracle import (
     restricted_oracle,
     theory_profile,
 )
-from .estimator import SoftmaxGradientEstimator, estimator_init
+from .estimator import SoftmaxGradientEstimator
 from .geometry import (
     GeometrySetup,
     Kind,
@@ -25,7 +25,7 @@ from .geometry import (
     simplex_setup,
     tau,
 )
-from .maintenance import MatVecMaintainer, mvm_init
+from .maintenance import MatVecMaintainer
 from .problems import (
     LinearMaxProblem,
     MatrixGameInstance,

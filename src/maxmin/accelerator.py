@@ -85,12 +85,26 @@ class SolverReport:
     wall_time: float
     seed: int
     profile_name: str
-    status: str = "ok"
-    error: str = ""
     rho: float = 0.0
     expected_iterations: float = 0.0
     trace: list[dict] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
+
+    @classmethod
+    def total(cls, parts: list["SolverReport"], **fields) -> "SolverReport":
+        """One report whose counters, timers and round records are the sums
+        over ``parts``; ``fields`` sets x, f_max_value, seed and wall_time."""
+        return cls(
+            outer_iterations=sum(p.outer_iterations for p in parts),
+            iterations=[rec for p in parts for rec in p.iterations],
+            func_evals=sum(p.func_evals for p in parts),
+            grad_evals=sum(p.grad_evals for p in parts),
+            mvm_rebuilds=sum(p.mvm_rebuilds for p in parts),
+            t_eval=sum(p.t_eval for p in parts),
+            t_md=sum(p.t_md for p in parts),
+            profile_name=parts[-1].profile_name,
+            **fields,
+        )
 
     @property
     def c_history(self) -> list[float]:
@@ -158,7 +172,6 @@ def accelerate(
     func_evals = grad_evals = rebuilds = 0
     t_eval = 0.0
     oracle_wall = 0.0
-    status, err = "ok", ""
     t = 0
 
     tau_val = tau(setup)
@@ -229,8 +242,6 @@ def accelerate(
         wall_time=wall,
         seed=params.seed,
         profile_name=params.profile.name,
-        status=status,
-        error=err,
         rho=rho,
         expected_iterations=expected,
         trace=trace,
@@ -244,8 +255,3 @@ def _div_bound(setup: GeometrySetup, params: AccelParams) -> float:
     if math.isinf(bound):
         bound = 2.0 * params.r_bound**2
     return bound
-
-
-def phi_map(a_weight: float, a_inc: float, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The interpolation Phi used by the outer loop; exposed for tests."""
-    return (a_weight * x + a_inc * z) / (a_weight + a_inc)

@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .accelerator import AccelParams, SolverReport, accelerate, expected_iteration_bound
-from .ball_oracle import OracleProfile, get_profile, practical_profile, theory_profile
+from .ball_oracle import OracleProfile, get_profile
 from .errors import InvalidParams
 from .estimator import SoftmaxGradientEstimator
 from .geometry import (
@@ -24,7 +23,6 @@ from .geometry import (
     tau,
 )
 from .problems import (
-    LinearMaxProblem,
     MatrixGameInstance,
     MaxProblem,
     MebInstance,
@@ -103,7 +101,6 @@ def solve_smooth_max(
     nu: float | None = None,
     r: float | None = None,
     gamma: float | None = None,
-    estimator_mode: str = "exact",
     record_trace: bool = False,
     e0: float | None = None,
     stopping_scale: float = 1.0,
@@ -173,7 +170,6 @@ def solve_smooth_max(
             r_prime,
             est_delta,
             rng_seed=child_seed,
-            mode=estimator_mode,
             p=setup.p,
         )
 
@@ -249,19 +245,21 @@ def solve_matrix_game(
     profile="practical",
     gamma: float | None = None,
     certificate_draws: int = CERTIFICATE_DRAWS,
+    r: float | None = None,
 ) -> tuple[np.ndarray, SolverReport]:
     """Primal solver for min_x max_y x^T A y with a post-hoc gap certificate.
 
-    The dual certificate vector is the empirical accepted-index frequency
-    of the estimator at the final point; the reported gap is
-    f_max(x) minus that vector's best-response lower bound.
+    The query radius is ``r`` when given, else min(1, sqrt(d) eps).  The
+    dual certificate vector is the empirical accepted-index frequency of
+    the estimator at the final point; the reported gap is f_max(x) minus
+    that vector's best-response lower bound.
     """
     if not (0.0 < eps < 1.0):
         raise InvalidParams("eps must lie in (0, 1)")
     problem = inst.problem()
     kind = Kind.BALL if inst.is_ball else Kind.TRUNCATED_SIMPLEX
     d = inst.d
-    radius = min(1.0, math.sqrt(d) * eps)
+    radius = min(1.0, math.sqrt(d) * eps) if r is None else r
     nu = None if inst.is_ball else eps / (4.0 * d)
     report = solve_smooth_max(
         problem, eps, seed=seed, profile=profile, kind=kind, nu=nu, r=radius, gamma=gamma
@@ -334,9 +332,8 @@ def solve_meb(
     root = np.random.SeedSequence(seed)
 
     x = np.zeros(d)
-    total = _CounterBag()
     start = time.perf_counter()
-    last_report: SolverReport | None = None
+    parts: list[SolverReport] = []
     prev_err = 0.5  # f(x0) - f* <= f_max(0) <= 1/2 for normalized inputs
     for k in range(1, levels + 1):
         r_k = 2.0 ** (-(k - 1) / 2.0)
@@ -360,8 +357,7 @@ def solve_meb(
             )
             cand = x + r_k * rep.x
             val = base.f_max(cand)
-            total.add(rep)
-            last_report = rep
+            parts.append(rep)
             if val < best_val:
                 best_val = val
                 best_x = cand
@@ -370,47 +366,14 @@ def solve_meb(
     radius = math.sqrt(2.0 * base.f_max(x))
     center_in, radius_in = inst.to_input_coords(x, radius)
 
-    report = total.to_report(last_report, x, base.f_max(x), seed, start)
+    report = SolverReport.total(
+        parts, x=x, f_max_value=base.f_max(x), seed=seed,
+        wall_time=time.perf_counter() - start,
+    )
     report.extras.update(
         {"radius": radius_in, "center": center_in.tolist(), "levels": levels, "repeats": reps}
     )
     return center_in, radius_in, report
-
-
-class _CounterBag:
-    def __init__(self) -> None:
-        self.outer = 0
-        self.func = 0
-        self.grad = 0
-        self.rebuilds = 0
-        self.t_eval = 0.0
-        self.t_md = 0.0
-        self.records = []
-
-    def add(self, rep: SolverReport) -> None:
-        self.outer += rep.outer_iterations
-        self.func += rep.func_evals
-        self.grad += rep.grad_evals
-        self.rebuilds += rep.mvm_rebuilds
-        self.t_eval += rep.t_eval
-        self.t_md += rep.t_md
-        self.records.extend(rep.iterations)
-
-    def to_report(self, template: SolverReport, x, fval, seed, start) -> SolverReport:
-        return SolverReport(
-            x=x,
-            f_max_value=fval,
-            outer_iterations=self.outer,
-            iterations=self.records,
-            func_evals=self.func,
-            grad_evals=self.grad,
-            mvm_rebuilds=self.rebuilds,
-            t_eval=self.t_eval,
-            t_md=self.t_md,
-            wall_time=time.perf_counter() - start,
-            seed=seed,
-            profile_name=template.profile_name if template else "practical",
-        )
 
 
 def subgradient_baseline(
@@ -457,3 +420,43 @@ def subgradient_baseline(
         seed=seed,
         profile_name="baseline",
     )
+
+
+def subgradient_control(inst, eps: float, seed: int = 0) -> SolverReport:
+    """The subgradient run ``maxmin bench`` sets beside each solve:
+    max(1000, 4 / eps^2) steps on the instance's own family and domain."""
+    if isinstance(inst, MatrixGameInstance):
+        problem = inst.problem()
+        setup = ball_setup(inst.d) if inst.is_ball else simplex_setup(inst.d, 0.0)
+    elif isinstance(inst, MebInstance):
+        problem, setup = QuadraticMaxProblem(inst.points), ball_setup(inst.d)
+    elif isinstance(inst, QuadraticMaxProblem):
+        problem, setup = inst, ball_setup(inst.d)
+    else:
+        raise InvalidParams(f"no subgradient control for {type(inst).__name__}")
+    return subgradient_baseline(problem, setup, max(1000, int(4.0 / eps**2)), seed=seed)
+
+
+def solve_instance(
+    inst, eps: float, seed: int = 0, profile="practical", r: float | None = None
+) -> tuple[SolverReport, dict]:
+    """Solve a typed instance (as built by ``io.instance_from_payload``)
+    with its front end.
+
+    Returns the solver report and the ``result`` block of the ``maxmin
+    solve`` report.  ``r`` fixes the query radius of games and quadratics;
+    the MEB recursion sets its own radius per level and rejects one.
+    """
+    if isinstance(inst, MatrixGameInstance):
+        x, report = solve_matrix_game(inst, eps, seed=seed, profile=profile, r=r)
+        return report, {"value": report.f_max_value, "gap": report.extras["gap"],
+                        "point": x.tolist()}
+    if isinstance(inst, MebInstance):
+        if r is not None:
+            raise InvalidParams("MEB sets its radius per halving level; r does not apply")
+        center, radius, report = solve_meb(inst, eps, seed=seed, profile=profile)
+        return report, {"center": center.tolist(), "radius": radius}
+    if isinstance(inst, QuadraticMaxProblem):
+        report = solve_smooth_max(inst, eps, seed=seed, profile=profile, kind=Kind.BALL, r=r)
+        return report, {"value": report.f_max_value, "point": report.x.tolist()}
+    raise InvalidParams(f"no front end for {type(inst).__name__}")

@@ -37,6 +37,11 @@ from .geometry import (
 GradEst = Callable[[np.ndarray], np.ndarray]
 
 THEORY_STEP_CONSTANT = 66.0 * 2.0**12
+PRACTICAL_STEP_CONSTANT = 64.0
+# bisection band: raise lambda_min when V_y(z) > rho^2 / (UPPER_DIV tau),
+# lower lambda_max when V_y(z) < rho^2 / (LOWER_DIV tau^3)
+UPPER_DIV = 64.0
+LOWER_DIV = 256.0
 
 
 @dataclass(frozen=True)
@@ -47,8 +52,8 @@ class OracleProfile:
     rho^2 lam / (C log(16/delta) tau^5 Gamma^2) with C = 66 * 2^12 and the
     capped failure probability.  ``practical`` keeps every structural
     formula (T = 4 tau / (eta lam), bisection thresholds, K_max) but uses
-    the step size rho^2 lam / (C Gamma^2) with a configurable C, since the
-    worst-case tau^5 log(1/delta) factor makes desk-scale runs
+    the step size rho^2 lam / (C Gamma^2) with C = 64 and delta = 1e-3,
+    since the worst-case tau^5 log(1/delta) factor makes desk-scale runs
     astronomically long.
     """
 
@@ -56,23 +61,14 @@ class OracleProfile:
     step_constant: float
     delta: float | None  # None: use the theory cap
     paper_step: bool
-    upper_div: float = 64.0  # raise lambda_min when V_y(z) > rho^2/(upper_div tau)
-    lower_div: float = 256.0  # lower lambda_max when V_y(z) < rho^2/(lower_div tau^3)
-    gamma: float = 0.1  # oracle-quality parameter handed to the accelerator
 
 
 def theory_profile() -> OracleProfile:
-    return OracleProfile("theory", THEORY_STEP_CONSTANT, None, True, gamma=0.0)
+    return OracleProfile("theory", THEORY_STEP_CONSTANT, None, True)
 
 
-def practical_profile(
-    step_constant: float = 64.0,
-    delta: float = 1e-3,
-    upper_div: float = 64.0,
-    lower_div: float = 256.0,
-    gamma: float = 0.1,
-) -> OracleProfile:
-    return OracleProfile("practical", step_constant, delta, False, upper_div, lower_div, gamma)
+def practical_profile() -> OracleProfile:
+    return OracleProfile("practical", PRACTICAL_STEP_CONSTANT, 1e-3, False)
 
 
 def get_profile(name: str) -> OracleProfile:
@@ -269,8 +265,8 @@ def lambda_bisection(
     lam_min = 1.0
     k_max = bisection_round_limit(tau_val, gamma_b, rho)
     stats.k_max = k_max
-    upper = rho**2 / (profile.upper_div * tau_val)
-    lower = rho**2 / (profile.lower_div * tau_val**3)
+    upper = rho**2 / (UPPER_DIV * tau_val)
+    lower = rho**2 / (LOWER_DIV * tau_val**3)
 
     eta0, steps0 = step_plan(profile, rho, lam_min, tau_val, gamma_b, delta)
     res = li_md(grad_est, setup, LimdParams(lam_min, eta0, steps0, rho, y))

@@ -1,11 +1,13 @@
 """Batch command-line front end.
 
 Subcommands: ``gen`` (instance generation), ``solve`` (single solve with
-a JSON report), ``selftest`` (statistical property suites), ``bench``
-(method/instance sweeps to CSV).  Human logs go to stderr; ``solve``
-prints nothing on stdout except the report path.  Exit codes: 0 success,
-2 validation error, 3 solver failure (the failing seed is recorded in
-the report).
+a JSON report; the instance file's header fixes the kind), ``selftest``
+(statistical property suites), ``bench`` (method/radius/seed sweeps to
+CSV, one cell at a time; ``--r-sweep`` sets the query radius of games
+and quadratics and is rejected on MEB instances).  Human logs go to
+stderr; ``solve`` prints nothing on stdout except the report path.  Exit
+codes: 0 success, 2 validation error, 3 solver failure or a non-finite
+result (the failing seed is recorded in the report).
 """
 
 from __future__ import annotations
@@ -14,26 +16,21 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import io as mio
-from .apps import solve_matrix_game, solve_meb, solve_smooth_max, subgradient_baseline
+from .apps import solve_instance, subgradient_control
 from .errors import (
     GradientCallbackFailed,
     InvalidParams,
     IterationCapExceeded,
     MaxminError,
-    NormBoundViolated,
     RejectionStall,
 )
-from .geometry import Kind, ball_setup, simplex_setup
-from .problems import MatrixGameInstance, MebInstance
 from .selftests import run_selftest
 
 log = logging.getLogger("maxmin")
@@ -78,55 +75,38 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _report_base(args, seed: int) -> dict:
-    return {
+def _finite(result: dict) -> bool:
+    return all(np.all(np.isfinite(np.asarray(v, dtype=float))) for v in result.values())
+
+
+def cmd_solve(args) -> int:
+    inst = mio.instance_from_payload(*mio.load_instance(args.infile))
+    doc = {
         "config": {
             "command": "solve",
             "in": str(args.infile),
             "eps": args.eps,
-            "seed": seed,
+            "seed": args.seed,
             "profile": args.profile,
-            "setup": args.setup,
         },
-        "seed": seed,
+        "seed": args.seed,
     }
-
-
-def cmd_solve(args) -> int:
-    kind, rows = mio.load_instance(args.infile)
-    doc = _report_base(args, args.seed)
     t0 = time.perf_counter()
     try:
-        if kind.startswith("game"):
-            inst = MatrixGameInstance(rows.T, kind.removeprefix("game_"))
-            x, report = solve_matrix_game(inst, args.eps, seed=args.seed, profile=args.profile)
-            doc["result"] = {
-                "value": report.f_max_value,
-                "gap": report.extras["gap"],
-                "point": x.tolist(),
-            }
-        elif kind == "meb":
-            center, radius, report = solve_meb(
-                MebInstance(rows), args.eps, seed=args.seed, profile=args.profile
-            )
-            doc["result"] = {"center": center.tolist(), "radius": radius}
-        elif kind == "quadratics":
-            problem = mio.instance_from_payload(kind, rows)
-            report = solve_smooth_max(
-                problem, args.eps, seed=args.seed, profile=args.profile, kind=Kind.BALL
-            )
-            doc["result"] = {"value": report.f_max_value, "point": report.x.tolist()}
-        else:
-            raise InvalidParams(f"cannot solve instances of kind {kind!r}")
+        report, result = solve_instance(inst, args.eps, seed=args.seed, profile=args.profile)
+        error = "" if _finite(result) else "NonFinite: the result has a non-finite entry"
     except _SOLVER_FAILURES as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    if error:
         doc["status"] = "failed"
-        doc["error"] = f"{type(exc).__name__}: {exc}"
+        doc["error"] = error
         doc["wall_time"] = time.perf_counter() - t0
         mio.write_report(args.out, doc)
-        log.error("solver failed (seed %d): %s", args.seed, exc)
+        log.error("solver failed (seed %d): %s", args.seed, error)
         print(args.out)
         return 3
 
+    doc["result"] = result
     doc["status"] = "ok"
     doc["counters"] = report.counters_dict()
     doc["wall_time"] = time.perf_counter() - t0
@@ -155,89 +135,44 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def _bench_cell(kind, rows, method, eps, seed, profile, r_value):
+_BENCH_METHODS = ("proposed", "subgradient")
+
+
+def _bench_cell(inst, method, eps, seed, profile, r_value):
     t0 = time.perf_counter()
-    gap = float("nan")
-    evals = 0
-    if kind.startswith("game"):
-        inst = MatrixGameInstance(rows.T, kind.removeprefix("game_"))
-        if method == "proposed":
-            if r_value is None:
-                _, rep = solve_matrix_game(inst, eps, seed=seed, profile=profile)
-            else:
-                rep = solve_smooth_max(
-                    inst.problem(), eps, seed=seed, profile=profile,
-                    kind=Kind.BALL if inst.is_ball else Kind.TRUNCATED_SIMPLEX,
-                    nu=None if inst.is_ball else eps / (4.0 * inst.d), r=r_value,
-                )
-            value = rep.f_max_value
-            gap = rep.extras.get("gap", float("nan"))
-            evals = rep.func_evals + rep.grad_evals
-            iters = rep.outer_iterations
-        else:
-            problem = inst.problem()
-            setup = ball_setup(inst.d) if inst.is_ball else simplex_setup(inst.d, 0.0)
-            steps = max(1000, int(4.0 / eps**2))
-            rep = subgradient_baseline(problem, setup, steps, seed=seed)
-            value = rep.f_max_value
-            evals = rep.func_evals
-            iters = rep.outer_iterations
-    elif kind == "meb":
-        inst = MebInstance(rows)
-        base = mio.instance_from_payload(
-            "quadratics", np.column_stack([inst.points, np.zeros(inst.n)])
-        )
-        if method == "proposed":
-            center, _, rep = solve_meb(inst, eps, seed=seed, profile=profile)
-            value = base.f_max((center - inst.shift) / inst.scale)
-        else:
-            steps = max(1000, int(4.0 / eps**2))
-            rep = subgradient_baseline(base, ball_setup(inst.d), steps, seed=seed)
-            value = rep.f_max_value
-        evals = rep.func_evals + rep.grad_evals
-        iters = rep.outer_iterations
+    if method == "proposed":
+        rep, _ = solve_instance(inst, eps, seed=seed, profile=profile, r=r_value)
     else:
-        problem = mio.instance_from_payload(kind, rows)
-        if method == "proposed":
-            rep = solve_smooth_max(problem, eps, seed=seed, profile=profile, kind=Kind.BALL)
-        else:
-            steps = max(1000, int(4.0 / eps**2))
-            rep = subgradient_baseline(problem, ball_setup(problem.d), steps, seed=seed)
-        value = rep.f_max_value
-        evals = rep.func_evals + rep.grad_evals
-        iters = rep.outer_iterations
+        rep = subgradient_control(inst, eps, seed=seed)
     wall = time.perf_counter() - t0
     return {
         "method": method,
         "r": "" if r_value is None else r_value,
         "seed": seed,
-        "value": value,
-        "gap": gap,
-        "evaluations": evals,
-        "iterations": iters,
+        "value": rep.f_max_value,
+        "gap": rep.extras.get("gap", float("nan")),
+        "evaluations": rep.func_evals + rep.grad_evals,
+        "iterations": rep.outer_iterations,
         "wall_time": wall,
     }
 
 
 def cmd_bench(args) -> int:
-    kind, rows = mio.load_instance(args.infile)
+    inst = mio.instance_from_payload(*mio.load_instance(args.infile))
     methods = [m.strip() for m in args.method.split(",")]
+    for m in methods:
+        if m not in _BENCH_METHODS:
+            raise InvalidParams(f"unknown bench method {m!r}; choose from {_BENCH_METHODS}")
     sweep = [None]
     if args.r_sweep:
         sweep = [float(v) for v in args.r_sweep.split(",")]
     seeds = [args.seed + i for i in range(args.repeats)]
-    cells = [
-        (kind, rows, m, args.eps, s, args.profile, r)
+    results = [
+        _bench_cell(inst, m, args.eps, s, args.profile, r)
         for m in methods
         for r in sweep
         for s in seeds
     ]
-    workers = max(1, int(os.environ.get("MAXMIN_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _bench_cell(*c), cells))
-    else:
-        results = [_bench_cell(*c) for c in cells]
     fields = ["instance", "method", "r", "seed", "value", "gap", "evaluations",
               "iterations", "wall_time"]
     with open(args.out, "w", newline="") as fh:
@@ -270,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--eps", type=float, required=True)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--profile", choices=["practical", "theory"], default="practical")
-    solve.add_argument("--setup", choices=["l2l1", "l1l1"], default="l2l1")
     solve.add_argument("--out", required=True)
     solve.set_defaults(func=cmd_solve)
 

@@ -25,10 +25,6 @@ class BudgetExceeded(MaxminError):
     """Cumulative query movement exceeded the data structure's range."""
 
 
-class MovementBudgetExceeded(BudgetExceeded):
-    """Movement budget of the gradient estimator's maintainer ran out."""
-
-
 class PreconditionViolated(MaxminError):
     """A documented precondition failed; the message names the inequality."""
 

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MovementBudgetExceeded, PreconditionViolated, RejectionStall
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, PreconditionViolated, RejectionStall
 from .maintenance import MatVecMaintainer
 from .problems import MaxProblem
 from .sumtree import SumTree
@@ -77,8 +76,6 @@ class SoftmaxGradientEstimator:
         rng_seed=0,
         mode: str = "exact",
         p: int | None = None,
-        auto_rebuild: bool = True,
-        record_queries: bool = False,
     ):
         half_smooth = 0.5 * problem.smooth * r * r
         if half_smooth > eps_prime * (1.0 + 1e-9):
@@ -98,9 +95,6 @@ class SoftmaxGradientEstimator:
         self.delta = float(delta)
         self.p = p if p is not None else 2
         self.mode = mode
-        self.auto_rebuild = auto_rebuild
-        self.record_queries = record_queries
-        self.query_log: list[np.ndarray] = []
         self.max_consecutive_rejections = max(8, math.ceil(200.0 * math.log(1.0 / delta)))
         self.counters = EstimatorCounters()
 
@@ -178,9 +172,7 @@ class SoftmaxGradientEstimator:
         delta = x_t - self.x_prev
         try:
             raw, changed = self.mvm.query(delta)
-        except BudgetExceeded as exc:
-            if not self.auto_rebuild:
-                raise MovementBudgetExceeded(str(exc)) from exc
+        except BudgetExceeded:
             # fresh maintainer at the same anchor: budget resets, the new
             # reference products are exact, and the radius precondition is
             # untouched
@@ -188,8 +180,6 @@ class SoftmaxGradientEstimator:
             self._init_mvm(self.x_prev - self.x0)
             raw, changed = self.mvm.query(delta)
             changed = np.arange(self.problem.n)
-        if self.record_queries:
-            self.query_log.append(delta.copy())
 
         self.y = self.lip * raw
         self._refresh_logits(changed)
@@ -236,18 +226,3 @@ class SoftmaxGradientEstimator:
         if self.p == 2:
             return float(np.sqrt(np.dot(v, v)))
         return float(np.sum(np.abs(v)))
-
-
-def estimator_init(
-    problem: MaxProblem,
-    x0: np.ndarray,
-    eps_prime: float,
-    r: float,
-    r_prime: float,
-    delta: float,
-    rng_seed=0,
-    **kwargs,
-) -> SoftmaxGradientEstimator:
-    return SoftmaxGradientEstimator(
-        problem, x0, eps_prime, r, r_prime, delta, rng_seed, **kwargs
-    )

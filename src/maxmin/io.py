@@ -59,9 +59,16 @@ def save_instance_binary(path, kind: str, rows: np.ndarray) -> None:
 
 
 def load_instance(path) -> tuple[str, np.ndarray]:
-    """Load either format, sniffing the binary magic."""
-    path = Path(path)
-    blob = path.read_bytes()
+    """Load either format, sniffing the binary magic; a malformed file
+    raises InvalidParams."""
+    blob = Path(path).read_bytes()
+    try:
+        return _parse_instance(blob)
+    except (struct.error, ValueError, IndexError) as exc:
+        raise InvalidParams(f"malformed instance file {str(path)!r}: {exc}") from exc
+
+
+def _parse_instance(blob: bytes) -> tuple[str, np.ndarray]:
     if blob[:4] == _MAGIC:
         n, d, code = struct.unpack("<III", blob[4:16])
         if code not in _KIND_NAMES:
@@ -92,6 +99,8 @@ def instance_from_payload(kind: str, rows: np.ndarray):
     if kind == "meb":
         return MebInstance(rows)
     if kind == "quadratics":
+        if rows.shape[1] < 2:
+            raise InvalidParams("quadratics rows need a center and an offset")
         return QuadraticMaxProblem(rows[:, :-1], rows[:, -1])
     raise InvalidParams(f"unknown instance kind {kind!r}")
 

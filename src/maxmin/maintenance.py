@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetExceeded, InvalidParams
-from .sketches import CountSketchMve, ExactMve, SampleMve, _check_norm
+from .sketches import ExactMve, _check_norm, mve_init
 
 _EMPTY = np.empty(0, dtype=np.intp)
 
@@ -88,13 +88,11 @@ class MatVecMaintainer:
                 seeds = rng_seed.spawn(self.k)
             else:
                 seeds = np.random.SeedSequence(rng_seed).spawn(self.k)
-            for i in range(1, self.k + 1):
-                eps_i = float(self.level_eps[i - 1])
-                if p == 2:
-                    self.levels.append(CountSketchMve(a, eps_i, self.delta_bar, seeds[i - 1]))
-                else:
-                    # levels share the single stored copy of A
-                    self.levels.append(SampleMve(a, eps_i, self.delta_bar, seeds[i - 1]))
+            # p = 1 levels share the single stored copy of A
+            self.levels.extend(
+                mve_init(a, p, float(self.level_eps[i]), self.delta_bar, seeds[i])
+                for i in range(self.k)
+            )
 
         x0 = np.asarray(x0, dtype=float)
         y0 = a @ x0 if np.any(x0) else np.zeros(self.n)
@@ -157,17 +155,3 @@ class MatVecMaintainer:
             gap = self._pnorm(self.ref_x[i] - self.ref_x[i - 1])
             if gap > self.eps * 2.0 ** (i - 2) * (1.0 + 1e-9):
                 raise AssertionError(f"reference chain invariant broken at level {i}")
-
-
-def mvm_init(
-    a: np.ndarray,
-    p: int,
-    x0: np.ndarray,
-    r_budget: float,
-    eps: float,
-    delta: float,
-    rng_seed=0,
-    mode: str = "sketch",
-    validate: bool = False,
-) -> MatVecMaintainer:
-    return MatVecMaintainer(a, x0, r_budget, eps, delta, p, rng_seed, mode, validate)

@@ -7,10 +7,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NormBoundViolated
+from .errors import DimensionMismatch, NonFinite, NormBoundViolated
 from .geometry import GeometrySetup, Kind
 
 _NORM_TOL = 1e-9
+
+
+def _check_finite(name: str, a: np.ndarray) -> None:
+    # a NaN passes every norm-bound comparison, so it is caught here
+    if not np.all(np.isfinite(a)):
+        raise NonFinite(f"{name} has non-finite entries")
 
 
 class MaxProblem:
@@ -87,13 +93,15 @@ class QuadraticMaxProblem(MaxProblem):
 
     def __init__(self, centers: np.ndarray, offsets: np.ndarray | None = None, scale: float = 1.0):
         centers = np.asarray(centers, dtype=float)
-        if centers.ndim != 2:
-            raise DimensionMismatch("centers must be an (n, d) matrix")
+        if centers.ndim != 2 or centers.shape[0] < 1:
+            raise DimensionMismatch("centers must be an (n, d) matrix with n >= 1")
         self.centers = centers
         self.n, self.d = centers.shape
         self.offsets = (
             np.zeros(self.n) if offsets is None else np.asarray(offsets, dtype=float).copy()
         )
+        _check_finite("centers", centers)
+        _check_finite("offsets", self.offsets)
         self.scale = float(scale)
         self.smooth = self.scale
         # gradient bound over the unit ball: scale * max ||x - p_i||
@@ -142,10 +150,11 @@ class MatrixGameInstance:
 
     def __post_init__(self) -> None:
         self.matrix = np.asarray(self.matrix, dtype=float)
-        if self.matrix.ndim != 2:
-            raise DimensionMismatch("payoff matrix must be 2-D")
+        if self.matrix.ndim != 2 or self.matrix.shape[1] < 1:
+            raise DimensionMismatch("payoff matrix must be 2-D with at least one column")
         if self.kind not in ("l2l1", "l1l1"):
             raise NormBoundViolated(f"unknown game kind {self.kind!r}")
+        _check_finite("payoff matrix", self.matrix)
         nrm = _operator_norm(self.matrix, self.is_ball)
         if nrm > 1.0 + _NORM_TOL:
             raise NormBoundViolated(f"column norm bound violated: {nrm:.6g} > 1")
@@ -179,6 +188,7 @@ class MebInstance:
         pts = np.asarray(self.points, dtype=float).copy()
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise DimensionMismatch("need an (n, d) array with n >= 1")
+        _check_finite("points", pts)
         self.shift = pts[0].copy()
         pts = pts - self.shift
         nrm = float(np.max(np.linalg.norm(pts, axis=1)))

@@ -39,10 +39,15 @@ class SumTree:
         return float(self.tree[1])
 
     def update(self, i: int, weight: float) -> None:
+        # ancestors are recomputed from their children, not shifted by the
+        # difference: old + (new - old) rounds away a small weight next to
+        # a large one
+        t = self.tree
         pos = self.leaves + i
-        diff = max(weight, 0.0) - self.tree[pos]
+        t[pos] = max(weight, 0.0)
+        pos //= 2
         while pos >= 1:
-            self.tree[pos] += diff
+            t[pos] = t[2 * pos] + t[2 * pos + 1]
             pos //= 2
 
     def sample_batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -51,10 +56,13 @@ class SumTree:
         Small trees sample through a leaf cumsum (two vector ops); larger
         ones descend all levels at once on the batch.
         """
-        u = rng.random(count) * self.tree[1]
         if self.leaves <= 2048:
+            # scale by the cumsum's own total: the root sums in another
+            # order, and u past cs[-1] would land on the last index
             cs = np.cumsum(self.tree[self.leaves : self.leaves + self.n])
+            u = rng.random(count) * cs[-1]
             return np.minimum(np.searchsorted(cs, u, side="right"), self.n - 1)
+        u = rng.random(count) * self.tree[1]
         idx = np.ones(count, dtype=np.intp)
         node = self.leaves
         while node > 1:

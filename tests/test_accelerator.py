@@ -7,7 +7,6 @@ from maxmin.accelerator import (
     AccelParams,
     accelerate,
     expected_iteration_bound,
-    phi_map,
     stopping_threshold,
 )
 from maxmin.ball_oracle import BallOracleResult, OracleStats, practical_profile
@@ -123,12 +122,6 @@ class TestWeightRecursions:
             rho_t = (a + a_inc) / a_inc * 0.3
             assert rho_t == pytest.approx(rho0, rel=1e-12)
             a += a_inc / 2.2
-
-    def test_phi_map(self):
-        x = np.array([1.0, 0.0])
-        z = np.array([0.0, 1.0])
-        out = phi_map(3.0, 1.0, x, z)
-        np.testing.assert_allclose(out, [0.75, 0.25])
 
     def test_iteration_cap_raises(self):
         prof = practical_profile()

@@ -16,7 +16,7 @@ from maxmin.apps import (
     solve_smooth_max,
     subgradient_baseline,
 )
-from maxmin.errors import InvalidParams, NormBoundViolated
+from maxmin.errors import InvalidParams, NonFinite, NormBoundViolated
 from maxmin.geometry import Kind, ball_setup, simplex_setup
 from maxmin.problems import (
     LinearMaxProblem,
@@ -31,6 +31,20 @@ class TestInstances:
         with pytest.raises(NormBoundViolated):
             MatrixGameInstance(np.full((2, 2), 0.9), "l2l1")
         MatrixGameInstance(np.full((2, 2), 0.9), "l1l1")  # max entry fine
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        a = np.full((2, 2), 0.5)
+        a[1, 0] = bad
+        for build in (
+            lambda: MatrixGameInstance(a, "l2l1"),
+            lambda: MatrixGameInstance(a, "l1l1"),
+            lambda: MebInstance(a),
+            lambda: QuadraticMaxProblem(a),
+            lambda: QuadraticMaxProblem(np.zeros((2, 2)), a[:, 0]),
+        ):
+            with pytest.raises(NonFinite):
+                build()
 
     def test_meb_normalization(self):
         inst = MebInstance(np.array([[1.0, 1.0], [3.0, 1.0], [1.0, 2.0]]))

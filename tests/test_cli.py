@@ -1,15 +1,20 @@
 import csv
 import json
+import math
+import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from maxmin import io as mio
 from maxmin.cli import main
-from maxmin.errors import InvalidParams
+from maxmin.errors import InvalidParams, MaxminError
 
 
 def run_cli(args):
@@ -51,6 +56,43 @@ class TestInstanceFormats:
         path.write_text("NOPE v9 game 1 1\n0.0\n")
         with pytest.raises(InvalidParams):
             mio.load_instance(path)
+
+    @pytest.mark.parametrize("blob", [
+        b"MXMN\x02\x00",  # binary header cut short
+        b"MAXMIN v1 meb 1 2\n1.0 abc\n",  # non-numeric entry
+        b"",  # empty file
+    ])
+    def test_malformed_file_rejected(self, tmp_path, blob):
+        path = tmp_path / "bad"
+        path.write_bytes(blob)
+        with pytest.raises(InvalidParams):
+            mio.load_instance(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=st.one_of(
+        st.binary(max_size=64),
+        st.builds(
+            lambda head, tail: head + tail,
+            st.sampled_from([b"MXMN", b"MAXMIN v1 meb ", b"MAXMIN v1 game_l1l1 2 ",
+                             b"MAXMIN v1 quadratics 1 "]),
+            st.binary(max_size=48),
+        ),
+        st.builds(
+            lambda n, d, code, vals: struct.pack("<4sIII", b"MXMN", n, d, code)
+            + struct.pack(f"<{len(vals)}d", *vals),
+            st.integers(0, 3), st.integers(0, 3), st.integers(0, 4),
+            st.lists(st.floats(), max_size=9),
+        ),
+    ))
+    def test_any_bytes_load_to_an_instance_or_a_maxmin_error(self, tmp_path, blob):
+        path = tmp_path / "fuzz"
+        path.write_bytes(blob)
+        try:
+            inst = mio.instance_from_payload(*mio.load_instance(path))
+        except MaxminError:
+            return
+        assert inst.n >= 1
 
     def test_report_roundtrip_and_schema(self, tmp_path):
         path = tmp_path / "rep.json"
@@ -123,6 +165,13 @@ class TestSolve:
             assert key in doc
         assert all(q > 0 for q in [doc["counters"]["func_evals"]])
 
+    def test_non_finite_instance_exit_two(self, tmp_path):
+        inst = tmp_path / "nan.txt"
+        mio.save_instance_text(inst, "game_l2l1", np.array([[0.5, np.nan], [0.0, 1.0]]))
+        out = tmp_path / "rep.json"
+        assert run_cli(["solve", "--in", str(inst), "--eps", "0.1", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_stdout_carries_only_report_path(self, tmp_path, capsys):
         inst = tmp_path / "i2.txt"
         mio.save_instance_text(inst, "game_l1l1", np.eye(2))
@@ -157,6 +206,8 @@ class TestSelftestAndBench:
         for r in rows:
             assert float(r["evaluations"]) > 0
             assert float(r["wall_time"]) > 0
+        # 1000 steps, each n = 6 values plus one gradient
+        assert {int(r["evaluations"]) for r in rows if r["method"] == "subgradient"} == {7000}
 
     def test_bench_r_sweep(self, tmp_path):
         inst = tmp_path / "g.txt"
@@ -169,17 +220,44 @@ class TestSelftestAndBench:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert [r["r"] for r in rows] == ["0.4", "0.2"]
+        assert all(math.isfinite(float(r["gap"])) for r in rows)
+
+    def test_bench_r_sweep_applies_to_quadratics(self, tmp_path):
+        inst = tmp_path / "q.txt"
+        run_cli(["gen", "--kind", "quadratics", "--n", "5", "--d", "3", "--seed", "2",
+                 "--out", str(inst)])
+        out = tmp_path / "sweep.csv"
+        code = run_cli(["bench", "--in", str(inst), "--eps", "0.25", "--method",
+                        "proposed", "--r-sweep", "0.3,0.1", "--out", str(out)])
+        assert code == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["r"] for r in rows] == ["0.3", "0.1"]
+        assert rows[0]["evaluations"] != rows[1]["evaluations"]
+
+    @pytest.mark.parametrize("kind,flags", [
+        ("meb", ["--r-sweep", "0.4,0.2"]),  # the MEB recursion sets its own radius
+        ("game", ["--method", "bogus"]),
+    ])
+    def test_bench_rejects_flags_it_cannot_apply(self, tmp_path, kind, flags):
+        inst = tmp_path / "i.txt"
+        run_cli(["gen", "--kind", kind, "--n", "5", "--d", "3", "--out", str(inst)])
+        out = tmp_path / "bench.csv"
+        code = run_cli(["bench", "--in", str(inst), "--eps", "0.25", *flags,
+                        "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
 
 class TestFailurePath:
     def test_solver_failure_exit_three_with_seed(self, tmp_path, monkeypatch):
-        import maxmin.cli as cli_mod
+        import maxmin.apps as apps_mod
         from maxmin.errors import RejectionStall
 
         def exploding(*args, **kwargs):
             raise RejectionStall("good event failed")
 
-        monkeypatch.setattr(cli_mod, "solve_matrix_game", exploding)
+        monkeypatch.setattr(apps_mod, "solve_matrix_game", exploding)
         inst = tmp_path / "g.txt"
         mio.save_instance_text(inst, "game_l1l1", np.eye(2))
         out = tmp_path / "rep.json"
@@ -191,24 +269,24 @@ class TestFailurePath:
         assert doc["seed"] == 17
         assert "RejectionStall" in doc["error"]
 
+    def test_non_finite_result_exit_three(self, tmp_path, monkeypatch):
+        import maxmin.apps as apps_mod
 
-class TestThreadEnv:
-    def test_bench_parallel_rows_match_sequential(self, tmp_path, monkeypatch):
+        def nan_game(inst, eps, **kwargs):
+            rep = SimpleNamespace(f_max_value=float("nan"), extras={"gap": float("nan")})
+            return np.full(inst.d, np.nan), rep
+
+        monkeypatch.setattr(apps_mod, "solve_matrix_game", nan_game)
         inst = tmp_path / "g.txt"
-        run_cli(["gen", "--kind", "game", "--n", "5", "--d", "3", "--seed", "4",
-                 "--out", str(inst)])
-        outs = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("MAXMIN_THREADS", workers)
-            out = tmp_path / f"bench{workers}.csv"
-            run_cli(["bench", "--in", str(inst), "--eps", "0.25", "--seed", "0",
-                     "--repeats", "2", "--method", "proposed", "--out", str(out)])
-            with open(out) as fh:
-                rows = list(csv.DictReader(fh))
-            for row in rows:
-                row.pop("wall_time")
-            outs.append(rows)
-        assert outs[0] == outs[1]
+        mio.save_instance_text(inst, "game_l1l1", np.eye(2))
+        out = tmp_path / "rep.json"
+        code = run_cli(["solve", "--in", str(inst), "--eps", "0.1", "--seed", "5",
+                        "--out", str(out)])
+        assert code == 3
+        doc = mio.read_report(out)
+        assert doc["status"] == "failed"
+        assert doc["seed"] == 5
+        assert "NonFinite" in doc["error"]
 
 
 class TestEntryPoint:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maxmin.errors import BudgetExceeded, InvalidParams
-from maxmin.maintenance import MatVecMaintainer, level_accuracies, mvm_init
+from maxmin.maintenance import MatVecMaintainer, level_accuracies
 from maxmin.selftests import mvm_walk_check
 
 
@@ -19,12 +19,12 @@ def unit_rows(rng, n, d, p=2):
 
 class TestInit:
     def test_level_count(self):
-        m = mvm_init(np.zeros((3, 4)), 2, np.zeros(4), 4.0, 1.0, 0.1, mode="exact")
+        m = MatVecMaintainer(np.zeros((3, 4)), np.zeros(4), 4.0, 1.0, 0.1, p=2, mode="exact")
         assert m.k == 3  # ceil(log2 4) + 1
 
     def test_level_count_and_accuracies(self):
-        m = mvm_init(
-            np.zeros((30, 10)), 2, np.zeros(10), 1.0, 0.05, 0.1, mode="exact"
+        m = MatVecMaintainer(
+            np.zeros((30, 10)), np.zeros(10), 1.0, 0.05, 0.1, p=2, mode="exact"
         )
         assert m.k == 6
         # alpha_i proportional to 2^{i/3}, normalized; eps_i = alpha_i 2^{-i}
@@ -38,7 +38,7 @@ class TestInit:
 
     def test_accuracy_clamped_to_half_range(self):
         with pytest.warns(UserWarning):
-            m = mvm_init(np.zeros((2, 2)), 2, np.zeros(2), 1.0, 0.9, 0.1, mode="exact")
+            m = MatVecMaintainer(np.zeros((2, 2)), np.zeros(2), 1.0, 0.9, 0.1, p=2, mode="exact")
         assert m.eps == pytest.approx(0.5)
 
     def test_rejects_bad_p(self):
@@ -47,7 +47,7 @@ class TestInit:
 
     def test_zero_matrix_stays_zero(self):
         rng = np.random.default_rng(0)
-        m = mvm_init(np.zeros((4, 3)), 1, np.zeros(3), 1.0, 0.2, 0.1, mode="sketch")
+        m = MatVecMaintainer(np.zeros((4, 3)), np.zeros(3), 1.0, 0.2, 0.1, p=1, mode="sketch")
         for _ in range(20):
             y, _ = m.query(rng.standard_normal(3) * 0.01)
             np.testing.assert_array_equal(y, np.zeros(4))
@@ -57,7 +57,7 @@ class TestQuery:
     def test_zero_step_changes_nothing(self):
         rng = np.random.default_rng(1)
         a = unit_rows(rng, 5, 4)
-        m = mvm_init(a, 2, np.zeros(4), 1.0, 0.1, 0.1, mode="exact")
+        m = MatVecMaintainer(a, np.zeros(4), 1.0, 0.1, 0.1, p=2, mode="exact")
         m.query(rng.standard_normal(4) * 0.05)
         before = m.ref_y[1].copy()
         y, changed = m.query(np.zeros(4))
@@ -67,7 +67,7 @@ class TestQuery:
 
     def test_budget_exceeded_raises_and_preserves_state(self):
         a = unit_rows(np.random.default_rng(2), 3, 3)
-        m = mvm_init(a, 2, np.zeros(3), 1.0, 0.25, 0.1, mode="exact")
+        m = MatVecMaintainer(a, np.zeros(3), 1.0, 0.25, 0.1, p=2, mode="exact")
         m.query(np.array([0.9, 0.0, 0.0]))
         x_before = m.x.copy()
         with pytest.raises(BudgetExceeded):
@@ -80,7 +80,7 @@ class TestQuery:
         fails = 0
         for seed in range(100):
             a = np.eye(12)
-            m = mvm_init(a, 2, np.zeros(12), 1.0, 0.25, 0.1, rng_seed=seed)
+            m = MatVecMaintainer(a, np.zeros(12), 1.0, 0.25, 0.1, p=2, rng_seed=seed)
             delta = rng.standard_normal(12)
             delta /= np.linalg.norm(delta)
             y, _ = m.query(delta)
@@ -92,7 +92,7 @@ class TestQuery:
         rng = np.random.default_rng(4)
         a = unit_rows(rng, 6, 5)
         eps = 0.05
-        m = mvm_init(a, 2, np.zeros(5), 1.0, eps, 0.1, mode="exact", validate=True)
+        m = MatVecMaintainer(a, np.zeros(5), 1.0, eps, 0.1, p=2, mode="exact", validate=True)
         cur = np.zeros(5)
         for _ in range(300):
             step = rng.standard_normal(5)
@@ -104,7 +104,7 @@ class TestQuery:
     def test_top_reference_never_moves(self):
         rng = np.random.default_rng(5)
         a = unit_rows(rng, 4, 4)
-        m = mvm_init(a, 2, np.zeros(4), 1.0, 0.1, 0.1, mode="exact", validate=True)
+        m = MatVecMaintainer(a, np.zeros(4), 1.0, 0.1, 0.1, p=2, mode="exact", validate=True)
         top_before = m.ref_x[m.k + 1].copy()
         for _ in range(200):
             step = rng.standard_normal(4)
@@ -115,7 +115,7 @@ class TestQuery:
     def test_level_budgets_respected(self):
         rng = np.random.default_rng(6)
         a = unit_rows(rng, 5, 6)
-        m = mvm_init(a, 2, np.zeros(6), 1.0, 0.125, 0.1, mode="exact", validate=True)
+        m = MatVecMaintainer(a, np.zeros(6), 1.0, 0.125, 0.1, p=2, mode="exact", validate=True)
         total = 0.0
         while total < 0.99:
             step = rng.standard_normal(6)
@@ -128,7 +128,7 @@ class TestQuery:
     def test_changed_coordinates_reported(self):
         rng = np.random.default_rng(7)
         a = unit_rows(rng, 8, 4)
-        m = mvm_init(a, 2, np.zeros(4), 1.0, 0.2, 0.1, mode="exact")
+        m = MatVecMaintainer(a, np.zeros(4), 1.0, 0.2, 0.1, p=2, mode="exact")
         seen_change = False
         prev = m.ref_y[1].copy()
         for _ in range(60):
