@@ -23,7 +23,7 @@ from .ball_oracle import (
     restricted_oracle,
     tau,
 )
-from .errors import GradientCallbackFailed, InvalidParams, IterationCapExceeded
+from .errors import InvalidParams, IterationCapExceeded
 from .geometry import GeometrySetup
 
 
@@ -85,6 +85,8 @@ class SolverReport:
     wall_time: float
     seed: int
     profile_name: str
+    draws: int = 0  # sampler proposals; accepted / draws is the acceptance rate
+    accepted: int = 0
     rho: float = 0.0
     expected_iterations: float = 0.0
     trace: list[dict] = field(default_factory=list)
@@ -100,6 +102,8 @@ class SolverReport:
             func_evals=sum(p.func_evals for p in parts),
             grad_evals=sum(p.grad_evals for p in parts),
             mvm_rebuilds=sum(p.mvm_rebuilds for p in parts),
+            draws=sum(p.draws for p in parts),
+            accepted=sum(p.accepted for p in parts),
             t_eval=sum(p.t_eval for p in parts),
             t_md=sum(p.t_md for p in parts),
             profile_name=parts[-1].profile_name,
@@ -120,6 +124,8 @@ class SolverReport:
             "func_evals": self.func_evals,
             "grad_evals": self.grad_evals,
             "mvm_rebuilds": self.mvm_rebuilds,
+            "draws": self.draws,
+            "accepted": self.accepted,
             "oracle_queries": [rec.oracle_queries for rec in self.iterations],
             "oracle_movement": [rec.oracle_movement for rec in self.iterations],
             "c_history": self.c_history,
@@ -169,9 +175,8 @@ def accelerate(
 
     records: list[IterationRecord] = []
     trace: list[dict] = []
-    func_evals = grad_evals = rebuilds = 0
-    t_eval = 0.0
-    oracle_wall = 0.0
+    func_evals = grad_evals = rebuilds = draws = accepted = 0
+    t_eval = t_md = 0.0
     t = 0
 
     tau_val = tau(setup)
@@ -196,6 +201,8 @@ def accelerate(
             r_prime = 8.0 * params.r
         round_seed = np.random.SeedSequence(entropy=seed_entropy, spawn_key=seed_key + (t,))
         est = estimator_factory(anchor, r_prime, round_seed)
+        # the anchor evaluation runs here, outside the oracle's timer
+        anchor_eval = est.counters.eval_seconds
 
         scale = a_inc / a_next
 
@@ -207,7 +214,7 @@ def accelerate(
         cfg = OracleConfig(gamma_bound, _div_bound(setup, params), params.profile)
         t_oracle = time.perf_counter()
         result, stats = oracle(grad_h, setup, v, rho, cfg)
-        oracle_wall += time.perf_counter() - t_oracle
+        oracle_wall = time.perf_counter() - t_oracle
 
         c = result.c
         phi_z = anchor + scale * (result.z - v)
@@ -226,7 +233,10 @@ def accelerate(
         func_evals += counters.func_evals
         grad_evals += counters.grad_evals
         rebuilds += counters.mvm_rebuilds
+        draws += counters.draws
+        accepted += counters.accepted
         t_eval += counters.eval_seconds
+        t_md += oracle_wall - (counters.eval_seconds - anchor_eval)
 
     wall = time.perf_counter() - start
     return SolverReport(
@@ -238,10 +248,12 @@ def accelerate(
         grad_evals=grad_evals,
         mvm_rebuilds=rebuilds,
         t_eval=t_eval,
-        t_md=max(oracle_wall - t_eval, 0.0),
+        t_md=t_md,
         wall_time=wall,
         seed=params.seed,
         profile_name=params.profile.name,
+        draws=draws,
+        accepted=accepted,
         rho=rho,
         expected_iterations=expected,
         trace=trace,

@@ -4,7 +4,8 @@ Subcommands: ``gen`` (instance generation), ``solve`` (single solve with
 a JSON report; the instance file's header fixes the kind), ``selftest``
 (statistical property suites), ``bench`` (method/radius/seed sweeps to
 CSV, one cell at a time; ``--r-sweep`` sets the query radius of games
-and quadratics and is rejected on MEB instances).  Human logs go to
+and quadratics, is rejected on MEB instances, and leaves the radius-free
+subgradient control at one row per seed).  Human logs go to
 stderr; ``solve`` prints nothing on stdout except the report path.  Exit
 codes: 0 success, 2 validation error, 3 solver failure or a non-finite
 result (the failing seed is recorded in the report).
@@ -167,10 +168,11 @@ def cmd_bench(args) -> int:
     if args.r_sweep:
         sweep = [float(v) for v in args.r_sweep.split(",")]
     seeds = [args.seed + i for i in range(args.repeats)]
+    # the subgradient control has no query radius: one row per seed
     results = [
         _bench_cell(inst, m, args.eps, s, args.profile, r)
         for m in methods
-        for r in sweep
+        for r in (sweep if m == "proposed" else [None])
         for s in seeds
     ]
     fields = ["instance", "method", "r", "seed", "value", "gap", "evaluations",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .maintenance import MatVecMaintainer
 from .problems import MaxProblem
 from .sumtree import SumTree
 
-# Rebuild the weight tree when the running max logit drifts this far from
-# the stored offset; prevents exp underflow from skewing the weights.
+# Rebuild the sampler's weights when the running max logit drifts this far
+# from the stored offset; prevents exp underflow from skewing the weights.
 _OFFSET_DRIFT = 30.0
 _BATCH = 8
 
@@ -148,6 +148,9 @@ class SoftmaxGradientEstimator:
         )
 
     def _refresh_logits(self, changed: np.ndarray) -> None:
+        """Recompute the logits at ``changed`` and pass their weights to the
+        sampler: every weight is rebased when the max logit drifts past the
+        stored offset, otherwise only the changed weights are written."""
         if changed.size == 0:
             return
         self.logits[changed] = (self.f0[changed] + self.y[changed]) / self.eps_prime
@@ -155,12 +158,8 @@ class SoftmaxGradientEstimator:
         if abs(top - self._offset) > _OFFSET_DRIFT:
             self._offset = top
             self.tree.rebuild(np.exp(self.logits - self._offset))
-        elif changed.size > max(8, self.problem.n // 8):
-            self.tree.rebuild(np.exp(self.logits - self._offset))
         else:
-            w = np.exp(self.logits[changed] - self._offset)
-            for i, wi in zip(changed.tolist(), w.tolist()):
-                self.tree.update(i, wi)
+            self.tree.update(changed, np.exp(self.logits[changed] - self._offset))
 
     def estimate(self, x_t: np.ndarray) -> tuple[int, np.ndarray, EstimateStats]:
         """Sample i ~ softmax(f(x_t)/eps') and return (i, grad f_i(x_t), stats)."""

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ from maxmin.accelerator import (
     expected_iteration_bound,
     stopping_threshold,
 )
-from maxmin.ball_oracle import BallOracleResult, OracleStats, practical_profile
+from maxmin.ball_oracle import (
+    BallOracleResult,
+    OracleStats,
+    practical_profile,
+    restricted_oracle,
+)
 from maxmin.errors import InvalidParams, IterationCapExceeded
 from maxmin.geometry import Kind, ball_setup
 from maxmin.problems import LinearMaxProblem
@@ -55,6 +61,8 @@ class StubEstimator:
         func_evals = 0
         grad_evals = 0
         mvm_rebuilds = 0
+        draws = 0
+        accepted = 0
         eval_seconds = 0.0
 
     counters = _C()
@@ -208,3 +216,42 @@ class TestPotentialDecrease:
 
         ucb = rc.one_sided_upper_confidence(np.array(increments))
         assert ucb <= 0.0, f"potential increment UCB {ucb:.3e}"
+
+
+class SlowAnchorProblem(LinearMaxProblem):
+    """A linear family whose batch evaluation, run once per round at the
+    estimator's anchor, sleeps before answering."""
+
+    pause = 0.0005
+
+    def values_all(self, x):
+        time.sleep(self.pause)
+        return super().values_all(x)
+
+
+class TestTimingSplit:
+    def test_slow_anchor_leaves_md_time_intact(self, monkeypatch):
+        import maxmin.apps as apps
+
+        oracle_wall = []
+
+        def timed_oracle(*args):
+            t0 = time.perf_counter()
+            out = restricted_oracle(*args)
+            oracle_wall.append(time.perf_counter() - t0)
+            return out
+
+        real = apps.accelerate
+        monkeypatch.setattr(
+            apps, "accelerate", lambda *a, **kw: real(*a, oracle=timed_oracle, **kw)
+        )
+        rows = np.random.default_rng(0).standard_normal((8, 3))
+        prob = SlowAnchorProblem(0.9 * rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        rep = apps.solve_smooth_max(prob, 0.8, seed=0)
+        assert len(oracle_wall) == rep.outer_iterations
+        slept = rep.outer_iterations * SlowAnchorProblem.pause
+        # t_md is oracle time less the evaluations inside the oracle; the
+        # anchor's evaluations (sleep included) sit in t_eval alone
+        assert rep.t_md > 0.0
+        assert rep.t_md >= sum(oracle_wall) - rep.t_eval + slept
+        assert rep.t_eval + rep.t_md <= rep.wall_time

@@ -165,6 +165,18 @@ class TestSolve:
             assert key in doc
         assert all(q > 0 for q in [doc["counters"]["func_evals"]])
 
+    @pytest.mark.parametrize("kind,eps", [("game", "0.2"), ("meb", "0.25")])
+    def test_report_counts_sampler_draws(self, tmp_path, kind, eps):
+        inst = tmp_path / "i.txt"
+        run_cli(["gen", "--kind", kind, "--n", "6", "--d", "3", "--seed", "3",
+                 "--out", str(inst)])
+        out = tmp_path / "rep.json"
+        assert run_cli(["solve", "--in", str(inst), "--eps", eps, "--out", str(out)]) == 0
+        counters = mio.read_report(out)["counters"]
+        # every oracle query takes exactly one accepted sample
+        assert counters["accepted"] == sum(counters["oracle_queries"]) > 0
+        assert counters["draws"] >= counters["accepted"]
+
     def test_non_finite_instance_exit_two(self, tmp_path):
         inst = tmp_path / "nan.txt"
         mio.save_instance_text(inst, "game_l2l1", np.array([[0.5, np.nan], [0.0, 1.0]]))
@@ -221,6 +233,22 @@ class TestSelftestAndBench:
             rows = list(csv.DictReader(fh))
         assert [r["r"] for r in rows] == ["0.4", "0.2"]
         assert all(math.isfinite(float(r["gap"])) for r in rows)
+
+    def test_bench_r_sweep_runs_subgradient_once_per_seed(self, tmp_path):
+        inst = tmp_path / "g.txt"
+        run_cli(["gen", "--kind", "game", "--n", "5", "--d", "3", "--seed", "2",
+                 "--out", str(inst)])
+        out = tmp_path / "sweep.csv"
+        code = run_cli(["bench", "--in", str(inst), "--eps", "0.25", "--repeats", "2",
+                        "--method", "proposed,subgradient", "--r-sweep", "0.4,0.2",
+                        "--out", str(out)])
+        assert code == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        for seed in ("0", "1"):
+            cells = [(r["method"], r["r"]) for r in rows if r["seed"] == seed]
+            assert sorted(cells) == [("proposed", "0.2"), ("proposed", "0.4"),
+                                     ("subgradient", "")]
 
     def test_bench_r_sweep_applies_to_quadratics(self, tmp_path):
         inst = tmp_path / "q.txt"

@@ -43,10 +43,35 @@ class TestSumTree:
     def test_update_keeps_small_weight_beside_large(self):
         t = SumTree(np.array([1.0, 3e16, 0.0]))
         t.update(1, 1.0)
-        assert t.tree[t.leaves + 1] == 1.0
+        assert t.weights[1] == 1.0
         assert t.total == 2.0
         freq = np.bincount(t.sample_batch(np.random.default_rng(2), 20_000), minlength=3)
         np.testing.assert_allclose(freq / 20_000, [0.5, 0.5, 0.0], atol=0.02)
+
+    def test_draws_see_new_weights(self):
+        rng = np.random.default_rng(3)
+        t = SumTree(np.array([1.0, 0.0, 0.0]))
+        assert set(t.sample_batch(rng, 100).tolist()) == {0}
+        t.update(np.array([0, 2]), np.array([0.0, 1.0]))
+        assert set(t.sample_batch(rng, 100).tolist()) == {2}
+        t.rebuild(np.array([0.0, 1.0, 0.0]))
+        assert set(t.sample_batch(rng, 100).tolist()) == {1}
+        assert t.total == 1.0
+
+    def test_vector_update_matches_point_updates(self):
+        rng = np.random.default_rng(4)
+        w = rng.random(50)
+        idx = rng.choice(50, size=20, replace=False)
+        new = rng.random(20) * 3.0
+        new[::5] = -1.0  # negative weights clamp to zero either way
+        vec, point = SumTree(w), SumTree(w)
+        vec.update(idx, new)
+        for i, wi in zip(idx.tolist(), new.tolist()):
+            point.update(i, wi)
+        np.testing.assert_array_equal(vec.weights, point.weights)
+        assert vec.total == point.total
+        np.testing.assert_array_equal(vec.sample_batch(np.random.default_rng(5), 1000),
+                                      point.sample_batch(np.random.default_rng(5), 1000))
 
     def test_descent_path_distribution(self):
         rng = np.random.default_rng(1)
@@ -134,6 +159,19 @@ class TestEstimate:
             counts[i] += 1
         target = refcheck.exact_softmax_dist(prob, x_t, est.eps_prime)
         assert refcheck.tv_distance(counts / draws, target) <= 0.05
+
+    def test_index_distribution_matches_softmax_large_n(self):
+        # wider than the other law checks: proposals search 3000 buckets
+        n = 3000
+        prob = linear_problem(np.random.default_rng(9), n, 4)
+        est = make_estimator(prob, 4, seed=10)
+        x_t = np.array([0.1, -0.05, 0.0, 0.05])
+        counts = np.zeros(n)
+        for _ in range(30_000):
+            i, _, _ = est.estimate(x_t)
+            counts[i] += 1
+        target = refcheck.exact_softmax_dist(prob, x_t, est.eps_prime)
+        assert refcheck.chi_square_pvalue(counts, target) > 0.01
 
     def test_unbiased_for_smoothed_max_gradient(self):
         rng = np.random.default_rng(8)
