@@ -3,16 +3,7 @@ functions over a Euclidean ball or truncated simplex."""
 
 from .accelerator import AccelParams, SolverReport, accelerate, stopping_threshold
 from .apps import solve_matrix_game, solve_meb, solve_smooth_max, subgradient_baseline
-from .ball_oracle import (
-    BallOracleResult,
-    OracleConfig,
-    OracleProfile,
-    lambda_bisection,
-    li_md,
-    practical_profile,
-    restricted_oracle,
-    theory_profile,
-)
+from .ball_oracle import BallOracleResult, lambda_bisection, li_md, restricted_oracle
 from .estimator import SoftmaxGradientEstimator
 from .geometry import (
     GeometrySetup,
@@ -20,7 +11,6 @@ from .geometry import (
     ball_setup,
     bregman,
     domain_radius_bound,
-    mirror_average,
     prox_step,
     simplex_setup,
     tau,

@@ -16,13 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ball_oracle import (
-    OracleConfig,
-    OracleProfile,
-    movement_bound,
-    restricted_oracle,
-    tau,
-)
+from .ball_oracle import restricted_oracle
 from .errors import InvalidParams, IterationCapExceeded
 from .geometry import GeometrySetup
 
@@ -43,13 +37,12 @@ class AccelParams:
     e0: float  # initial suboptimality bound
     eps: float
     gamma: float
-    profile: OracleProfile
     lip: float  # L_f of the underlying family
     seed: int = 0
     iteration_cap_factor: float = 10.0
     record_trace: bool = False
-    # practical-profile knob: stop at this fraction of the worst-case
-    # weight threshold (1.0 reproduces the published stopping rule)
+    # stop at this fraction of the worst-case weight threshold (1.0 is
+    # the published stopping rule; the MEB recursion stops earlier)
     stopping_scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -84,7 +77,6 @@ class SolverReport:
     t_md: float
     wall_time: float
     seed: int
-    profile_name: str
     draws: int = 0  # sampler proposals; accepted / draws is the acceptance rate
     accepted: int = 0
     rho: float = 0.0
@@ -106,7 +98,6 @@ class SolverReport:
             accepted=sum(p.accepted for p in parts),
             t_eval=sum(p.t_eval for p in parts),
             t_md=sum(p.t_md for p in parts),
-            profile_name=parts[-1].profile_name,
             **fields,
         )
 
@@ -154,7 +145,7 @@ def accelerate(
 
     ``estimator_factory(anchor, r_prime, seed)`` builds the per-round
     gradient estimator; ``oracle`` is called as
-    ``oracle(grad_est, setup, y, rho, cfg)``.  A fresh estimator is
+    ``oracle(grad_est, setup, y, rho, gamma_bound)``.  A fresh estimator is
     anchored at Phi_t(v_t) each round, and its gradient is scaled by the
     round weight a_{t+1}.
     """
@@ -179,8 +170,6 @@ def accelerate(
     t_eval = t_md = 0.0
     t = 0
 
-    tau_val = tau(setup)
-
     while a_weight < threshold:
         t += 1
         if t > cap:
@@ -191,14 +180,7 @@ def accelerate(
         a_next = a_weight + a_inc
         anchor = (a_weight * x + a_inc * v) / a_next
         gamma_bound = a_inc * params.lip
-
-        if params.profile.paper_step:
-            delta_est = params.profile.delta if params.profile.delta is not None else 1e-3
-            r_prime = 2.0 * (params.r / rho) * movement_bound(
-                params.profile, rho, tau_val, gamma_bound, delta_est
-            )
-        else:
-            r_prime = 8.0 * params.r
+        r_prime = 8.0 * params.r
         round_seed = np.random.SeedSequence(entropy=seed_entropy, spawn_key=seed_key + (t,))
         est = estimator_factory(anchor, r_prime, round_seed)
         # the anchor evaluation runs here, outside the oracle's timer
@@ -211,9 +193,8 @@ def accelerate(
             _, grad, _ = est.estimate(point)
             return a_inc * grad
 
-        cfg = OracleConfig(gamma_bound, _div_bound(setup, params), params.profile)
         t_oracle = time.perf_counter()
-        result, stats = oracle(grad_h, setup, v, rho, cfg)
+        result, stats = oracle(grad_h, setup, v, rho, gamma_bound)
         oracle_wall = time.perf_counter() - t_oracle
 
         c = result.c
@@ -251,7 +232,6 @@ def accelerate(
         t_md=t_md,
         wall_time=wall,
         seed=params.seed,
-        profile_name=params.profile.name,
         draws=draws,
         accepted=accepted,
         rho=rho,
@@ -259,11 +239,3 @@ def accelerate(
         trace=trace,
     )
 
-
-def _div_bound(setup: GeometrySetup, params: AccelParams) -> float:
-    from .geometry import max_divergence_bound
-
-    bound = max_divergence_bound(setup)
-    if math.isinf(bound):
-        bound = 2.0 * params.r_bound**2
-    return bound

@@ -8,8 +8,8 @@ import time
 
 import numpy as np
 
-from .accelerator import AccelParams, SolverReport, accelerate, expected_iteration_bound
-from .ball_oracle import OracleProfile, get_profile
+from .accelerator import AccelParams, SolverReport, accelerate, stopping_threshold
+from .ball_oracle import STEP_CONSTANT
 from .errors import InvalidParams
 from .estimator import SoftmaxGradientEstimator
 from .geometry import (
@@ -30,12 +30,6 @@ from .problems import (
 )
 from . import refcheck
 from .refcheck import duality_gap
-
-
-def _resolve_profile(profile) -> OracleProfile:
-    if isinstance(profile, OracleProfile):
-        return profile
-    return get_profile(profile)
 
 
 def _log_n(n: int) -> float:
@@ -65,7 +59,6 @@ def default_radius(problem: MaxProblem, eps: float, r_bound: float) -> float:
 
 def auto_gamma(
     tau_val: float,
-    step_constant: float,
     a_max: float,
     a_start: float,
     lip: float,
@@ -82,7 +75,7 @@ def auto_gamma(
     always admissible (the oracle contract only weakens), it just trades
     more outer rounds for cheaper inner loops.
     """
-    k1 = 2.0 * tau_val * step_constant * (a_max * lip / r_bound) ** 2
+    k1 = 2.0 * tau_val * STEP_CONSTANT * (a_max * lip / r_bound) ** 2
     k2 = (
         math.log(max(a_max / a_start, 2.0))
         * (r_bound / radius) ** (2.0 / 3.0)
@@ -92,11 +85,14 @@ def auto_gamma(
     return min(max(gamma, 1e-10), 0.4)
 
 
+# failure probability handed to each round's gradient estimator
+ESTIMATOR_DELTA = 1e-3
+
+
 def solve_smooth_max(
     problem: MaxProblem,
     eps: float,
     seed: int = 0,
-    profile="practical",
     kind: Kind = Kind.BALL,
     nu: float | None = None,
     r: float | None = None,
@@ -114,7 +110,6 @@ def solve_smooth_max(
     """
     if eps <= 0.0:
         raise InvalidParams("eps must be positive")
-    prof = _resolve_profile(profile)
     d, n = problem.d, problem.n
 
     if kind is Kind.BALL:
@@ -132,34 +127,19 @@ def solve_smooth_max(
     eps_accel = eps / 8.0
 
     if gamma is None:
-        if prof.paper_step:
-            gamma = 1.0 / (2.0**13 * tau(setup) ** 5)
-        else:
-            from .accelerator import stopping_threshold
-
-            a_max = stopping_scale * stopping_threshold(r_bound, e0, eps_accel)
-            gamma = auto_gamma(
-                tau(setup), prof.step_constant, a_max, r_bound**2 / e0,
-                problem.lip, r_bound, radius,
-            )
+        a_max = stopping_scale * stopping_threshold(r_bound, e0, eps_accel)
+        gamma = auto_gamma(tau(setup), a_max, r_bound**2 / e0, problem.lip, r_bound, radius)
     params = AccelParams(
         r=radius,
         r_bound=r_bound,
         e0=e0,
         eps=eps_accel,
         gamma=gamma,
-        profile=prof,
         lip=problem.lip,
         seed=seed,
         record_trace=record_trace,
         stopping_scale=stopping_scale,
     )
-    if prof.delta is not None:
-        est_delta = prof.delta
-    else:
-        est_delta = min(
-            0.25, eps / (problem.lip * r_bound * 100.0 * expected_iteration_bound(params))
-        )
 
     def factory(anchor, r_prime, child_seed):
         return SoftmaxGradientEstimator(
@@ -168,7 +148,7 @@ def solve_smooth_max(
             eps_prime,
             radius,
             r_prime,
-            est_delta,
+            ESTIMATOR_DELTA,
             rng_seed=child_seed,
             p=setup.p,
         )
@@ -242,9 +222,6 @@ def solve_matrix_game(
     inst: MatrixGameInstance,
     eps: float,
     seed: int = 0,
-    profile="practical",
-    gamma: float | None = None,
-    certificate_draws: int = CERTIFICATE_DRAWS,
     r: float | None = None,
 ) -> tuple[np.ndarray, SolverReport]:
     """Primal solver for min_x max_y x^T A y with a post-hoc gap certificate.
@@ -261,15 +238,13 @@ def solve_matrix_game(
     d = inst.d
     radius = min(1.0, math.sqrt(d) * eps) if r is None else r
     nu = None if inst.is_ball else eps / (4.0 * d)
-    report = solve_smooth_max(
-        problem, eps, seed=seed, profile=profile, kind=kind, nu=nu, r=radius, gamma=gamma
-    )
+    report = solve_smooth_max(problem, eps, seed=seed, kind=kind, nu=nu, r=radius)
     x = report.x
     y_hat = dual_from_samples(
         problem,
         x,
         smoothing_level(eps, inst.n),
-        certificate_draws,
+        CERTIFICATE_DRAWS,
         np.random.SeedSequence([seed, 0xD0A1]),
         2 if inst.is_ball else 1,
     )
@@ -279,7 +254,7 @@ def solve_matrix_game(
     report.extras["value"] = report.f_max_value
     report.extras["gap"] = gap
     report.extras["gap_sampled"] = gap_sampled
-    report.extras["certificate_draws"] = certificate_draws
+    report.extras["certificate_draws"] = CERTIFICATE_DRAWS
     return x, report
 
 
@@ -287,25 +262,18 @@ def meb_level_count(eps: float) -> int:
     return max(1, math.ceil(math.log2(4.0 / eps)))
 
 
-def meb_boost_repeats(levels: int) -> int:
-    return max(1, math.ceil(math.log2(10.0 * levels)))
-
-
 # Stopping fraction for the recursion's sub-solves.  The worst-case weight
 # threshold overdelivers accuracy by several orders of magnitude at these
 # scales; the boosting step still selects on the exact objective.
 MEB_STOPPING_SCALE = 1.0 / 1024.0
-MEB_PRACTICAL_REPEATS = 2
+# sub-solves per level; the level keeps the best under the exact objective
+MEB_REPEATS = 2
 
 
 def solve_meb(
     inst: MebInstance,
     eps: float,
     seed: int = 0,
-    profile="practical",
-    repeats: int | None = None,
-    gamma: float | None = None,
-    stopping_scale: float = MEB_STOPPING_SCALE,
 ) -> tuple[np.ndarray, float, SolverReport]:
     """Minimum enclosing ball via the halving recursion.
 
@@ -318,17 +286,10 @@ def solve_meb(
     """
     if not (0.0 < eps < 1.0):
         raise InvalidParams("eps must lie in (0, 1)")
-    prof = _resolve_profile(profile)
-    if prof.paper_step:
-        stopping_scale = 1.0
     pts = inst.points
     n, d = pts.shape
     base = QuadraticMaxProblem(pts)
     levels = meb_level_count(eps)
-    if repeats is None:
-        reps = MEB_PRACTICAL_REPEATS if not prof.paper_step else meb_boost_repeats(levels)
-    else:
-        reps = max(1, repeats)
     root = np.random.SeedSequence(seed)
 
     x = np.zeros(d)
@@ -344,16 +305,10 @@ def solve_meb(
         e0_hat = min(scaled.lip, 2.0 * prev_err / scale_k)
         best_val = math.inf
         best_x = x
-        for rep_seed in root.spawn(reps):
+        for rep_seed in root.spawn(MEB_REPEATS):
             rep = solve_smooth_max(
-                scaled,
-                eps_hat,
-                seed=rep_seed,
-                profile=prof,
-                kind=Kind.BALL,
-                gamma=gamma,
-                e0=e0_hat,
-                stopping_scale=stopping_scale,
+                scaled, eps_hat, seed=rep_seed, kind=Kind.BALL, e0=e0_hat,
+                stopping_scale=MEB_STOPPING_SCALE,
             )
             cand = x + r_k * rep.x
             val = base.f_max(cand)
@@ -371,7 +326,8 @@ def solve_meb(
         wall_time=time.perf_counter() - start,
     )
     report.extras.update(
-        {"radius": radius_in, "center": center_in.tolist(), "levels": levels, "repeats": reps}
+        {"radius": radius_in, "center": center_in.tolist(), "levels": levels,
+         "repeats": MEB_REPEATS}
     )
     return center_in, radius_in, report
 
@@ -380,13 +336,13 @@ def subgradient_baseline(
     problem: MaxProblem,
     setup: GeometrySetup,
     steps: int,
-    step_rule: str = "sqrt",
     seed: int = 0,
 ) -> SolverReport:
     """Plain mirror descent on f_max with a max-achieving subgradient.
 
-    Averaged-iterate output; serves as the long-run reference oracle and
-    the comparison row in benchmarks.
+    Step size R / (L_f sqrt(t)) at step t; averaged-iterate output.
+    Serves as the long-run reference oracle and the comparison row in
+    benchmarks.
     """
     if steps < 1:
         raise InvalidParams("steps must be >= 1")
@@ -396,12 +352,7 @@ def subgradient_baseline(
     r_bound = domain_radius_bound(setup, x)
     scale = r_bound / max(problem.lip, 1e-12)
     for t in range(1, steps + 1):
-        if step_rule == "sqrt":
-            eta = scale / math.sqrt(t)
-        elif step_rule == "fixed":
-            eta = scale / math.sqrt(steps)
-        else:
-            raise InvalidParams(f"unknown step rule {step_rule!r}")
+        eta = scale / math.sqrt(t)
         g = problem.max_subgradient(x)
         x = prox_step(setup, g, eta, 0.0, x, x)
         avg += (x - avg) / t
@@ -418,7 +369,6 @@ def subgradient_baseline(
         t_md=0.0,
         wall_time=time.perf_counter() - start,
         seed=seed,
-        profile_name="baseline",
     )
 
 
@@ -438,7 +388,7 @@ def subgradient_control(inst, eps: float, seed: int = 0) -> SolverReport:
 
 
 def solve_instance(
-    inst, eps: float, seed: int = 0, profile="practical", r: float | None = None
+    inst, eps: float, seed: int = 0, r: float | None = None
 ) -> tuple[SolverReport, dict]:
     """Solve a typed instance (as built by ``io.instance_from_payload``)
     with its front end.
@@ -448,15 +398,15 @@ def solve_instance(
     the MEB recursion sets its own radius per level and rejects one.
     """
     if isinstance(inst, MatrixGameInstance):
-        x, report = solve_matrix_game(inst, eps, seed=seed, profile=profile, r=r)
+        x, report = solve_matrix_game(inst, eps, seed=seed, r=r)
         return report, {"value": report.f_max_value, "gap": report.extras["gap"],
                         "point": x.tolist()}
     if isinstance(inst, MebInstance):
         if r is not None:
             raise InvalidParams("MEB sets its radius per halving level; r does not apply")
-        center, radius, report = solve_meb(inst, eps, seed=seed, profile=profile)
+        center, radius, report = solve_meb(inst, eps, seed=seed)
         return report, {"center": center.tolist(), "radius": radius}
     if isinstance(inst, QuadraticMaxProblem):
-        report = solve_smooth_max(inst, eps, seed=seed, profile=profile, kind=Kind.BALL, r=r)
+        report = solve_smooth_max(inst, eps, seed=seed, kind=Kind.BALL, r=r)
         return report, {"value": report.f_max_value, "point": report.x.tolist()}
     raise InvalidParams(f"no front end for {type(inst).__name__}")

@@ -7,12 +7,19 @@ O(rho log T).  ``lambda_bisection`` searches for a regularization weight
 whose prox point sits at divergence Theta(rho^2) from the center, and
 ``restricted_oracle`` combines the two into the (z, w, c) output whose
 in-expectation inequality the accelerator consumes.
+
+LI-MD runs with step size eta = rho^2 lam / (C Gamma^2), C = 64, and
+T = 4 tau / (eta lam) steps.  The published analysis takes
+C = 66 * 2^12 and deflates the step further by tau^5 log(16/delta); for
+one lam = 1 probe on the ball at rho = 0.3, Gamma = 1 those constants plan
+about 1.1e12 steps where C = 64 plans 11,378, so only the structural
+formulas (T, the bisection band, K_max) are kept from them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,63 +43,12 @@ from .geometry import (
 
 GradEst = Callable[[np.ndarray], np.ndarray]
 
-THEORY_STEP_CONSTANT = 66.0 * 2.0**12
-PRACTICAL_STEP_CONSTANT = 64.0
+# C in the step size eta = rho^2 lam / (C Gamma^2)
+STEP_CONSTANT = 64.0
 # bisection band: raise lambda_min when V_y(z) > rho^2 / (UPPER_DIV tau),
 # lower lambda_max when V_y(z) < rho^2 / (LOWER_DIV tau^3)
 UPPER_DIV = 64.0
 LOWER_DIV = 256.0
-
-
-@dataclass(frozen=True)
-class OracleProfile:
-    """Constant profile for the oracle's step sizes and thresholds.
-
-    ``theory`` reproduces the published constants: step size
-    rho^2 lam / (C log(16/delta) tau^5 Gamma^2) with C = 66 * 2^12 and the
-    capped failure probability.  ``practical`` keeps every structural
-    formula (T = 4 tau / (eta lam), bisection thresholds, K_max) but uses
-    the step size rho^2 lam / (C Gamma^2) with C = 64 and delta = 1e-3,
-    since the worst-case tau^5 log(1/delta) factor makes desk-scale runs
-    astronomically long.
-    """
-
-    name: str
-    step_constant: float
-    delta: float | None  # None: use the theory cap
-    paper_step: bool
-
-
-def theory_profile() -> OracleProfile:
-    return OracleProfile("theory", THEORY_STEP_CONSTANT, None, True)
-
-
-def practical_profile() -> OracleProfile:
-    return OracleProfile("practical", PRACTICAL_STEP_CONSTANT, 1e-3, False)
-
-
-def get_profile(name: str) -> OracleProfile:
-    if name == "theory":
-        return theory_profile()
-    if name == "practical":
-        return practical_profile()
-    raise InvalidParams(f"unknown profile {name!r}")
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Per-call inputs: gradient bound, divergence bound, constants."""
-
-    gamma_bound: float  # Gamma: bound on the estimator's dual norms
-    div_bound: float  # R^2: max pairwise divergence over the domain
-    profile: OracleProfile
-
-    def delta(self, rho: float, tau_val: float) -> float:
-        if self.profile.delta is not None:
-            return self.profile.delta
-        r2 = self.div_bound
-        cap = rho**2 / (2.0**14 * (math.sqrt(2.0 * r2) * self.gamma_bound + r2) * tau_val**5)
-        return min(cap, 0.25)
 
 
 @dataclass
@@ -136,26 +92,14 @@ class OracleStats:
     steps: int = 0
 
 
-def step_plan(
-    profile: OracleProfile,
-    rho: float,
-    lam: float,
-    tau_val: float,
-    gamma_bound: float,
-    delta0: float,
-) -> tuple[float, int]:
+def step_plan(rho: float, lam: float, tau_val: float, gamma_bound: float) -> tuple[float, int]:
     """Step size and iteration count with eta * T = 4 tau / lam held exact.
 
     T is rounded up to an integer and eta rescaled down accordingly, so
     the returned multiplier c = lam + 1/(eta T) equals lam (1 + 1/(4 tau))
     identically.
     """
-    if profile.paper_step:
-        eta = (rho**2 * lam) / (
-            profile.step_constant * math.log(16.0 / delta0) * tau_val**5 * gamma_bound**2
-        )
-    else:
-        eta = (rho**2 * lam) / (profile.step_constant * gamma_bound**2)
+    eta = (rho**2 * lam) / (STEP_CONSTANT * gamma_bound**2)
     steps = max(1, math.ceil(4.0 * tau_val / (eta * lam)))
     eta = 4.0 * tau_val / (lam * steps)
     return eta, steps
@@ -243,7 +187,7 @@ def lambda_bisection(
     setup: GeometrySetup,
     y: np.ndarray,
     rho: float,
-    cfg: OracleConfig,
+    gamma_bound: float,
     stats: OracleStats | None = None,
 ) -> float:
     """Find lam with the prox point at divergence ~rho^2 scale from y.
@@ -254,21 +198,18 @@ def lambda_bisection(
     lowering the ceiling when it collapses onto the center.
     """
     stats = stats if stats is not None else OracleStats()
-    profile = cfg.profile
     tau_val = tau(setup)
-    gamma_b = cfg.gamma_bound
-    if gamma_b <= 0.0:
+    if gamma_bound <= 0.0:
         raise InvalidParams("gradient bound must be positive")
-    delta = cfg.delta(rho, tau_val)
     # the bracket floor is 1; tiny gradient bounds would otherwise invert it
-    lam_max = max(16.0 * tau_val * gamma_b / rho, 1.0)
+    lam_max = max(16.0 * tau_val * gamma_bound / rho, 1.0)
     lam_min = 1.0
-    k_max = bisection_round_limit(tau_val, gamma_b, rho)
+    k_max = bisection_round_limit(tau_val, gamma_bound, rho)
     stats.k_max = k_max
     upper = rho**2 / (UPPER_DIV * tau_val)
     lower = rho**2 / (LOWER_DIV * tau_val**3)
 
-    eta0, steps0 = step_plan(profile, rho, lam_min, tau_val, gamma_b, delta)
+    eta0, steps0 = step_plan(rho, lam_min, tau_val, gamma_bound)
     res = li_md(grad_est, setup, LimdParams(lam_min, eta0, steps0, rho, y))
     stats.limd_calls += 1
     stats.total_queries += res.queries
@@ -280,8 +221,7 @@ def lambda_bisection(
     lam_k = lam_max
     for k in range(1, k_max + 1):
         lam_k = 0.5 * (lam_max + lam_min)
-        delta_k = delta / (8.0 * k * k)
-        eta_k, steps_k = step_plan(profile, rho, lam_k, tau_val, gamma_b, delta_k)
+        eta_k, steps_k = step_plan(rho, lam_k, tau_val, gamma_bound)
         res = li_md(grad_est, setup, LimdParams(lam_k, eta_k, steps_k, rho, y))
         stats.limd_calls += 1
         stats.total_queries += res.queries
@@ -302,7 +242,7 @@ def restricted_oracle(
     setup: GeometrySetup,
     y: np.ndarray,
     rho: float,
-    cfg: OracleConfig,
+    gamma_bound: float,
 ) -> tuple[BallOracleResult, OracleStats]:
     """(rho, gamma, c_max) restricted proximal oracle around y.
 
@@ -315,10 +255,9 @@ def restricted_oracle(
     tau_val = tau(setup)
     if not tau_val >= 4.0:
         raise PreconditionViolated("setup must satisfy a finite tau >= 4 triangle inequality")
-    delta = cfg.delta(rho, tau_val)
 
-    lam = lambda_bisection(grad_est, setup, y, rho, cfg, stats)
-    eta, steps = step_plan(cfg.profile, rho, lam, tau_val, cfg.gamma_bound, delta)
+    lam = lambda_bisection(grad_est, setup, y, rho, gamma_bound, stats)
+    eta, steps = step_plan(rho, lam, tau_val, gamma_bound)
     res = li_md(grad_est, setup, LimdParams(lam, eta, steps, rho, y))
     stats.limd_calls += 1
     stats.total_queries += res.queries
@@ -333,36 +272,18 @@ def restricted_oracle(
     return BallOracleResult(res.z, res.w, c), stats
 
 
-def movement_bound(
-    profile: OracleProfile, rho: float, tau_val: float, gamma_bound: float, delta: float
-) -> float:
+def movement_bound(rho: float, tau_val: float, gamma_bound: float) -> float:
     """Worst-case total query movement of one oracle call (the inner
     logarithm is twice the largest per-call iteration budget)."""
     k_max = bisection_round_limit(tau_val, gamma_bound, rho)
-    c = profile.step_constant
-    if profile.paper_step:
-        inner = 4.0 * c * math.log(16.0 * k_max**2 / delta) * tau_val**6 * gamma_bound**2 / rho**2
-    else:
-        inner = 8.0 * c * tau_val * gamma_bound**2 / rho**2
+    inner = 8.0 * STEP_CONSTANT * tau_val * gamma_bound**2 / rho**2
     return rho * 2.0 * k_max * math.log(max(inner, math.e))
 
 
-def query_budget_bound(
-    profile: OracleProfile, rho: float, tau_val: float, gamma_bound: float, delta: float
-) -> float:
+def query_budget_bound(rho: float, tau_val: float, gamma_bound: float) -> float:
     """Upper bound on the total gradient calls of one oracle call: the
-    per-call budget at lam = 1 and the smallest per-round delta, summed
-    over every possible bisection round."""
+    per-call budget at lam = 1 summed over every possible bisection round
+    plus the initial probe and the final run."""
     k_max = bisection_round_limit(tau_val, gamma_bound, rho)
-    delta_last = delta / (8.0 * k_max**2)
-    if profile.paper_step:
-        t_max = (
-            4.0
-            * profile.step_constant
-            * math.log(16.0 / delta_last)
-            * tau_val**6
-            * (gamma_bound / rho) ** 2
-        )
-    else:
-        t_max = 4.0 * profile.step_constant * tau_val * (gamma_bound / rho) ** 2
+    t_max = 4.0 * STEP_CONSTANT * tau_val * (gamma_bound / rho) ** 2
     return (k_max + 2.0) * (t_max + 1.0)

@@ -88,13 +88,12 @@ def cmd_solve(args) -> int:
             "in": str(args.infile),
             "eps": args.eps,
             "seed": args.seed,
-            "profile": args.profile,
         },
         "seed": args.seed,
     }
     t0 = time.perf_counter()
     try:
-        report, result = solve_instance(inst, args.eps, seed=args.seed, profile=args.profile)
+        report, result = solve_instance(inst, args.eps, seed=args.seed)
         error = "" if _finite(result) else "NonFinite: the result has a non-finite entry"
     except _SOLVER_FAILURES as exc:
         error = f"{type(exc).__name__}: {exc}"
@@ -139,10 +138,10 @@ def cmd_selftest(args) -> int:
 _BENCH_METHODS = ("proposed", "subgradient")
 
 
-def _bench_cell(inst, method, eps, seed, profile, r_value):
+def _bench_cell(inst, method, eps, seed, r_value):
     t0 = time.perf_counter()
     if method == "proposed":
-        rep, _ = solve_instance(inst, eps, seed=seed, profile=profile, r=r_value)
+        rep, _ = solve_instance(inst, eps, seed=seed, r=r_value)
     else:
         rep = subgradient_control(inst, eps, seed=seed)
     wall = time.perf_counter() - t0
@@ -170,7 +169,7 @@ def cmd_bench(args) -> int:
     seeds = [args.seed + i for i in range(args.repeats)]
     # the subgradient control has no query radius: one row per seed
     results = [
-        _bench_cell(inst, m, args.eps, s, args.profile, r)
+        _bench_cell(inst, m, args.eps, s, r)
         for m in methods
         for r in (sweep if m == "proposed" else [None])
         for s in seeds
@@ -206,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--in", dest="infile", required=True)
     solve.add_argument("--eps", type=float, required=True)
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--profile", choices=["practical", "theory"], default="practical")
     solve.add_argument("--out", required=True)
     solve.set_defaults(func=cmd_solve)
 
@@ -224,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=int, default=1)
     bench.add_argument("--method", default="proposed,subgradient")
     bench.add_argument("--r-sweep", default="")
-    bench.add_argument("--profile", choices=["practical", "theory"], default="practical")
     bench.add_argument("--out", required=True)
     bench.set_defaults(func=cmd_bench)
     return parser

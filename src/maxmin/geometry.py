@@ -10,9 +10,8 @@ constant, which the ball oracle relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -134,15 +133,6 @@ def tau(setup: GeometrySetup) -> float:
     return 6.0 * math.log(1.0 / setup.nu)
 
 
-def max_divergence_bound(setup: GeometrySetup) -> float:
-    """Upper bound on V_x(y) over all feasible pairs."""
-    if setup.kind is Kind.BALL:
-        return 2.0
-    if setup.nu == 0.0:
-        return math.inf
-    return math.log(1.0 / setup.nu)
-
-
 _IDX_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -237,37 +227,6 @@ def _prox_simplex(
         log_xi = log_xi + el * log_y
         log_xi /= 1.0 + el
     return _waterfill(log_xi, nu)
-
-
-def mirror_average(
-    setup: GeometrySetup, points: Sequence[np.ndarray], last_weight: float
-) -> np.ndarray:
-    """Mirror-space average of ``points`` with extra mass on the last one.
-
-    Weight 1 goes to each point and ``last_weight`` additionally to the
-    final point; the result is mapped back through the conjugate map
-    restricted to the feasible set.  Ball: weighted arithmetic mean.
-    Simplex: normalized weighted geometric mean followed by the
-    water-filling projection onto the truncated simplex.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != setup.dim:
-        raise DimensionMismatch(f"expected (T, {setup.dim}) stack of points, got {pts.shape}")
-    if pts.shape[0] < 1:
-        raise InfeasibleInput("need at least one point")
-    if last_weight < 0.0:
-        raise InfeasibleInput("last_weight must be nonnegative")
-    if math.isinf(last_weight):
-        return pts[-1].copy()
-
-    t = pts.shape[0]
-    if setup.kind is Kind.BALL:
-        return (pts.sum(axis=0) + last_weight * pts[-1]) / (t + last_weight)
-    if np.any(pts < _MIN_POSITIVE):
-        raise NonFinite("geometric mean needs strictly positive points")
-    logs = np.log(pts)
-    log_xi = (logs.sum(axis=0) + last_weight * logs[-1]) / (t + last_weight)
-    return _waterfill(log_xi, setup.nu)
 
 
 def domain_radius_bound(setup: GeometrySetup, x0: np.ndarray) -> float:

@@ -13,7 +13,6 @@ from maxmin.accelerator import (
 from maxmin.ball_oracle import (
     BallOracleResult,
     OracleStats,
-    practical_profile,
     restricted_oracle,
 )
 from maxmin.errors import InvalidParams, IterationCapExceeded
@@ -49,7 +48,7 @@ def stub_oracle_factory(c_value, pull=0.5):
 
     target = None
 
-    def oracle(grad_est, setup, y, rho, cfg):
+    def oracle(grad_est, setup, y, rho, gamma_bound):
         z = y if target is None else y + pull * (target - y)
         return BallOracleResult(z.copy(), z.copy(), c_value), OracleStats(c=c_value)
 
@@ -96,10 +95,7 @@ class TestWeightRecursions:
 
     def test_no_damping_at_unit_c(self):
         # c = 1 every round: A_{t+1} = A'_{t+1} and x_{t+1} = Phi_t(z_{t+1})
-        prof = practical_profile()
-        params = AccelParams(
-            r=0.5, r_bound=1.0, e0=1.0, eps=0.25, gamma=0.25, profile=prof, lip=1.0
-        )
+        params = AccelParams(r=0.5, r_bound=1.0, e0=1.0, eps=0.25, gamma=0.25, lip=1.0)
         rep = run_accel(params, stub_oracle_factory(1.0))
         beta = (math.sqrt(0.25) * 0.5 / 1.0) ** (2.0 / 3.0)
         a = 1.0  # A_0 = R^2 / E0
@@ -109,10 +105,7 @@ class TestWeightRecursions:
             assert rec.c == 1.0
 
     def test_growth_identity_with_damping(self):
-        prof = practical_profile()
-        params = AccelParams(
-            r=0.5, r_bound=1.0, e0=1.0, eps=0.25, gamma=0.25, profile=prof, lip=1.0
-        )
+        params = AccelParams(r=0.5, r_bound=1.0, e0=1.0, eps=0.25, gamma=0.25, lip=1.0)
         c = 3.0
         rep = run_accel(params, stub_oracle_factory(c))
         beta = (math.sqrt(0.25) * 0.5) ** (2.0 / 3.0)
@@ -132,32 +125,28 @@ class TestWeightRecursions:
             a += a_inc / 2.2
 
     def test_iteration_cap_raises(self):
-        prof = practical_profile()
         params = AccelParams(
-            r=0.5, r_bound=1.0, e0=1.0, eps=0.25, gamma=0.25, profile=prof, lip=1.0,
+            r=0.5, r_bound=1.0, e0=1.0, eps=0.25, gamma=0.25, lip=1.0,
             iteration_cap_factor=0.01,
         )
         with pytest.raises(IterationCapExceeded):
             run_accel(params, stub_oracle_factory(1e9))
 
     def test_stopping_scale_shortens_run(self):
-        prof = practical_profile()
-        kw = dict(r=0.5, r_bound=1.0, e0=1.0, eps=0.25, gamma=0.25, profile=prof, lip=1.0)
+        kw = dict(r=0.5, r_bound=1.0, e0=1.0, eps=0.25, gamma=0.25, lip=1.0)
         full = run_accel(AccelParams(**kw), stub_oracle_factory(1.0))
         short = run_accel(AccelParams(**kw, stopping_scale=0.25), stub_oracle_factory(1.0))
         assert short.outer_iterations < full.outer_iterations
 
     def test_gamma_validation(self):
-        prof = practical_profile()
         with pytest.raises(InvalidParams):
-            AccelParams(r=0.5, r_bound=1.0, e0=1.0, eps=0.1, gamma=0.7, profile=prof, lip=1.0)
+            AccelParams(r=0.5, r_bound=1.0, e0=1.0, eps=0.1, gamma=0.7, lip=1.0)
         with pytest.raises(InvalidParams):
-            AccelParams(r=2.0, r_bound=1.0, e0=1.0, eps=0.1, gamma=0.1, profile=prof, lip=1.0)
+            AccelParams(r=2.0, r_bound=1.0, e0=1.0, eps=0.1, gamma=0.1, lip=1.0)
 
     def test_expected_iteration_bound_scaling(self):
-        prof = practical_profile()
-        base = AccelParams(r=0.4, r_bound=1.0, e0=1.0, eps=0.1, gamma=0.1, profile=prof, lip=1.0)
-        half = AccelParams(r=0.2, r_bound=1.0, e0=1.0, eps=0.1, gamma=0.1, profile=prof, lip=1.0)
+        base = AccelParams(r=0.4, r_bound=1.0, e0=1.0, eps=0.1, gamma=0.1, lip=1.0)
+        half = AccelParams(r=0.2, r_bound=1.0, e0=1.0, eps=0.1, gamma=0.1, lip=1.0)
         ratio = expected_iteration_bound(half) / expected_iteration_bound(base)
         assert ratio == pytest.approx(2.0 ** (2.0 / 3.0), rel=1e-12)
 
@@ -195,7 +184,7 @@ class TestPotentialDecrease:
         increments = []
         for seed in range(100):
             rep = solve_smooth_max(
-                prob, eps, seed=seed, profile="practical", record_trace=True,
+                prob, eps, seed=seed, record_trace=True,
                 gamma=1e-4, stopping_scale=1.0 / 128.0,
             )
             gamma = rep.extras["gamma"]

@@ -16,13 +16,10 @@ from maxmin import refcheck
 from maxmin.accelerator import AccelParams, accelerate
 from maxmin.apps import smoothing_level, solve_matrix_game, solve_meb
 from maxmin.ball_oracle import (
-    OracleConfig,
     bisection_round_limit,
     movement_bound,
-    practical_profile,
     query_budget_bound,
     restricted_oracle,
-    theory_profile,
 )
 from maxmin.estimator import SoftmaxGradientEstimator
 from maxmin.geometry import (
@@ -65,7 +62,7 @@ def test_criterion_01_matrix_game_gap():
         a /= np.linalg.norm(a, axis=0, keepdims=True)
         inst = MatrixGameInstance(a, "l2l1")
         t0 = time.perf_counter()
-        _, rep = solve_matrix_game(inst, eps, seed=seed, profile="practical")
+        _, rep = solve_matrix_game(inst, eps, seed=seed)
         wall = time.perf_counter() - t0
         worst_wall = max(worst_wall, wall)
         gaps.append(rep.extras["gap"])
@@ -83,7 +80,7 @@ def test_criterion_01_matrix_game_gap():
 def test_criterion_02_symmetric_game_exactness():
     eps = 0.05
     inst = MatrixGameInstance(np.eye(2), "l1l1")
-    x, rep = solve_matrix_game(inst, eps, seed=0, profile="practical")
+    x, rep = solve_matrix_game(inst, eps, seed=0)
     value_err = abs(rep.f_max_value - 0.5)
     l1_dist = float(np.sum(np.abs(x - 0.5)))
     ok = value_err <= eps and l1_dist <= 4.0 * eps
@@ -107,7 +104,7 @@ def test_criterion_03_meb_against_welzl():
         pts = rng.standard_normal((200, 3))
         inst = MebInstance(pts)
         wc, wr = refcheck.welzl_meb(inst.points)
-        center, radius, _ = solve_meb(inst, eps, seed=seed, profile="practical")
+        center, radius, _ = solve_meb(inst, eps, seed=seed)
         c_norm = (center - inst.shift) / inst.scale
         r_norm = radius / inst.scale
         dist2 = 0.5 * float(np.sum((c_norm - wc) ** 2))
@@ -168,8 +165,6 @@ def test_criterion_06_oracle_inequality():
     y = np.zeros(5)
     rho = 0.35
     gam_bound = 1.0 + float(np.linalg.norm(b))
-    prof = practical_profile()
-    cfg = OracleConfig(gam_bound, 2.0, prof)
 
     def h_val(x):
         return 0.5 * float(np.sum((x - b) ** 2))
@@ -182,7 +177,7 @@ def test_criterion_06_oracle_inequality():
     prox_cache = {}
     residuals = {"y": [], "prox": [], "u1": [], "u2": [], "u3": []}
     for _ in range(runs):
-        res, stats = restricted_oracle(h_grad, setup, y, rho, cfg)
+        res, stats = restricted_oracle(h_grad, setup, y, rho, gam_bound)
         lam = stats.lam
         if lam not in prox_cache:
             prox_cache[lam] = refcheck.exact_prox(
@@ -220,8 +215,6 @@ def test_criterion_07_bisection_band():
     tau_v = tau(setup)
     rho = 0.3
     gam = 2.0
-    prof = practical_profile()
-    cfg = OracleConfig(gam, 2.0, prof)
     k_cap = bisection_round_limit(tau_v, gam, rho)
     hits = 0
     rounds_ok = True
@@ -229,7 +222,7 @@ def test_criterion_07_bisection_band():
     for seed in range(20):
         q = rng.standard_normal(3)
         q /= np.linalg.norm(q)
-        res, stats = restricted_oracle(lambda x: gam * q, setup, np.zeros(3), rho, cfg)
+        res, stats = restricted_oracle(lambda x: gam * q, setup, np.zeros(3), rho, gam)
         lam = stats.lam
         v_exact = 0.5 * min(gam / lam, 1.0) ** 2
         in_band = rho**2 / (1024.0 * tau_v**4) <= v_exact <= rho**2 / 16.0
@@ -259,7 +252,7 @@ def test_criterion_08_iteration_scaling():
 
     for r in radii:
         rep = solve_smooth_max(
-            prob, 0.1, seed=3, profile="practical", kind=Kind.BALL, r=r, gamma=1e-6
+            prob, 0.1, seed=3, kind=Kind.BALL, r=r, gamma=1e-6
         )
         counts.append(rep.outer_iterations)
     slope = np.polyfit(np.log([1.0 / r for r in radii]), np.log(counts), 1)[0]
@@ -272,36 +265,35 @@ def test_criterion_08_iteration_scaling():
     )
 
 
-def test_criterion_09_theory_profile_movement_bound():
-    # small instance at the published constants; the movement and query
-    # budgets are per-call deterministic statements
+def test_criterion_09_oracle_movement_bound():
+    # one oracle call under the shipped constants, large enough to enter
+    # bisection; the movement and query budgets are per-call deterministic
+    # statements
     setup = ball_setup(2)
     tau_v = tau(setup)
-    prof = theory_profile()
-    gam = 1e-4
+    gam = 1.0
     rho = 0.3
-    r2 = 2.0
     u = np.array([0.6, 0.8])
-    cfg = OracleConfig(gam, r2, prof)
-    delta = cfg.delta(rho, tau_v)
     seen = []
 
     def grad(x):
         seen.append(np.linalg.norm(x))
         return gam * u
 
-    res, stats = restricted_oracle(grad, setup, np.zeros(2), rho, cfg)
-    move_cap = movement_bound(prof, rho, tau_v, gam, delta)
-    query_cap = query_budget_bound(prof, rho, tau_v, gam, delta)
+    res, stats = restricted_oracle(grad, setup, np.zeros(2), rho, gam)
+    move_cap = movement_bound(rho, tau_v, gam)
+    query_cap = query_budget_bound(rho, tau_v, gam)
     ok = (
-        stats.total_movement <= move_cap
+        stats.bisection_rounds >= 1
+        and stats.total_movement <= move_cap
         and max(seen) <= rho
         and stats.total_queries <= query_cap
     )
     report(
         9,
-        "theory-profile movement bound",
+        "oracle movement and query bounds",
         ok,
+        f"{stats.bisection_rounds} bisection rounds >= 1, "
         f"movement {stats.total_movement:.3e} <= {move_cap:.3e}, "
         f"max query radius {max(seen):.3f} <= rho={rho}, "
         f"queries {stats.total_queries} <= {query_cap:.3g}",

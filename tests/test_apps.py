@@ -5,9 +5,9 @@ import pytest
 
 from maxmin import refcheck
 from maxmin.apps import (
+    MEB_REPEATS,
     auto_gamma,
     dual_from_samples,
-    meb_boost_repeats,
     meb_level_count,
     polish_dual,
     smoothing_level,
@@ -114,7 +114,7 @@ class TestSolveSmoothMax:
             solve_smooth_max(QuadraticMaxProblem(np.zeros((1, 2))), -0.1)
 
     def test_auto_gamma_in_range(self):
-        g = auto_gamma(4.0, 64.0, 6e4, 1.0, 1.0, 1.0, 0.45)
+        g = auto_gamma(4.0, 6e4, 1.0, 1.0, 1.0, 0.45)
         assert 1e-10 <= g < 0.5
 
 
@@ -155,7 +155,10 @@ class TestMatrixGames:
 class TestMeb:
     def test_level_and_repeat_counts(self):
         assert meb_level_count(0.01) == math.ceil(math.log2(400))
-        assert meb_boost_repeats(9) == math.ceil(math.log2(90))
+        inst = MebInstance(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        _, _, rep = solve_meb(inst, 0.25, seed=0)
+        assert rep.extras["levels"] == meb_level_count(0.25) == 4
+        assert rep.extras["repeats"] == MEB_REPEATS
 
     def test_two_points(self):
         inst = MebInstance(np.array([[0.0, 0.0], [1.0, 0.0]]))
@@ -211,9 +214,3 @@ class TestBaseline:
         rep = subgradient_baseline(prob, simplex_setup(2, 0.0), 40_000, seed=0)
         np.testing.assert_allclose(rep.x, [0.5, 0.5], atol=0.01)
         assert rep.f_max_value == pytest.approx(0.5, abs=0.01)
-
-    def test_step_rule_validation(self):
-        with pytest.raises(InvalidParams):
-            subgradient_baseline(
-                LinearMaxProblem(np.eye(2)), ball_setup(2), 10, step_rule="bogus"
-            )

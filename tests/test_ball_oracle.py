@@ -6,36 +6,24 @@ import pytest
 from maxmin import refcheck
 from maxmin.ball_oracle import (
     LimdParams,
-    OracleConfig,
+    OracleStats,
     bisection_round_limit,
     lambda_bisection,
     li_md,
     movement_bound,
-    practical_profile,
     restricted_oracle,
     step_plan,
-    theory_profile,
 )
 from maxmin.errors import GradientCallbackFailed, RejectionStall
-from maxmin.geometry import ball_setup, bregman, max_divergence_bound, simplex_setup, tau
-
-
-def ball_cfg(gamma_bound, profile=None):
-    return OracleConfig(gamma_bound, 2.0, profile or practical_profile())
+from maxmin.geometry import ball_setup, bregman, simplex_setup, tau
 
 
 class TestStepPlan:
     def test_eta_steps_identity(self):
-        prof = practical_profile()
         for lam in (1.0, 3.7, 41.0):
-            eta, steps = step_plan(prof, 0.5, lam, 4.0, 2.0, 1e-3)
+            eta, steps = step_plan(0.5, lam, 4.0, 2.0)
             assert isinstance(steps, int) and steps >= 1
             assert eta * steps == pytest.approx(4.0 * 4.0 / lam, rel=1e-12)
-
-    def test_theory_step_smaller(self):
-        eta_t, _ = step_plan(theory_profile(), 0.5, 1.0, 4.0, 2.0, 1e-3)
-        eta_p, _ = step_plan(practical_profile(), 0.5, 1.0, 4.0, 2.0, 1e-3)
-        assert eta_t < eta_p
 
 
 class TestLiMd:
@@ -48,6 +36,18 @@ class TestLiMd:
         np.testing.assert_allclose(res.z, y, atol=1e-12)
         np.testing.assert_allclose(res.w, y, atol=1e-12)
         assert res.movement == pytest.approx(0.0)
+
+    def test_zero_gradient_fixed_point_simplex(self):
+        # the mirror-averaged w on the truncated simplex: geometric mean of
+        # the iterates, then water-filling
+        setup = simplex_setup(3, 0.01)
+        y = np.array([0.2, 0.3, 0.5])
+        params = LimdParams(1.0, 0.05, 50, 1.0, y)
+        res = li_md(lambda x: np.zeros(3), setup, params)
+        assert not res.out_of_bound
+        assert res.queries == 50
+        np.testing.assert_allclose(res.z, y, atol=1e-12)
+        np.testing.assert_allclose(res.w, y, atol=1e-12)
 
     def test_quadratic_converges_to_prox_point(self):
         # h(x) = 1/2||x - b||^2 with lam = 1: minimizer (b + y)/2
@@ -114,7 +114,7 @@ class TestLambdaBisection:
     def test_flat_objective_returns_floor(self):
         setup = ball_setup(2)
         lam = lambda_bisection(
-            lambda x: np.zeros(2), setup, np.zeros(2), 0.5, ball_cfg(1.0)
+            lambda x: np.zeros(2), setup, np.zeros(2), 0.5, 1.0
         )
         assert lam == 1.0
 
@@ -133,7 +133,7 @@ class TestLambdaBisection:
             q = rng.standard_normal(3)
             q /= np.linalg.norm(q)
             lam = lambda_bisection(
-                lambda x: gam * q, setup, y, rho, ball_cfg(gam)
+                lambda x: gam * q, setup, y, rho, gam
             )
             v_exact = 0.5 * min(gam / lam, 1.0) ** 2
             if lam == 1.0 or rho**2 / (1024 * tau_v**4) <= v_exact <= rho**2 / 16.0:
@@ -142,11 +142,8 @@ class TestLambdaBisection:
 
     def test_round_limit_respected(self):
         setup = ball_setup(2)
-        cfg = ball_cfg(5.0)
-        from maxmin.ball_oracle import OracleStats
-
         stats = OracleStats()
-        lambda_bisection(lambda x: np.array([5.0, 0.0]), setup, np.zeros(2), 0.2, cfg, stats)
+        lambda_bisection(lambda x: np.array([5.0, 0.0]), setup, np.zeros(2), 0.2, 5.0, stats)
         assert stats.bisection_rounds <= bisection_round_limit(4.0, 5.0, 0.2)
 
     def test_lipschitz_prox_divergence_bound(self):
@@ -169,7 +166,7 @@ class TestRestrictedOracle:
         setup = ball_setup(2)
         y = np.array([0.2, 0.1])
         res, stats = restricted_oracle(
-            lambda x: np.zeros(2), setup, y, 0.5, ball_cfg(1.0)
+            lambda x: np.zeros(2), setup, y, 0.5, 1.0
         )
         np.testing.assert_allclose(res.z, y, atol=1e-12)
         np.testing.assert_allclose(res.w, y, atol=1e-12)
@@ -184,7 +181,7 @@ class TestRestrictedOracle:
             u /= np.linalg.norm(u)
             rho = 0.25
             res, stats = restricted_oracle(
-                lambda x: gam * u, setup, np.zeros(3), rho, ball_cfg(gam)
+                lambda x: gam * u, setup, np.zeros(3), rho, gam
             )
             assert res.c == pytest.approx(stats.lam * (1.0 + 1.0 / (4.0 * tau_v)), rel=1e-12)
             assert 1.0 <= res.c <= 32.0 * tau_v * gam / rho
@@ -196,12 +193,9 @@ class TestRestrictedOracle:
         b = np.array([0.5, -0.3])
         y = np.zeros(2)
         gam = 1.0
-        prof = practical_profile()
-        cfg = OracleConfig(gam, 2.0, prof)
-        from maxmin.ball_oracle import OracleStats, step_plan
-
+        delta = 1e-3
         lam = 2.0
-        eta, steps = step_plan(prof, 0.4, lam, 4.0, gam, prof.delta)
+        eta, steps = step_plan(0.4, lam, 4.0, gam)
         ref = refcheck.exact_prox(setup, lambda x: 0.5 * float(np.sum((x - b) ** 2)),
                                   lambda x: x - b, y, lam)
         iterates = []
@@ -211,19 +205,18 @@ class TestRestrictedOracle:
             return np.clip(x - b, -gam, gam)
 
         li_md(grad, setup, LimdParams(lam, eta, steps, 0.6, y))
-        bound = 2.0 * bregman(setup, y, ref) + 65.0 * math.log(2.0 / prof.delta) * eta**2 * gam**2 * steps
+        slack = 65.0 * math.log(2.0 / delta) * eta**2 * gam**2 * steps
+        bound = 2.0 * bregman(setup, y, ref) + slack
         worst = max(bregman(setup, w, ref) for w in iterates)
         assert worst <= bound
 
     def test_movement_instrumented_under_bound(self):
         setup = ball_setup(2)
-        prof = practical_profile()
         gam = 1.2
         rho = 0.3
-        cfg = OracleConfig(gam, 2.0, prof)
         rng = np.random.default_rng(3)
         u = rng.standard_normal(2)
         u /= np.linalg.norm(u)
-        _, stats = restricted_oracle(lambda x: gam * u, setup, np.zeros(2), rho, cfg)
-        bound = movement_bound(prof, rho, 4.0, gam, prof.delta)
+        _, stats = restricted_oracle(lambda x: gam * u, setup, np.zeros(2), rho, gam)
+        bound = movement_bound(rho, 4.0, gam)
         assert stats.total_movement <= 2.0 * bound

@@ -184,6 +184,21 @@ class TestSolve:
         assert run_cli(["solve", "--in", str(inst), "--eps", "0.1", "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_profile_flag_removed(self, tmp_path):
+        # the oracle has one set of constants: no flag selects another, and
+        # the report does not record one
+        inst = tmp_path / "i2.txt"
+        mio.save_instance_text(inst, "game_l1l1", np.eye(2))
+        out = tmp_path / "out"
+        for command in ("solve", "bench"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli([command, "--in", str(inst), "--eps", "0.2",
+                         "--profile", "practical", "--out", str(out)])
+            assert exc.value.code == 2
+            assert not out.exists()
+        assert run_cli(["solve", "--in", str(inst), "--eps", "0.2", "--out", str(out)]) == 0
+        assert "profile" not in mio.read_report(out)["config"]
+
     def test_stdout_carries_only_report_path(self, tmp_path, capsys):
         inst = tmp_path / "i2.txt"
         mio.save_instance_text(inst, "game_l1l1", np.eye(2))

@@ -73,15 +73,15 @@ class TestSumTree:
         np.testing.assert_array_equal(vec.sample_batch(np.random.default_rng(5), 1000),
                                       point.sample_batch(np.random.default_rng(5), 1000))
 
-    def test_descent_path_distribution(self):
+    def test_large_n_distribution(self):
         rng = np.random.default_rng(1)
-        w = rng.random(3000)  # leaves > 2048 exercises the descent branch
+        w = rng.random(3000)
         t = SumTree(w)
         idx = t.sample_batch(rng, 60_000)
         counts = np.bincount(idx, minlength=3000)
         assert refcheck.chi_square_pvalue(counts, w / w.sum()) > 0.01
 
-    def test_descent_respects_zero_weights(self):
+    def test_large_n_respects_zero_weights(self):
         rng = np.random.default_rng(2)
         w = np.array([1.0, 0.0, 0.0, 1.0] * 1024)  # 4096 leaves
         t = SumTree(w)

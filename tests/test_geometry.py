@@ -11,7 +11,6 @@ from maxmin.geometry import (
     ball_setup,
     bregman,
     domain_radius_bound,
-    mirror_average,
     project,
     prox_step,
     simplex_setup,
@@ -178,27 +177,6 @@ class TestProxStep:
     def test_rejects_nonfinite_gradient(self):
         with pytest.raises(NonFinite):
             prox_step(ball_setup(2), vec(np.nan, 0.0), 1.0, 0.0, vec(0, 0), vec(0, 0))
-
-
-class TestMirrorAverage:
-    def test_fixed_point(self):
-        s = simplex_setup(3, 0.01)
-        w = vec(0.2, 0.3, 0.5)
-        out = mirror_average(s, [w, w, w], 2.5)
-        np.testing.assert_allclose(out, w, atol=1e-12)
-
-    def test_ball_mean(self):
-        out = mirror_average(ball_setup(2), [vec(0, 0), vec(1, 0)], 0.0)
-        np.testing.assert_allclose(out, vec(0.5, 0.0))
-
-    def test_geometric_mean(self):
-        out = mirror_average(simplex_setup(2, 0.0), [vec(0.2, 0.8), vec(0.8, 0.2)], 0.0)
-        np.testing.assert_allclose(out, vec(0.5, 0.5), atol=1e-14)
-
-    def test_last_weight_tilts_toward_final(self):
-        b = ball_setup(1)
-        out = mirror_average(b, [vec(0.0), vec(1.0)], 2.0)
-        np.testing.assert_allclose(out, vec(0.75))
 
 
 class TestDomainRadius:
