@@ -60,7 +60,6 @@ class IterationRecord:
     a_weight: float
     oracle_queries: int
     oracle_movement: float
-    lam: float
     rounds: int
 
 
@@ -79,8 +78,6 @@ class SolverReport:
     seed: int
     draws: int = 0  # sampler proposals; accepted / draws is the acceptance rate
     accepted: int = 0
-    rho: float = 0.0
-    expected_iterations: float = 0.0
     trace: list[dict] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
@@ -101,14 +98,6 @@ class SolverReport:
             **fields,
         )
 
-    @property
-    def c_history(self) -> list[float]:
-        return [rec.c for rec in self.iterations]
-
-    @property
-    def a_history(self) -> list[float]:
-        return [rec.a_weight for rec in self.iterations]
-
     def counters_dict(self) -> dict:
         return {
             "outer_iterations": self.outer_iterations,
@@ -119,8 +108,8 @@ class SolverReport:
             "accepted": self.accepted,
             "oracle_queries": [rec.oracle_queries for rec in self.iterations],
             "oracle_movement": [rec.oracle_movement for rec in self.iterations],
-            "c_history": self.c_history,
-            "a_history": self.a_history,
+            "c_history": [rec.c for rec in self.iterations],
+            "a_history": [rec.a_weight for rec in self.iterations],
         }
 
 
@@ -136,12 +125,12 @@ def accelerate(
     problem,
     setup: GeometrySetup,
     x0: np.ndarray,
-    v0: np.ndarray,
     params: AccelParams,
+    estimator_factory: EstimatorFactory,
     oracle=restricted_oracle,
-    estimator_factory: EstimatorFactory | None = None,
 ) -> SolverReport:
-    """Minimize the problem's smoothed max via restricted oracle calls.
+    """Minimize the problem's smoothed max via restricted oracle calls
+    from x0, which also starts the mirror point.
 
     ``estimator_factory(anchor, r_prime, seed)`` builds the per-round
     gradient estimator; ``oracle`` is called as
@@ -158,7 +147,7 @@ def accelerate(
 
     a_weight = params.r_bound**2 / params.e0
     x = np.asarray(x0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
+    v = x.copy()
     if isinstance(params.seed, np.random.SeedSequence):
         seed_entropy, seed_key = params.seed.entropy, params.seed.spawn_key
     else:
@@ -205,7 +194,7 @@ def accelerate(
 
         records.append(
             IterationRecord(c, a_weight, stats.total_queries, stats.total_movement,
-                            stats.lam, stats.bisection_rounds)
+                            stats.bisection_rounds)
         )
         if params.record_trace:
             trace.append({"x": x.copy(), "v": v.copy(), "A": a_weight, "c": c,
@@ -234,8 +223,6 @@ def accelerate(
         seed=params.seed,
         draws=draws,
         accepted=accepted,
-        rho=rho,
-        expected_iterations=expected,
         trace=trace,
     )
 

@@ -94,7 +94,6 @@ def solve_smooth_max(
     eps: float,
     seed: int = 0,
     kind: Kind = Kind.BALL,
-    nu: float | None = None,
     r: float | None = None,
     gamma: float | None = None,
     record_trace: bool = False,
@@ -115,8 +114,7 @@ def solve_smooth_max(
     if kind is Kind.BALL:
         setup = ball_setup(d)
     else:
-        level = eps / (4.0 * d * problem.lip) if nu is None else nu
-        setup = simplex_setup(d, min(level, 0.5 / d))
+        setup = simplex_setup(d, min(eps / (4.0 * d * problem.lip), 0.5 / d))
 
     x0 = setup.center()
     r_bound = domain_radius_bound(setup, x0)
@@ -153,7 +151,7 @@ def solve_smooth_max(
             p=setup.p,
         )
 
-    report = accelerate(problem, setup, x0, x0.copy(), params, estimator_factory=factory)
+    report = accelerate(problem, setup, x0, params, factory)
     report.x = project(setup, report.x)
     report.f_max_value = problem.f_max(report.x)
     report.extras["eps"] = eps
@@ -235,10 +233,8 @@ def solve_matrix_game(
         raise InvalidParams("eps must lie in (0, 1)")
     problem = inst.problem()
     kind = Kind.BALL if inst.is_ball else Kind.TRUNCATED_SIMPLEX
-    d = inst.d
-    radius = min(1.0, math.sqrt(d) * eps) if r is None else r
-    nu = None if inst.is_ball else eps / (4.0 * d)
-    report = solve_smooth_max(problem, eps, seed=seed, kind=kind, nu=nu, r=radius)
+    radius = min(1.0, math.sqrt(inst.d) * eps) if r is None else r
+    report = solve_smooth_max(problem, eps, seed=seed, kind=kind, r=radius)
     x = report.x
     y_hat = dual_from_samples(
         problem,

@@ -52,15 +52,6 @@ LOWER_DIV = 256.0
 
 
 @dataclass
-class LimdParams:
-    lam: float
-    eta: float
-    steps: int
-    rho: float
-    y: np.ndarray
-
-
-@dataclass
 class LimdResult:
     z: np.ndarray
     w: np.ndarray
@@ -79,17 +70,10 @@ class BallOracleResult:
 @dataclass
 class OracleStats:
     lam: float = 1.0
-    c: float = 1.0
     bisection_rounds: int = 0
-    limd_calls: int = 0
     total_queries: int = 0
     total_movement: float = 0.0
-    k_max: int = 0
-    out_of_bound_final: bool = False
-    vy_z: float = 0.0
     initial_check_hit: bool = False
-    eta: float = 0.0
-    steps: int = 0
 
 
 def step_plan(rho: float, lam: float, tau_val: float, gamma_bound: float) -> tuple[float, int]:
@@ -108,16 +92,19 @@ def step_plan(rho: float, lam: float, tau_val: float, gamma_bound: float) -> tup
 def li_md(
     grad_est: GradEst,
     setup: GeometrySetup,
-    params: LimdParams,
+    y: np.ndarray,
+    rho: float,
+    lam: float,
+    eta: float,
+    steps: int,
 ) -> LimdResult:
-    """Last-iterate proximal mirror descent around center params.y.
+    """Last-iterate proximal mirror descent around center y: ``steps``
+    steps of size eta on h + lam V_y.
 
     Aborts with the out-of-bound flag as soon as the running average
     leaves the rho-ball; on a clean run returns the average iterate and
     the mirror-averaged point.
     """
-    y = params.y
-    lam, eta, rho = params.lam, params.eta, params.rho
     el = eta * lam
     w = y.copy()
     x = y.copy()
@@ -133,7 +120,7 @@ def li_md(
     steps_done = 0
     x_prev_in = y.copy()
 
-    for t in range(1, params.steps + 1):
+    for t in range(1, steps + 1):
         if t > 1:
             step_vec = (w - x) / t
             movement += norm(step_vec)
@@ -182,6 +169,24 @@ def bisection_round_limit(tau_val: float, gamma_bound: float, rho: float) -> int
     return max(1, math.ceil(math.log2(max(arg, 2.0))))
 
 
+def _tallied_li_md(
+    grad_est: GradEst,
+    setup: GeometrySetup,
+    y: np.ndarray,
+    rho: float,
+    lam: float,
+    gamma_bound: float,
+    stats: OracleStats,
+) -> tuple[LimdResult, float]:
+    """One LI-MD run at lam under ``step_plan``, its queries and movement
+    added to ``stats``; returns the run and its multiplier lam + 1/(eta T)."""
+    eta, steps = step_plan(rho, lam, tau(setup), gamma_bound)
+    res = li_md(grad_est, setup, y, rho, lam, eta, steps)
+    stats.total_queries += res.queries
+    stats.total_movement += res.movement
+    return res, lam + 1.0 / (eta * steps)
+
+
 def lambda_bisection(
     grad_est: GradEst,
     setup: GeometrySetup,
@@ -204,32 +209,26 @@ def lambda_bisection(
     # the bracket floor is 1; tiny gradient bounds would otherwise invert it
     lam_max = max(16.0 * tau_val * gamma_bound / rho, 1.0)
     lam_min = 1.0
-    k_max = bisection_round_limit(tau_val, gamma_bound, rho)
-    stats.k_max = k_max
     upper = rho**2 / (UPPER_DIV * tau_val)
     lower = rho**2 / (LOWER_DIV * tau_val**3)
 
-    eta0, steps0 = step_plan(rho, lam_min, tau_val, gamma_bound)
-    res = li_md(grad_est, setup, LimdParams(lam_min, eta0, steps0, rho, y))
-    stats.limd_calls += 1
-    stats.total_queries += res.queries
-    stats.total_movement += res.movement
-    if not res.out_of_bound and bregman(setup, y, res.z) < upper:
+    def probe(lam: float) -> float:
+        """V_y(z) of the LI-MD run at lam; inf when the run left the ball."""
+        res, _ = _tallied_li_md(grad_est, setup, y, rho, lam, gamma_bound, stats)
+        return math.inf if res.out_of_bound else bregman(setup, y, res.z)
+
+    if probe(lam_min) < upper:
         stats.initial_check_hit = True
         return lam_min
 
     lam_k = lam_max
-    for k in range(1, k_max + 1):
+    for k in range(1, bisection_round_limit(tau_val, gamma_bound, rho) + 1):
         lam_k = 0.5 * (lam_max + lam_min)
-        eta_k, steps_k = step_plan(rho, lam_k, tau_val, gamma_bound)
-        res = li_md(grad_est, setup, LimdParams(lam_k, eta_k, steps_k, rho, y))
-        stats.limd_calls += 1
-        stats.total_queries += res.queries
-        stats.total_movement += res.movement
+        div = probe(lam_k)
         stats.bisection_rounds = k
-        if res.out_of_bound or bregman(setup, y, res.z) > upper:
+        if div > upper:
             lam_min = lam_k
-        elif bregman(setup, y, res.z) < lower:
+        elif div < lower:
             lam_max = lam_k
         else:
             return lam_k
@@ -251,24 +250,11 @@ def restricted_oracle(
     """
     if rho <= 0.0:
         raise InvalidParams("rho must be positive")
-    stats = OracleStats()
-    tau_val = tau(setup)
-    if not tau_val >= 4.0:
+    if not tau(setup) >= 4.0:
         raise PreconditionViolated("setup must satisfy a finite tau >= 4 triangle inequality")
-
-    lam = lambda_bisection(grad_est, setup, y, rho, gamma_bound, stats)
-    eta, steps = step_plan(rho, lam, tau_val, gamma_bound)
-    res = li_md(grad_est, setup, LimdParams(lam, eta, steps, rho, y))
-    stats.limd_calls += 1
-    stats.total_queries += res.queries
-    stats.total_movement += res.movement
-    stats.lam = lam
-    stats.eta = eta
-    stats.steps = steps
-    stats.out_of_bound_final = res.out_of_bound
-    stats.vy_z = bregman(setup, y, res.z)
-    c = lam + 1.0 / (eta * steps)
-    stats.c = c
+    stats = OracleStats()
+    stats.lam = lambda_bisection(grad_est, setup, y, rho, gamma_bound, stats)
+    res, c = _tallied_li_md(grad_est, setup, y, rho, stats.lam, gamma_bound, stats)
     return BallOracleResult(res.z, res.w, c), stats
 
 

@@ -39,7 +39,11 @@ log = logging.getLogger("maxmin")
 _SOLVER_FAILURES = (RejectionStall, IterationCapExceeded, GradientCallbackFailed)
 
 
-def _gen_payload(kind: str, n: int, d: int, setup: str, seed: int) -> tuple[str, np.ndarray]:
+def _gen_payload(
+    kind: str, n: int, d: int, setup: str | None, seed: int
+) -> tuple[str, np.ndarray]:
+    if setup is not None and kind != "game":
+        raise InvalidParams(f"--setup picks a game's norms; it does not apply to {kind}")
     rng = np.random.Generator(np.random.Philox(seed))
     if kind == "game":
         a = rng.standard_normal((d, n))
@@ -196,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--d", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--setup", choices=["l2l1", "l1l1"], default="l2l1")
+    gen.add_argument("--setup", choices=["l2l1", "l1l1"],
+                     help="game norms (default l2l1); games only")
     gen.add_argument("--out", required=True)
     gen.add_argument("--binary", action="store_true")
     gen.set_defaults(func=cmd_gen)

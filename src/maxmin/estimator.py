@@ -43,7 +43,6 @@ class EstimateStats:
 class EstimatorCounters:
     func_evals: int = 0
     grad_evals: int = 0
-    calls: int = 0
     draws: int = 0
     accepted: int = 0
     mvm_rebuilds: int = 0
@@ -209,7 +208,6 @@ class SoftmaxGradientEstimator:
             if accepted >= 0:
                 grad = self.problem.grad(accepted, x_t)
                 counters.eval_seconds += time.perf_counter() - t0
-                counters.calls += 1
                 counters.draws += draws
                 counters.accepted += 1
                 counters.grad_evals += 1

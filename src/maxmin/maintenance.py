@@ -35,9 +35,10 @@ class MatVecMaintainer:
     """State and query loop of the dyadic maintenance structure.
 
     ``mode`` selects the per-level backend: "sketch" builds the real
-    CountSketch (p=2) or sampling (p=1) estimators; "exact" substitutes
-    the exact-product fallback, making the output error deterministic
-    (at most eps/2, from the level-1 reference gap alone).
+    CountSketch (p=2) or sampling (p=1) estimators; "exact" keeps one
+    level over the exact product, since levels above the first would only
+    feed its sum: y = A xbar_1 with xbar_1 reset to x once it is more than
+    eps/2 away, so the output error is deterministic (at most eps/2).
     """
 
     def __init__(
@@ -75,14 +76,13 @@ class MatVecMaintainer:
         self.validate = validate
         self.n, self.d = a.shape
 
-        self.k = math.ceil(math.log2(math.ceil(r_budget / eps))) + 1
+        self.k = 1 if mode == "exact" else math.ceil(math.log2(math.ceil(r_budget / eps))) + 1
         self.alpha, self.level_eps = level_accuracies(self.k)
         self.delta_bar = delta * eps / r_budget
 
         self.levels = [None]  # 1-based
         if mode == "exact":
-            shared = ExactMve(a)
-            self.levels.extend(shared for _ in range(self.k))
+            self.levels.append(ExactMve(a))
         else:
             if isinstance(rng_seed, np.random.SeedSequence):
                 seeds = rng_seed.spawn(self.k)
@@ -151,7 +151,8 @@ class MatVecMaintainer:
         return self.ref_y[1], changed
 
     def _check_chain(self) -> None:
-        for i in range(1, self.k + 2):
+        # the top reference stays at x0; the movement budget R bounds its gap
+        for i in range(1, self.k + 1):
             gap = self._pnorm(self.ref_x[i] - self.ref_x[i - 1])
             if gap > self.eps * 2.0 ** (i - 2) * (1.0 + 1e-9):
                 raise AssertionError(f"reference chain invariant broken at level {i}")

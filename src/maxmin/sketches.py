@@ -88,27 +88,12 @@ class CountSketchMve:
         return np.median(estimates, axis=1)
 
 
-def sample_inner_product(a: np.ndarray, x: np.ndarray, rng, count: int) -> np.ndarray:
-    """``count`` independent one-coordinate estimates of <a, x>.
-
-    Each draw picks j with probability |x_j| / ||x||_1 and reports
-    ||x||_1 * a_j * sign(x_j); unbiased for the inner product.
-    """
-    rng = _rng(rng)
-    l1 = float(np.sum(np.abs(x)))
-    if l1 == 0.0:
-        return np.zeros(count)
-    cs = np.cumsum(np.abs(x))
-    j = np.searchsorted(cs, rng.random(count) * l1, side="right")
-    j = np.minimum(j, x.size - 1)
-    return l1 * a[j] * np.sign(x[j])
-
-
 class SampleMve:
     """l1 estimator: keeps the raw matrix and samples coordinates by |x|.
 
-    One index set is drawn per query and shared across rows; each row's
-    marginal estimate matches the scalar sampling primitive, and the
+    One index set is drawn per query and shared across rows: each draw
+    picks j with probability |x_j| / ||x||_1 and contributes
+    ||x||_1 a_j sign(x_j), unbiased for each row's inner product, and the
     per-row union bound does not need independence across rows.
     """
 

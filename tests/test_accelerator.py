@@ -50,7 +50,7 @@ def stub_oracle_factory(c_value, pull=0.5):
 
     def oracle(grad_est, setup, y, rho, gamma_bound):
         z = y if target is None else y + pull * (target - y)
-        return BallOracleResult(z.copy(), z.copy(), c_value), OracleStats(c=c_value)
+        return BallOracleResult(z.copy(), z.copy(), c_value), OracleStats()
 
     return oracle
 
@@ -74,8 +74,8 @@ def run_accel(params, oracle, d=2):
     prob = LinearMaxProblem(np.zeros((1, d)))
     setup = ball_setup(d)
     return accelerate(
-        prob, setup, np.zeros(d), np.zeros(d), params, oracle=oracle,
-        estimator_factory=lambda anchor, r_prime, seed: StubEstimator(),
+        prob, setup, np.zeros(d), params,
+        lambda anchor, r_prime, seed: StubEstimator(), oracle=oracle,
     )
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from maxmin import refcheck
 from maxmin.ball_oracle import (
-    LimdParams,
     OracleStats,
     bisection_round_limit,
     lambda_bisection,
@@ -30,8 +29,7 @@ class TestLiMd:
     def test_zero_gradient_fixed_point(self):
         setup = ball_setup(3)
         y = np.array([0.1, -0.2, 0.3])
-        params = LimdParams(1.0, 0.05, 50, 1.0, y)
-        res = li_md(lambda x: np.zeros(3), setup, params)
+        res = li_md(lambda x: np.zeros(3), setup, y, 1.0, 1.0, 0.05, 50)
         assert not res.out_of_bound
         np.testing.assert_allclose(res.z, y, atol=1e-12)
         np.testing.assert_allclose(res.w, y, atol=1e-12)
@@ -42,8 +40,7 @@ class TestLiMd:
         # the iterates, then water-filling
         setup = simplex_setup(3, 0.01)
         y = np.array([0.2, 0.3, 0.5])
-        params = LimdParams(1.0, 0.05, 50, 1.0, y)
-        res = li_md(lambda x: np.zeros(3), setup, params)
+        res = li_md(lambda x: np.zeros(3), setup, y, 1.0, 1.0, 0.05, 50)
         assert not res.out_of_bound
         assert res.queries == 50
         np.testing.assert_allclose(res.z, y, atol=1e-12)
@@ -54,8 +51,7 @@ class TestLiMd:
         setup = ball_setup(2)
         b = np.array([0.6, -0.2])
         y = np.array([-0.1, 0.1])
-        params = LimdParams(1.0, 0.01, 2000, 50.0, y)
-        res = li_md(lambda x: x - b, setup, params)
+        res = li_md(lambda x: x - b, setup, y, 50.0, 1.0, 0.01, 2000)
         assert not res.out_of_bound
         np.testing.assert_allclose(res.z, (b + y) / 2.0, atol=1e-3)
 
@@ -63,8 +59,7 @@ class TestLiMd:
         setup = ball_setup(2)
         y = np.zeros(2)
         g = np.array([30.0, 0.0])
-        params = LimdParams(0.0, 0.05, 500, 0.04, y)
-        res = li_md(lambda x: g, setup, params)
+        res = li_md(lambda x: g, setup, y, 0.04, 0.0, 0.05, 500)
         assert res.out_of_bound
         assert np.linalg.norm(res.z - y) == pytest.approx(0.04, rel=1e-9)
         np.testing.assert_array_equal(res.z, res.w)
@@ -73,8 +68,7 @@ class TestLiMd:
         setup = simplex_setup(3, 0.01)
         y = np.full(3, 1.0 / 3.0)
         g = np.array([200.0, -200.0, 0.0])
-        params = LimdParams(0.0, 0.5, 500, 0.05, y)
-        res = li_md(lambda x: g, setup, params)
+        res = li_md(lambda x: g, setup, y, 0.05, 0.0, 0.5, 500)
         assert res.out_of_bound
         assert setup.contains(res.z)
         assert setup.norm(res.z - y) < 0.05
@@ -89,7 +83,7 @@ class TestLiMd:
             seen.append(np.linalg.norm(x - y))
             return np.array([5.0, 1.0])
 
-        li_md(grad, setup, LimdParams(1.0, 0.02, 400, rho, y))
+        li_md(grad, setup, y, rho, 1.0, 0.02, 400)
         assert max(seen) <= rho
 
     def test_movement_tracks_average_steps(self):
@@ -97,7 +91,7 @@ class TestLiMd:
         y = np.zeros(2)
         rng = np.random.default_rng(0)
         res = li_md(
-            lambda x: rng.standard_normal(2) * 0.5, setup, LimdParams(1.0, 0.05, 200, 5.0, y)
+            lambda x: rng.standard_normal(2) * 0.5, setup, y, 5.0, 1.0, 0.05, 200
         )
         assert res.movement > 0.0
         assert res.queries == 200
@@ -107,7 +101,7 @@ class TestLiMd:
             raise RejectionStall("stalled")
 
         with pytest.raises(GradientCallbackFailed):
-            li_md(bad, ball_setup(2), LimdParams(1.0, 0.05, 10, 1.0, np.zeros(2)))
+            li_md(bad, ball_setup(2), np.zeros(2), 1.0, 1.0, 0.05, 10)
 
 
 class TestLambdaBisection:
@@ -204,7 +198,7 @@ class TestRestrictedOracle:
             iterates.append(x.copy())
             return np.clip(x - b, -gam, gam)
 
-        li_md(grad, setup, LimdParams(lam, eta, steps, 0.6, y))
+        li_md(grad, setup, y, 0.6, lam, eta, steps)
         slack = 65.0 * math.log(2.0 / delta) * eta**2 * gam**2 * steps
         bound = 2.0 * bregman(setup, y, ref) + slack
         worst = max(bregman(setup, w, ref) for w in iterates)

@@ -125,6 +125,15 @@ class TestGen:
         run_cli(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("kind", ["meb", "quadratics"])
+    def test_setup_rejected_for_non_game_kinds(self, tmp_path, caplog, kind):
+        out = tmp_path / "x.txt"
+        code = run_cli(["gen", "--kind", kind, "--n", "4", "--d", "2",
+                        "--setup", "l1l1", "--out", str(out)])
+        assert code == 2
+        assert "--setup" in caplog.text
+        assert not out.exists()
+
 
 class TestSolve:
     def test_identity_game_exit_zero(self, tmp_path):

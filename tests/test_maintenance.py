@@ -6,6 +6,7 @@ import pytest
 from maxmin.errors import BudgetExceeded, InvalidParams
 from maxmin.maintenance import MatVecMaintainer, level_accuracies
 from maxmin.selftests import mvm_walk_check
+from maxmin.sketches import ExactMve
 
 
 def unit_rows(rng, n, d, p=2):
@@ -19,12 +20,12 @@ def unit_rows(rng, n, d, p=2):
 
 class TestInit:
     def test_level_count(self):
-        m = MatVecMaintainer(np.zeros((3, 4)), np.zeros(4), 4.0, 1.0, 0.1, p=2, mode="exact")
+        m = MatVecMaintainer(np.zeros((3, 4)), np.zeros(4), 4.0, 1.0, 0.1, p=1, mode="sketch")
         assert m.k == 3  # ceil(log2 4) + 1
 
     def test_level_count_and_accuracies(self):
         m = MatVecMaintainer(
-            np.zeros((30, 10)), np.zeros(10), 1.0, 0.05, 0.1, p=2, mode="exact"
+            np.zeros((30, 10)), np.zeros(10), 1.0, 0.05, 0.1, p=1, mode="sketch"
         )
         assert m.k == 6
         # alpha_i proportional to 2^{i/3}, normalized; eps_i = alpha_i 2^{-i}
@@ -100,6 +101,22 @@ class TestQuery:
             y, _ = m.query(step)
             cur += step
             assert np.max(np.abs(y - a @ cur)) <= eps / 2 + 1e-12
+
+    def test_exact_mode_pays_one_product_per_refresh(self, monkeypatch):
+        # exact mode keeps one level: a move past every dyadic scale costs
+        # one product, not one per level
+        calls = []
+        real = ExactMve.query
+        monkeypatch.setattr(ExactMve, "query", lambda mve, x: calls.append(1) or real(mve, x))
+        rng = np.random.default_rng(8)
+        a = unit_rows(rng, 7, 5)
+        m = MatVecMaintainer(a, np.zeros(5), 1.0, 0.01, 0.1, p=2, mode="exact")
+        x = rng.standard_normal(5)
+        x *= 0.9 / np.linalg.norm(x)
+        y, changed = m.query(x)
+        assert len(calls) == 1
+        np.testing.assert_allclose(y, a @ x, rtol=0, atol=1e-12)
+        assert changed.size == 7
 
     def test_top_reference_never_moves(self):
         rng = np.random.default_rng(5)

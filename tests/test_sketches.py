@@ -11,7 +11,6 @@ from maxmin.sketches import (
     ExactMve,
     SampleMve,
     mve_init,
-    sample_inner_product,
 )
 
 
@@ -109,7 +108,10 @@ class TestStatisticalGuarantees:
         a = rng.standard_normal(12)
         a /= np.abs(a).max()
         x = rng.standard_normal(12)
-        draws = sample_inner_product(a, x, rng, 100_000)
+        # eps = 10 plans one coordinate draw per query
+        m = SampleMve(a[None, :], eps=10.0, delta=0.5, seed=7)
+        assert m.sample_count == 1
+        draws = np.array([m.query(x)[0] for _ in range(100_000)])
         target = float(a @ x)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - target) <= 5 * se
