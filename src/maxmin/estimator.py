@@ -3,10 +3,22 @@
 Draws an index from the distribution proportional to
 exp(f_i(x_t) / eps') using only the anchor values f_i(x0), a maintained
 approximation y_t of <grad f_i(x0), x_t - x0>, and rejection sampling;
-returns grad f_{i_t}(x_t).  On the maintainer's good event the accepted
-index has exactly the softmax law, so the output is an unbiased
-estimator of the smoothed-max gradient, and it is always bounded by the
-family's Lipschitz constant.
+returns grad f_{i_t}(x_t).  A proposal i drawn from exp((f_i(x0) + y_i)/eps')
+is accepted with probability exp((f_i(x_t) - f_i(x0) - y_i)/eps' - s),
+where the envelope
+
+    s = ((1/2) L_g r^2 + L_f * mvm.error_bound) / eps'
+
+bounds (f_i(x_t) - f_i(x0) - y_i)/eps', so the probability never clamps
+at 1.  Its first term bounds the curvature gap of a convex, L_g-smooth
+f_i within the radius r; its second bounds the maintainer's error on
+<grad f_i(x0), x_t - x0> (eps'/2 in exact mode, eps' in sketch mode).
+So s = 1/2 for games (L_g = 0), s <= 3/2 for quadratic families in
+exact mode, and s <= 2 in sketch mode; each gradient costs about e^s
+proposals.  On the maintainer's good event the accepted index has
+exactly the softmax law, so the output is an unbiased estimator of the
+smoothed-max gradient, and it is always bounded by the family's
+Lipschitz constant.
 
 Two independent random streams are used: one for the sampler and one for
 the maintainer, so the output distribution carries no dependence on the
@@ -122,6 +134,8 @@ class SoftmaxGradientEstimator:
         self._a = grads if self.lip == 1.0 else grads / self.lip
         self.x_prev = self.x0.copy()
         self._init_mvm(np.zeros(problem.d))
+        # the rejection envelope s of the module docstring
+        self.envelope = (half_smooth + self.lip * self.mvm.error_bound) / self.eps_prime
         self.y = np.zeros(problem.n)
         self.logits = (self.f0 + self.y) / self.eps_prime
         self._offset = float(self.logits.max())
@@ -187,6 +201,7 @@ class SoftmaxGradientEstimator:
         f0 = self.f0
         y = self.y
         inv_eps = 1.0 / self.eps_prime
+        envelope = self.envelope
         value = self.problem.value
         draws = 0
         while True:
@@ -197,7 +212,7 @@ class SoftmaxGradientEstimator:
             for pos, i in enumerate(batch.tolist()):
                 draws += 1
                 f_val = value(i, x_t)
-                expo = (f_val - f0[i] - y[i]) * inv_eps - 2.0
+                expo = (f_val - f0[i] - y[i]) * inv_eps - envelope
                 prob = math.exp(expo) if expo < 0.0 else 1.0
                 if coins[pos] < prob:
                     accepted = i

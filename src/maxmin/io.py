@@ -1,10 +1,11 @@
 """Instance file formats and the JSON report schema.
 
 Text instances are diff-able: a header line ``MAXMIN v1 <kind> <n> <d>``
-followed by one row of decimal values per line (games store the columns
-a_i as rows; quadratics append the offset as a trailing column).  The
-binary format holds the same payload as little-endian float64 after a
-16-byte header: magic ``MXMN``, u32 n, u32 d, u32 kind code.
+followed by exactly n rows of decimal values, one per line (games store
+the columns a_i as rows; quadratics append the offset as a trailing
+column).  The binary format holds the same payload as little-endian
+float64 after a 16-byte header: magic ``MXMN``, u32 n, u32 d, u32 kind
+code.
 
 Reports are JSON documents with a declared ``schema`` key; numeric
 arrays are kept flat.  Wall-time fields are the only nondeterministic
@@ -87,6 +88,8 @@ def _parse_instance(blob: bytes) -> tuple[str, np.ndarray]:
     rows = np.array([[float(v) for v in line.split()] for line in text[1 : n + 1]])
     if rows.shape != (n, d):
         raise InvalidParams(f"expected ({n}, {d}) payload, found {rows.shape}")
+    if any(line.strip() for line in text[n + 1 :]):
+        raise InvalidParams(f"more than the header's {n} rows")
     return kind, rows
 
 

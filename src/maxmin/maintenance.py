@@ -39,6 +39,10 @@ class MatVecMaintainer:
     level over the exact product, since levels above the first would only
     feed its sum: y = A xbar_1 with xbar_1 reset to x once it is more than
     eps/2 away, so the output error is deterministic (at most eps/2).
+
+    ``error_bound`` is the l-infinity bound on y - A x that each mode
+    guarantees for unit-norm rows: eps/2 in exact mode, always; eps in
+    sketch mode, on the good event.
     """
 
     def __init__(
@@ -76,6 +80,7 @@ class MatVecMaintainer:
         self.validate = validate
         self.n, self.d = a.shape
 
+        self.error_bound = self.eps / 2.0 if mode == "exact" else self.eps
         self.k = 1 if mode == "exact" else math.ceil(math.log2(math.ceil(r_budget / eps))) + 1
         self.alpha, self.level_eps = level_accuracies(self.k)
         self.delta_bar = delta * eps / r_budget

@@ -97,7 +97,10 @@ def sampler_fidelity_check(
     n: int = 10, d: int = 6, draws: int = 100_000, seed: int = 0, mode: str = "sketch",
 ) -> list[CheckResult]:
     """Accepted-index frequencies against the exact softmax law, plus the
-    mean acceptance-rate floor, at a fixed in-ball query point."""
+    mean acceptance-rate floor e^-2, at a fixed in-ball query point: with
+    a linear family every acceptance exponent lies in [-2 s, 0] on the
+    maintainer's good event, and the envelope s is 1 in sketch mode and
+    1/2 in exact mode."""
     rng = np.random.Generator(np.random.Philox(seed))
     rows = _unit_rows(rng, n, d, 2) * 0.9
     problem = LinearMaxProblem(rows)
@@ -119,7 +122,7 @@ def sampler_fidelity_check(
     acc_rate = est.counters.accepted / est.counters.draws
     return [
         CheckResult("sampler TV distance", tv <= 0.05, tv, 0.05),
-        CheckResult("sampler acceptance rate", acc_rate >= math.exp(-4.0), acc_rate, math.exp(-4.0)),
+        CheckResult("sampler acceptance rate", acc_rate >= math.exp(-2.0), acc_rate, math.exp(-2.0)),
     ]
 
 

@@ -151,7 +151,7 @@ def test_criterion_05_sampler_fidelity():
         "softmax sampler fidelity",
         ok,
         f"TV {tv.observed:.4f} <= 0.05 over 1e5 draws, "
-        f"acceptance rate {acc.observed:.4f} >= e^-4 = {math.exp(-4.0):.4f}",
+        f"acceptance rate {acc.observed:.4f} >= e^-2 = {math.exp(-2.0):.4f}",
     )
 
 

@@ -61,6 +61,7 @@ class TestInstanceFormats:
         b"MXMN\x02\x00",  # binary header cut short
         b"MAXMIN v1 meb 1 2\n1.0 abc\n",  # non-numeric entry
         b"",  # empty file
+        b"MAXMIN v1 meb 2 2\n0.0 0.0\n1.0 0.0\n0.0 5.0\n",  # a row past the header's n
     ])
     def test_malformed_file_rejected(self, tmp_path, blob):
         path = tmp_path / "bad"

@@ -128,11 +128,12 @@ class TestInit:
 
 class TestEstimate:
     def test_anchor_acceptance_probability(self):
-        # at the anchor with exact maintenance the acceptance exponent is -2
+        # at the anchor with exact maintenance the acceptance exponent is
+        # minus the envelope, which is 1/2 for a linear family
         prob = linear_problem(np.random.default_rng(3), 1, 4)
         est = make_estimator(prob, 4)
         _, _, stats = est.estimate(np.zeros(4))
-        assert stats.accept_prob == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert stats.accept_prob == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_equal_functions_uniform_chisquare(self):
         rows = np.tile(np.array([0.3, -0.2, 0.1]), (20, 1))
@@ -140,8 +141,16 @@ class TestEstimate:
         est = make_estimator(prob, 3, seed=5)
         x_t = np.array([0.05, 0.0, 0.05])
         counts = np.zeros(20)
-        draws = 20_000
-        for _ in range(draws):
+        i, _, _ = est.estimate(x_t)
+        counts[i] += 1
+        # equal rows give bit-equal proposal weights and acceptance
+        # exponents, so the accepted law is exactly uniform
+        expo = (prob.values_all(x_t) - est.f0 - est.y) / est.eps_prime - est.envelope
+        assert np.all(est.tree.weights == est.tree.weights[0])
+        assert np.all(expo == expo[0])
+        assert expo[0] == pytest.approx(-0.5, abs=1e-12)
+        draws = 200_000
+        for _ in range(draws - 1):
             i, _, _ = est.estimate(x_t)
             counts[i] += 1
         assert refcheck.chi_square_pvalue(counts, np.full(20, 0.05)) > 0.01
@@ -207,9 +216,10 @@ class TestEstimate:
         for _ in range(calls):
             est.estimate(np.full(6, 0.02))
         per_call = (est.counters.func_evals - 15) / calls
-        assert per_call <= 10.0
+        assert per_call <= math.e
+        # exact maintenance keeps every exponent in [-2 s, 0] = [-1, 0]
         rate = est.counters.accepted / est.counters.draws
-        assert rate >= math.exp(-4.0)
+        assert rate >= math.exp(-1.0)
 
     def test_out_of_ball_query_rejected(self):
         prob = linear_problem(np.random.default_rng(14), 4, 3)
@@ -241,6 +251,63 @@ class TestEstimate:
         for step in range(20):
             est.estimate(b if step % 2 else a)
         assert est.counters.mvm_rebuilds >= 1
+
+
+class TestEnvelope:
+    """The envelope bounds every acceptance exponent in exact mode, so no
+    proposal's acceptance probability is clamped at 1."""
+
+    @staticmethod
+    def walk(est, rng, steps, step_size):
+        # random steps of up to step_size, each projected radially onto the
+        # sphere of radius r, where the envelope's curvature term is tight
+        worst = -np.inf
+        x_t = est.x0.copy()
+        for _ in range(steps):
+            move = rng.standard_normal(est.x0.size)
+            x_t = x_t + move * (step_size * rng.random() / est._pnorm(move))
+            x_t = est.x0 + (x_t - est.x0) * (est.r / est._pnorm(x_t - est.x0))
+            est.estimate(x_t)
+            expo = (est.problem.values_all(x_t) - est.f0 - est.y) / est.eps_prime
+            worst = max(worst, float(np.max(expo - est.envelope)))
+        return worst
+
+    @pytest.mark.parametrize("p", [2, 1])
+    def test_linear_families(self, p):
+        rng = np.random.default_rng(30 + p)
+        if p == 2:
+            rows = rng.standard_normal((64, 3))
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        else:
+            # every sign pattern: some row meets each move with <a_i, v> = ||v||_1
+            rows = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
+                            dtype=float)
+        prob = LinearMaxProblem(rows)
+        eps_prime = 0.05
+        # the second walk outruns its movement budget and rebuilds
+        for r_prime, rebuilds in ((1e3, False), (0.75, True)):
+            est = SoftmaxGradientEstimator(
+                prob, np.zeros(3), eps_prime, r=0.3, r_prime=r_prime, delta=0.05,
+                rng_seed=p, mode="exact", p=p,
+            )
+            assert est.envelope == 0.5
+            assert self.walk(est, rng, 300, 0.6 * eps_prime) <= 1e-12
+            assert (est.counters.mvm_rebuilds >= 1) == rebuilds
+
+    def test_quadratic_family(self):
+        rng = np.random.default_rng(33)
+        prob = QuadraticMaxProblem(rng.standard_normal((40, 3)) * 0.3)
+        eps_prime, r = 0.05, 0.3
+        # an anchor opposite the farthest center gives one anchor gradient
+        # close to L_f, so the maintainer's error term is close to tight
+        far = prob.centers[np.argmax(np.linalg.norm(prob.centers, axis=1))]
+        x0 = -0.9 * far / np.linalg.norm(far)
+        est = SoftmaxGradientEstimator(
+            prob, x0, eps_prime, r, r_prime=10.0, delta=0.05, rng_seed=3, mode="exact", p=2,
+        )
+        assert est.envelope == pytest.approx(0.5 * prob.smooth * r * r / eps_prime + 0.5,
+                                             rel=1e-15)
+        assert self.walk(est, rng, 300, 0.05) <= 1e-12
 
 
 class TestObliviousness:
