@@ -206,9 +206,8 @@ def dual_from_samples(
 ) -> np.ndarray:
     """Empirical accepted-index frequencies of the estimator at x."""
     r_cert = max(2.0 * eps_prime / problem.lip, 1e-9)
-    est = SoftmaxGradientEstimator(
-        problem, x, eps_prime, r_cert, 1.01 * r_cert, 1e-3, rng_seed=seed, mode="exact", p=p
-    )
+    est = SoftmaxGradientEstimator(problem, x, eps_prime, r_cert, 1.01 * r_cert, ESTIMATOR_DELTA,
+                                   rng_seed=seed, mode="exact", p=p)
     counts = np.zeros(problem.n)
     for _ in range(draws):
         i, _, _ = est.estimate(x)

@@ -38,6 +38,7 @@ from .geometry import (
     _prox_simplex,
     _waterfill,
     bregman,
+    pnorm,
     tau,
 )
 
@@ -112,7 +113,7 @@ def li_md(
     queries = 0
     out_of_bound = False
     is_ball = setup.kind is Kind.BALL
-    norm = setup.norm
+    p = setup.p
     log_y = None if is_ball else np.log(y)
     log_w = log_y
 
@@ -123,10 +124,10 @@ def li_md(
     for t in range(1, steps + 1):
         if t > 1:
             step_vec = (w - x) / t
-            movement += norm(step_vec)
+            movement += pnorm(step_vec, p)
             x_prev_in = x
             x = x + step_vec
-        if norm(x - y) >= rho:
+        if pnorm(x - y, p) >= rho:
             out_of_bound = True
             break
         try:
@@ -146,7 +147,7 @@ def li_md(
     if out_of_bound:
         if is_ball:
             direction = x - y
-            z = y + rho * direction / norm(direction)
+            z = y + rho * direction / pnorm(direction, p)
         else:
             # the l1 ray point may leave the truncated simplex; the last
             # in-domain average (distance < rho from y) serves instead

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, PreconditionViolated, RejectionStall
+from .geometry import pnorm
 from .maintenance import MatVecMaintainer
 from .problems import MaxProblem
 from .sumtree import SumTree
@@ -46,7 +47,6 @@ _BATCH = 8
 
 @dataclass
 class EstimateStats:
-    index: int
     draws: int
     accept_prob: float
 
@@ -161,11 +161,9 @@ class SoftmaxGradientEstimator:
         )
 
     def _refresh_logits(self, changed: np.ndarray) -> None:
-        """Recompute the logits at ``changed`` and pass their weights to the
-        sampler: every weight is rebased when the max logit drifts past the
+        """Recompute the logits at ``changed`` (non-empty) and pass their weights to
+        the sampler: all weights are rebased when the max logit drifts past the
         stored offset, otherwise only the changed weights are written."""
-        if changed.size == 0:
-            return
         self.logits[changed] = (self.f0[changed] + self.y[changed]) / self.eps_prime
         top = float(self.logits.max())
         if abs(top - self._offset) > _OFFSET_DRIFT:
@@ -177,7 +175,7 @@ class SoftmaxGradientEstimator:
     def estimate(self, x_t: np.ndarray) -> tuple[int, np.ndarray, EstimateStats]:
         """Sample i ~ softmax(f(x_t)/eps') and return (i, grad f_i(x_t), stats)."""
         x_t = np.asarray(x_t, dtype=float)
-        dist = self._pnorm(x_t - self.x0)
+        dist = pnorm(x_t - self.x0, self.p)
         if dist > self.r * (1.0 + 1e-9) + 1e-12:
             raise PreconditionViolated(f"query at distance {dist:.6g} > r = {self.r:.6g}")
 
@@ -185,6 +183,10 @@ class SoftmaxGradientEstimator:
         try:
             raw, changed = self.mvm.query(delta)
         except BudgetExceeded:
+            # a single step longer than the whole budget fails a rebuild too
+            step = pnorm(delta, self.p)
+            if step > self.r_prime * (1.0 + 1e-12):
+                raise PreconditionViolated(f"query step {step:.6g} > r' = {self.r_prime:.6g}")
             # fresh maintainer at the same anchor: budget resets, the new
             # reference products are exact, and the radius precondition is
             # untouched
@@ -193,8 +195,9 @@ class SoftmaxGradientEstimator:
             raw, changed = self.mvm.query(delta)
             changed = np.arange(self.problem.n)
 
-        self.y = self.lip * raw
-        self._refresh_logits(changed)
+        if changed.size:
+            self.y = self.lip * raw
+            self._refresh_logits(changed)
         self.x_prev = x_t.copy()
 
         counters = self.counters
@@ -226,15 +229,10 @@ class SoftmaxGradientEstimator:
                 counters.draws += draws
                 counters.accepted += 1
                 counters.grad_evals += 1
-                return accepted, grad, EstimateStats(accepted, draws, prob)
+                return accepted, grad, EstimateStats(draws, prob)
             counters.eval_seconds += time.perf_counter() - t0
             if draws > self.max_consecutive_rejections:
                 raise RejectionStall(
                     f"{draws} consecutive rejections (threshold "
                     f"{self.max_consecutive_rejections}); treat this seed as failed"
                 )
-
-    def _pnorm(self, v: np.ndarray) -> float:
-        if self.p == 2:
-            return float(np.sqrt(np.dot(v, v)))
-        return float(np.sum(np.abs(v)))

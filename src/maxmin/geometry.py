@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,11 +59,6 @@ class GeometrySetup:
     def p(self) -> int:
         return 2 if self.kind is Kind.BALL else 1
 
-    def norm(self, v: np.ndarray) -> float:
-        if self.kind is Kind.BALL:
-            return float(np.sqrt(np.dot(v, v)))
-        return float(np.sum(np.abs(v)))
-
     def center(self) -> np.ndarray:
         """A canonical interior starting point (origin / uniform)."""
         if self.kind is Kind.BALL:
@@ -77,6 +73,15 @@ class GeometrySetup:
         return bool(
             np.all(x >= self.nu - tol) and abs(float(np.sum(x)) - 1.0) <= tol * max(1.0, self.dim)
         )
+
+
+def pnorm(v: np.ndarray, p: int) -> float:
+    """||v||_2 for p = 2, else ||v||_1.  It runs several times per gradient query,
+    so the l1 sum calls ``np.add.reduce``, where ``np.sum`` ends, without
+    ``np.sum``'s Python-level dispatch; the result is bit-identical."""
+    if p == 2:
+        return math.sqrt(v.dot(v))
+    return float(np.add.reduce(np.abs(v)))
 
 
 def ball_setup(dim: int) -> GeometrySetup:
@@ -102,9 +107,9 @@ def bregman(setup: GeometrySetup, x: np.ndarray, y: np.ndarray) -> float:
     if setup.kind is Kind.BALL:
         d = x - y
         return 0.5 * float(np.dot(d, d))
-    if np.any(x < _MIN_POSITIVE) or np.any(y < _MIN_POSITIVE):
+    if (x < _MIN_POSITIVE).any() or (y < _MIN_POSITIVE).any():
         raise NonFinite("KL divergence needs strictly positive entries")
-    v = float(np.sum(y * (np.log(y) - np.log(x))))
+    v = float((y * (np.log(y) - np.log(x))).sum())
     if not math.isfinite(v):
         raise NonFinite("KL divergence evaluated to a non-finite value")
     return v
@@ -133,7 +138,12 @@ def tau(setup: GeometrySetup) -> float:
     return 6.0 * math.log(1.0 / setup.nu)
 
 
-_IDX_CACHE: dict[int, np.ndarray] = {}
+@lru_cache(maxsize=16)
+def _free_mass(d: int, nu: float) -> np.ndarray:
+    """1 - nu (d - i) for i = 1..d, read-only: the cache shares it between calls."""
+    mass = 1.0 - nu * (d - np.arange(1, d + 1, dtype=float))
+    mass.flags.writeable = False
+    return mass
 
 
 def _waterfill(log_xi: np.ndarray, nu: float) -> np.ndarray:
@@ -144,7 +154,7 @@ def _waterfill(log_xi: np.ndarray, nu: float) -> np.ndarray:
     exponentiating.  Ties are broken by index (stable sort); tied entries
     receive identical treatment either way.
     """
-    if not np.all(np.isfinite(log_xi)):
+    if not np.isfinite(log_xi).all():
         raise NonFinite("water-filling weights overflowed")
     d = log_xi.size
     if d == 2:
@@ -159,19 +169,16 @@ def _waterfill(log_xi: np.ndarray, nu: float) -> np.ndarray:
         w0 = min(max(w0, nu), 1.0 - nu)
         return np.array([w0, 1.0 - w0])
     xi = np.exp(log_xi - log_xi.max())
-    order = np.argsort(-xi, kind="stable")
+    order = (-xi).argsort(kind="stable")
     xs = xi[order]
-    cs = np.cumsum(xs)
+    cs = xs.cumsum()
     if nu == 0.0:
         return xi / cs[-1]
-    idx = _IDX_CACHE.get(d)
-    if idx is None:
-        idx = np.arange(1, d + 1, dtype=float)
-        _IDX_CACHE[d] = idx
     # largest i with xs_i / sum_{j<=i} xs_j >= nu / (1 - nu (d - i))
-    ok = xs * (1.0 - nu * (d - idx)) >= nu * cs
+    ok = xs * _free_mass(d, nu) >= nu * cs
     iprime = int(ok.nonzero()[0][-1]) + 1  # ok[0] always holds for nu <= 1/(2d)
-    out = np.full(d, nu)
+    out = np.empty(d)
+    out.fill(nu)
     scale = (1.0 - nu * (d - iprime)) / cs[iprime - 1]
     out[order[:iprime]] = xs[:iprime] * scale
     return out
@@ -213,7 +220,7 @@ def prox_step(
 
 def _prox_ball(g: np.ndarray, eta: float, el: float, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     w = (x + el * y - eta * g) / (1.0 + el)
-    nrm = math.sqrt(float(np.dot(w, w)))
+    nrm = math.sqrt(w.dot(w))
     if nrm > 1.0 + _BALL_PROJ_TOL:
         w = w / nrm
     return w
@@ -224,7 +231,7 @@ def _prox_simplex(
 ) -> np.ndarray:
     log_xi = log_x - eta * g
     if el > 0.0:
-        log_xi = log_xi + el * log_y
+        log_xi += el * log_y
         log_xi /= 1.0 + el
     return _waterfill(log_xi, nu)
 

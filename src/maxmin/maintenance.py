@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetExceeded, InvalidParams
+from .geometry import pnorm
 from .sketches import ExactMve, _check_norm, mve_init
 
 _EMPTY = np.empty(0, dtype=np.intp)
@@ -108,11 +109,6 @@ class MatVecMaintainer:
         self.query_counts = np.zeros(self.k + 2, dtype=np.int64)
         self.last_j = 0
 
-    def _pnorm(self, v: np.ndarray) -> float:
-        if self.p == 2:
-            return float(np.sqrt(np.dot(v, v)))
-        return float(np.sum(np.abs(v)))
-
     def level_budget(self, i: int) -> float:
         return self.r_budget / (self.eps * 2.0 ** (i - 2))
 
@@ -123,7 +119,7 @@ class MatVecMaintainer:
         cumulative movement would pass R; callers rebuild at that point.
         """
         delta = np.asarray(delta, dtype=float)
-        step = self._pnorm(delta)
+        step = pnorm(delta, self.p)
         if self.moved + step > self.r_budget * (1.0 + 1e-12):
             raise BudgetExceeded(
                 f"movement {self.moved + step:.6g} exceeds budget {self.r_budget:.6g}"
@@ -133,7 +129,7 @@ class MatVecMaintainer:
 
         j = self.k + 1
         for i in range(1, self.k + 2):
-            if self._pnorm(self.x - self.ref_x[i]) <= self.eps * 2.0 ** (i - 2):
+            if pnorm(self.x - self.ref_x[i], self.p) <= self.eps * 2.0 ** (i - 2):
                 j = i
                 break
         self.last_j = j
@@ -149,15 +145,12 @@ class MatVecMaintainer:
 
         if self.validate:
             self._check_chain()
-        if j > 1:
-            changed = np.nonzero(self.ref_y[1] != prev_y1)[0]
-        else:
-            changed = _EMPTY
+        changed = (self.ref_y[1] != prev_y1).nonzero()[0] if j > 1 else _EMPTY
         return self.ref_y[1], changed
 
     def _check_chain(self) -> None:
         # the top reference stays at x0; the movement budget R bounds its gap
         for i in range(1, self.k + 1):
-            gap = self._pnorm(self.ref_x[i] - self.ref_x[i - 1])
+            gap = pnorm(self.ref_x[i] - self.ref_x[i - 1], self.p)
             if gap > self.eps * 2.0 ** (i - 2) * (1.0 + 1e-9):
                 raise AssertionError(f"reference chain invariant broken at level {i}")

@@ -29,7 +29,7 @@ class SumTree:
 
     def _cumsum(self) -> np.ndarray:
         if self._cs is None:
-            self._cs = np.cumsum(self.weights)
+            self._cs = self.weights.cumsum()
         return self._cs
 
     @property
@@ -42,4 +42,4 @@ class SumTree:
         # the clamp catches a product that rounds up to cs[-1] itself
         cs = self._cumsum()
         u = rng.random(count) * cs[-1]
-        return np.minimum(np.searchsorted(cs, u, side="right"), self.n - 1)
+        return np.minimum(cs.searchsorted(u, side="right"), self.n - 1)

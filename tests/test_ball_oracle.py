@@ -14,7 +14,7 @@ from maxmin.ball_oracle import (
     step_plan,
 )
 from maxmin.errors import GradientCallbackFailed, RejectionStall
-from maxmin.geometry import ball_setup, bregman, simplex_setup, tau
+from maxmin.geometry import ball_setup, bregman, pnorm, simplex_setup, tau
 
 
 class TestStepPlan:
@@ -71,7 +71,7 @@ class TestLiMd:
         res = li_md(lambda x: g, setup, y, 0.05, 0.0, 0.5, 500)
         assert res.out_of_bound
         assert setup.contains(res.z)
-        assert setup.norm(res.z - y) < 0.05
+        assert pnorm(res.z - y, setup.p) < 0.05
 
     def test_queries_stay_in_ball(self):
         setup = ball_setup(2)

@@ -6,6 +6,7 @@ import pytest
 from maxmin import refcheck
 from maxmin.errors import PreconditionViolated, RejectionStall
 from maxmin.estimator import SoftmaxGradientEstimator
+from maxmin.geometry import pnorm
 from maxmin.maintenance import MatVecMaintainer
 from maxmin.problems import LinearMaxProblem, QuadraticMaxProblem
 from maxmin.sumtree import SumTree
@@ -252,6 +253,42 @@ class TestEstimate:
             est.estimate(b if step % 2 else a)
         assert est.counters.mvm_rebuilds >= 1
 
+    def test_step_longer_than_budget_names_r_prime(self):
+        # r' < r is allowed, but no maintainer, fresh or not, can absorb a
+        # single step longer than r'
+        prob = linear_problem(np.random.default_rng(19), 5, 3)
+        est = SoftmaxGradientEstimator(
+            prob, np.zeros(3), 0.05, r=0.3, r_prime=0.105, delta=0.05, mode="exact", p=2,
+        )
+        with pytest.raises(PreconditionViolated, match="r' = 0.105"):
+            est.estimate(np.array([0.3, 0.0, 0.0]))
+        assert est.counters.mvm_rebuilds == 0
+
+    def test_y_tracks_maintained_product(self):
+        # y is rescaled only when the maintainer's product changes, so it
+        # must equal lip times that product after every query: on steps
+        # that refresh it, on steps that leave it alone, and after rebuilds
+        rng = np.random.default_rng(20)
+        prob = QuadraticMaxProblem(rng.standard_normal((30, 3)) * 0.4)
+        assert prob.lip != 1.0
+        est = SoftmaxGradientEstimator(
+            prob, np.zeros(3), 0.05, r=0.3, r_prime=0.4, delta=0.05, rng_seed=21,
+            mode="exact", p=2,
+        )
+        refreshed = set()
+        x_t = est.x0.copy()
+        for step in range(60):
+            move = rng.standard_normal(3)
+            x_t = x_t + move * ((0.03 if step % 3 == 0 else 0.002) / pnorm(move, 2))
+            dist = pnorm(x_t - est.x0, 2)
+            if dist > est.r:
+                x_t = est.x0 + (x_t - est.x0) * (est.r / dist)
+            est.estimate(x_t)
+            refreshed.add(est.mvm.last_j > 1)
+            assert np.array_equal(est.y, est.lip * est.mvm.ref_y[1])
+        assert refreshed == {True, False}
+        assert est.counters.mvm_rebuilds >= 1
+
 
 class TestEnvelope:
     """The envelope bounds every acceptance exponent in exact mode, so no
@@ -265,8 +302,8 @@ class TestEnvelope:
         x_t = est.x0.copy()
         for _ in range(steps):
             move = rng.standard_normal(est.x0.size)
-            x_t = x_t + move * (step_size * rng.random() / est._pnorm(move))
-            x_t = est.x0 + (x_t - est.x0) * (est.r / est._pnorm(x_t - est.x0))
+            x_t = x_t + move * (step_size * rng.random() / pnorm(move, est.p))
+            x_t = est.x0 + (x_t - est.x0) * (est.r / pnorm(x_t - est.x0, est.p))
             est.estimate(x_t)
             expo = (est.problem.values_all(x_t) - est.f0 - est.y) / est.eps_prime
             worst = max(worst, float(np.max(expo - est.envelope)))

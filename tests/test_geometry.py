@@ -11,6 +11,7 @@ from maxmin.geometry import (
     ball_setup,
     bregman,
     domain_radius_bound,
+    pnorm,
     project,
     prox_step,
     simplex_setup,
@@ -56,6 +57,24 @@ class TestBregman:
         s = simplex_setup(2, 0.0)
         with pytest.raises(NonFinite):
             bregman(s, vec(0.0, 1.0), vec(0.5, 0.5))
+
+
+class TestPnorm:
+    """pnorm must round exactly as the module-level formulas it replaced."""
+
+    @pytest.mark.parametrize("size", [1, 3, 50, 10_000])
+    @pytest.mark.parametrize("kind", ["random", "zero", "signed"])
+    def test_bit_equal_to_module_formulas(self, size, kind):
+        rng = np.random.default_rng(size)
+        if kind == "random":
+            v = rng.random(size)
+        elif kind == "zero":
+            v = np.zeros(size)
+        else:
+            # mixed signs over sixteen decades, where summation order shows
+            v = rng.standard_normal(size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
+        assert pnorm(v, 1) == float(np.sum(np.abs(v)))
+        assert pnorm(v, 2) == float(np.sqrt(np.dot(v, v)))
 
 
 class TestTau:
