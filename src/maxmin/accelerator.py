@@ -133,7 +133,9 @@ def accelerate(
     from x0, which also starts the mirror point.
 
     ``estimator_factory(anchor, r_prime, seed)`` builds the per-round
-    gradient estimator; ``oracle`` is called as
+    gradient estimator, where ``seed`` is round t's (entropy, spawn_key)
+    pair: ``params.seed``'s spawn key extended by (t,).  ``oracle`` is
+    called as
     ``oracle(grad_est, setup, y, rho, gamma_bound)``.  A fresh estimator is
     anchored at Phi_t(v_t) each round, and its gradient is scaled by the
     round weight a_{t+1}.
@@ -170,8 +172,9 @@ def accelerate(
         anchor = (a_weight * x + a_inc * v) / a_next
         gamma_bound = a_inc * params.lip
         r_prime = 8.0 * params.r
-        round_seed = np.random.SeedSequence(entropy=seed_entropy, spawn_key=seed_key + (t,))
-        est = estimator_factory(anchor, r_prime, round_seed)
+        # the round's (entropy, spawn key); the estimator derives its
+        # streams from it, so no SeedSequence is built here
+        est = estimator_factory(anchor, r_prime, (seed_entropy, seed_key + (t,)))
         # the anchor evaluation runs here, outside the oracle's timer
         anchor_eval = est.counters.eval_seconds
 

@@ -44,6 +44,8 @@ def _gen_payload(
 ) -> tuple[str, np.ndarray]:
     if setup is not None and kind != "game":
         raise InvalidParams(f"--setup picks a game's norms; it does not apply to {kind}")
+    if n < 1 or d < 1:
+        raise InvalidParams(f"--n and --d must be >= 1, got --n {n} --d {d}")
     rng = np.random.Generator(np.random.Philox(seed))
     if kind == "game":
         a = rng.standard_normal((d, n))
@@ -162,6 +164,8 @@ def _bench_cell(inst, method, eps, seed, r_value):
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise InvalidParams(f"--repeats must be >= 1, got {args.repeats}")
     inst = mio.instance_from_payload(*mio.load_instance(args.infile))
     methods = [m.strip() for m in args.method.split(",")]
     for m in methods:
@@ -237,6 +241,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise InvalidParams(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except MaxminError as exc:
         log.error("invalid input: %s", exc)

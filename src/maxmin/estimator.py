@@ -73,7 +73,9 @@ class SoftmaxGradientEstimator:
     deterministic function of previous outputs (the maintainer's
     obliviousness contract).  ``mode`` picks the maintainer backend:
     "exact" for the deterministic fallback, "sketch" for the real data
-    structures.
+    structures.  ``rng_seed`` is an int, a SeedSequence, or the
+    (entropy, spawn_key) pair of one; the sampler's stream is keyed by
+    spawn_key + (202,), the sketch maintainer's by spawn_key + (101,).
     """
 
     def __init__(
@@ -109,18 +111,19 @@ class SoftmaxGradientEstimator:
         self.max_consecutive_rejections = max(8, math.ceil(200.0 * math.log(1.0 / delta)))
         self.counters = EstimatorCounters()
 
+        # two independent streams keyed off the seed's (entropy, spawn key):
+        # the sampler's output distribution must not depend on the
+        # maintainer's random bits.  Exact mode draws no maintainer bits,
+        # so only sketch mode builds that stream.
         if isinstance(rng_seed, np.random.SeedSequence):
-            ss = rng_seed
+            entropy, key = rng_seed.entropy, rng_seed.spawn_key
+        elif isinstance(rng_seed, tuple):
+            entropy, key = rng_seed
         else:
-            ss = np.random.SeedSequence(rng_seed)
-        # two independent streams: the sampler's output distribution must
-        # not depend on the maintainer's random bits
-        self._mvm_seed = np.random.SeedSequence(
-            entropy=ss.entropy, spawn_key=ss.spawn_key + (101,)
-        )
-        sampler_seed = np.random.SeedSequence(
-            entropy=ss.entropy, spawn_key=ss.spawn_key + (202,)
-        )
+            entropy, key = rng_seed, ()
+        if mode != "exact":
+            self._mvm_seed = np.random.SeedSequence(entropy=entropy, spawn_key=key + (101,))
+        sampler_seed = np.random.SeedSequence(entropy=entropy, spawn_key=key + (202,))
         self.sampler_rng = np.random.Generator(np.random.Philox(sampler_seed))
 
         t0 = time.perf_counter()
@@ -136,16 +139,14 @@ class SoftmaxGradientEstimator:
         self._init_mvm(np.zeros(problem.d))
         # the rejection envelope s of the module docstring
         self.envelope = (half_smooth + self.lip * self.mvm.error_bound) / self.eps_prime
+        # at the anchor y = 0, so the logits are f0 / eps' alone
         self.y = np.zeros(problem.n)
-        self.logits = (self.f0 + self.y) / self.eps_prime
+        self.logits = self.f0 / self.eps_prime
         self._offset = float(self.logits.max())
         self.tree = SumTree(np.exp(self.logits - self._offset))
 
     def _init_mvm(self, v0: np.ndarray) -> None:
-        if self.mode == "exact":
-            seed = 0
-        else:
-            seed = self._mvm_seed.spawn(1)[0]
+        seed = 0 if self.mode == "exact" else self._mvm_seed.spawn(1)[0]
         # rows are gradients over lip, so the unit norm bound holds by the
         # problem's Lipschitz contract; skip the per-rebuild scan
         self.mvm = MatVecMaintainer(

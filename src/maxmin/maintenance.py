@@ -101,10 +101,13 @@ class MatVecMaintainer:
             )
 
         x0 = np.asarray(x0, dtype=float)
-        y0 = a @ x0 if np.any(x0) else np.zeros(self.n)
+        y0 = a @ x0 if x0.any() else np.zeros(self.n)
         self.x = x0.copy()
-        self.ref_x = [self.x] + [x0.copy() for _ in range(self.k + 1)]
-        self.ref_y = [y0.copy() for _ in range(self.k + 2)]
+        # references are only ever rebound, never written in place, so
+        # the levels share one copy of x0 and of y0
+        ref_x0 = x0.copy()
+        self.ref_x = [self.x] + [ref_x0] * (self.k + 1)
+        self.ref_y = [y0] * (self.k + 2)
         self.moved = 0.0
         self.query_counts = np.zeros(self.k + 2, dtype=np.int64)
         self.last_j = 0

@@ -149,10 +149,14 @@ def exact_prox(
 
 def game_best_response_lower_bound(a: np.ndarray, y: np.ndarray, ball_domain: bool) -> float:
     """min_x x^T (A y) over the primal domain for a fixed dual vector y."""
-    ay = a @ y
+    return best_response_value(a @ y, ball_domain)
+
+
+def best_response_value(ay: np.ndarray, ball_domain: bool) -> float:
+    """min_x x^T ay over the primal domain, given the product ay = A y."""
     if ball_domain:
         return -float(np.linalg.norm(ay))
-    return float(np.min(ay))
+    return float(ay.min())
 
 
 def duality_gap(inst, x: np.ndarray, y: np.ndarray) -> float:

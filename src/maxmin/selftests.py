@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import refcheck
+from .errors import InvalidParams
 from .estimator import SoftmaxGradientEstimator
 from .geometry import GeometrySetup, Kind, ball_setup, bregman_pairwise, simplex_setup, tau
 from .maintenance import MatVecMaintainer
@@ -199,4 +200,4 @@ def run_selftest(which: str, seed: int = 0, scale: float = 1.0) -> list[CheckRes
         return geometry_fuzz_check(ball_setup(6), count=count, seed=seed) + geometry_fuzz_check(
             simplex_setup(6, 0.02), count=count, seed=seed
         )
-    raise ValueError(f"unknown selftest {which!r}")
+    raise InvalidParams(f"unknown selftest {which!r}; choose from mve, mvm, sampler, geometry")

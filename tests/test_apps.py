@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from maxmin import refcheck
+from maxmin import estimator, refcheck
 from maxmin.apps import (
     MEB_REPEATS,
     auto_gamma,
@@ -24,6 +24,7 @@ from maxmin.problems import (
     MebInstance,
     QuadraticMaxProblem,
 )
+from maxmin.sumtree import SumTree
 
 
 class TestInstances:
@@ -109,6 +110,24 @@ class TestSolveSmoothMax:
             x = rng.standard_normal(3)
             assert abs(p.f_smax(x, eps_prime) - p.f_max(x)) <= eps / 2 + 1e-12
 
+    def test_one_seed_sequence_per_round(self, monkeypatch):
+        """Each round hashes only its sampler's SeedSequence: the outer
+        loop passes the round's (entropy, spawn key) pair, and exact mode
+        builds no maintainer stream."""
+        keys = []
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                keys.append(kwargs.get("spawn_key"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        rng = np.random.default_rng(3)
+        prob = QuadraticMaxProblem(rng.standard_normal((6, 3)) * 0.3)
+        rep = solve_smooth_max(prob, 0.5, seed=5)
+        assert len(keys) == rep.outer_iterations > 1
+        assert keys[0] == (1, 202) and keys[-1] == (rep.outer_iterations, 202)
+
     def test_eps_validation(self):
         with pytest.raises(InvalidParams):
             solve_smooth_max(QuadraticMaxProblem(np.zeros((1, 2))), -0.1)
@@ -135,9 +154,80 @@ class TestMatrixGames:
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         prob = LinearMaxProblem(rows)
         x = np.zeros(3)
-        y = dual_from_samples(prob, x, 0.05, 4000, 1, 2)
+        y = dual_from_samples(prob, x, 0.05, 4000, 1)
         target = refcheck.exact_softmax_dist(prob, x, 0.05)
         assert refcheck.tv_distance(y, target) <= 0.06
+
+    def test_dual_sampler_chi_square_large_n(self):
+        rng = np.random.default_rng(40)
+        rows = rng.standard_normal((3000, 5))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        prob = LinearMaxProblem(rows)
+        x = rng.standard_normal(5) * 0.2
+        draws = 1 << 17  # a power of two, so y * draws recovers the counts exactly
+        y = dual_from_samples(prob, x, 0.25, draws, np.random.SeedSequence([7, 0xD0A1]))
+        target = refcheck.exact_softmax_dist(prob, x, 0.25)
+        counts = y * draws
+        assert np.array_equal(counts, np.round(counts))
+        # pool the cells expected below 5 draws so the chi-square
+        # approximation holds; the pooled cell keeps their total
+        small = target * draws < 5.0
+        assert small.sum() < 300
+        pooled_counts = np.append(counts[~small], counts[small].sum())
+        pooled_target = np.append(target[~small], target[small].sum())
+        assert refcheck.chi_square_pvalue(pooled_counts, pooled_target) > 0.01
+
+    def test_dual_sampler_is_one_batch_without_an_estimator(self, monkeypatch):
+        batches = []
+        sample_batch = SumTree.sample_batch
+
+        def logged_batch(self, rng, count):
+            batches.append(count)
+            return sample_batch(self, rng, count)
+
+        def no_estimator(*args, **kwargs):
+            raise AssertionError("dual_from_samples built an estimator")
+
+        monkeypatch.setattr(SumTree, "sample_batch", logged_batch)
+        monkeypatch.setattr(estimator.SoftmaxGradientEstimator, "__init__", no_estimator)
+        rng = np.random.default_rng(41)
+        prob = LinearMaxProblem(rng.standard_normal((50, 3)) * 0.3)
+        y = dual_from_samples(prob, np.zeros(3), 0.05, 4096, 3)
+        assert batches == [4096]
+        assert y.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("kind", ["l2l1", "l1l1"])
+    def test_polish_matches_the_two_product_loop(self, kind):
+        """One product A y per iterate gives the bits of the loop that
+        recomputed it for the lower bound and again for the gradient."""
+        rng = np.random.default_rng(42)
+        a = rng.standard_normal((6, 9))
+        a /= np.linalg.norm(a, axis=0).max() if kind == "l2l1" else np.abs(a).max()
+        inst = MatrixGameInstance(a, kind)
+        y0 = rng.random(9)
+        y0[2] = 0.0
+        y0 /= y0.sum()
+
+        def lower(y):
+            return refcheck.game_best_response_lower_bound(a, y, inst.is_ball)
+
+        y = np.maximum(y0, 1e-12)
+        y = y / y.sum()
+        log_y = np.log(y)
+        best, best_val = y.copy(), lower(y)
+        for _ in range(60):
+            ay = a @ y
+            if inst.is_ball:
+                grad = -(a.T @ ay) / max(float(np.linalg.norm(ay)), 1e-15)
+            else:
+                grad = a[int(np.argmin(ay))]
+            log_y = log_y + 0.5 * grad
+            log_y -= log_y.max()
+            y = np.exp(log_y)
+            y /= y.sum()
+            if lower(y) > best_val:
+                best_val, best = lower(y), y.copy()
+        assert np.array_equal(polish_dual(inst, y0, steps=60), best)
 
     def test_polish_only_improves(self):
         rng = np.random.default_rng(5)

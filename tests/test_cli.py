@@ -135,6 +135,20 @@ class TestGen:
         assert "--setup" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,n,d", [
+        ("meb", 0, 3),  # crashed with an IndexError
+        ("game", 0, 3),  # wrote a file that solve rejects
+        ("game", 3, 0),
+        ("quadratics", 3, 0),
+    ])
+    def test_empty_sizes_rejected(self, tmp_path, caplog, kind, n, d):
+        out = tmp_path / "x.txt"
+        code = run_cli(["gen", "--kind", kind, "--n", str(n), "--d", str(d),
+                        "--out", str(out)])
+        assert code == 2
+        assert "--n and --d must be >= 1" in caplog.text
+        assert not out.exists()
+
 
 class TestSolve:
     def test_identity_game_exit_zero(self, tmp_path):
@@ -300,6 +314,40 @@ class TestSelftestAndBench:
                         "--out", str(out)])
         assert code == 2
         assert not out.exists()
+
+    def test_selftest_rejects_unknown_suite(self, tmp_path, caplog):
+        out = tmp_path / "st.json"
+        code = run_cli(["selftest", "--which", "bogus", "--out", str(out)])
+        assert code == 2
+        assert "unknown selftest 'bogus'" in caplog.text
+        assert not out.exists()
+
+    def test_bench_rejects_zero_repeats(self, tmp_path, caplog):
+        inst = tmp_path / "g.txt"
+        run_cli(["gen", "--kind", "game", "--n", "5", "--d", "3", "--out", str(inst)])
+        out = tmp_path / "bench.csv"
+        code = run_cli(["bench", "--in", str(inst), "--eps", "0.25", "--repeats", "0",
+                        "--out", str(out)])
+        assert code == 2
+        assert "--repeats must be >= 1" in caplog.text
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "selftest", "bench"])
+def test_negative_seed_rejected(tmp_path, caplog, command):
+    inst = tmp_path / "g.txt"
+    run_cli(["gen", "--kind", "game", "--n", "4", "--d", "3", "--out", str(inst)])
+    out = tmp_path / "out"
+    args = {
+        "gen": ["--kind", "game", "--n", "4", "--d", "3"],
+        "solve": ["--in", str(inst), "--eps", "0.5"],
+        "selftest": ["--which", "geometry", "--scale", "0.1"],
+        "bench": ["--in", str(inst), "--eps", "0.5"],
+    }[command]
+    code = run_cli([command, *args, "--seed", "-1", "--out", str(out)])
+    assert code == 2
+    assert "--seed must be >= 0" in caplog.text
+    assert not out.exists()
 
 
 class TestFailurePath:

@@ -118,6 +118,45 @@ class TestInit:
         )
         assert est.counters.evaluations == 2 * 20
 
+    def test_fresh_estimator_state_at_anchor(self):
+        rng = np.random.default_rng(31)
+        prob = QuadraticMaxProblem(rng.standard_normal((40, 4)) * 0.3)
+        x0 = rng.standard_normal(4) * 0.1
+        eps_prime = 0.05
+        est = SoftmaxGradientEstimator(
+            prob, x0, eps_prime, r=0.1, r_prime=8.0, delta=0.05, rng_seed=4, mode="exact"
+        )
+        assert not est.y.any()
+        np.testing.assert_array_equal(est.logits, est.f0 / eps_prime)
+        np.testing.assert_array_equal(est.f0, prob.values_all(x0))
+        np.testing.assert_array_equal(est.tree.weights,
+                                      np.exp(est.logits - est.logits.max()))
+
+    @pytest.mark.parametrize("form", ["seed_sequence", "pair"])
+    def test_seed_forms_give_the_same_streams(self, monkeypatch, form):
+        """A SeedSequence and its (entropy, spawn_key) pair key the same
+        sampler stream, and sketch-mode maintainers take the children of
+        spawn_key + (101,) in rebuild order, as the selftests' pinned
+        seeds expect."""
+        seeds = []
+        init = MatVecMaintainer.__init__
+
+        def logged_init(self, *args, **kwargs):
+            seeds.append(kwargs["rng_seed"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MatVecMaintainer, "__init__", logged_init)
+        prob = linear_problem(np.random.default_rng(32), 8, 3)
+        ss = np.random.SeedSequence(entropy=91, spawn_key=(3, 7))
+        rng_seed = ss if form == "seed_sequence" else (91, (3, 7))
+        est = make_estimator(prob, 3, seed=rng_seed, mode="sketch")
+        est._init_mvm(np.zeros(3))
+        keys = [(s.entropy, s.spawn_key) for s in seeds]
+        assert keys == [(91, (3, 7, 101, 0)), (91, (3, 7, 101, 1))]
+        sampler = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=91, spawn_key=(3, 7, 202))))
+        assert est.sampler_rng.random() == sampler.random()
+
     def test_single_function_degenerate(self):
         prob = linear_problem(np.random.default_rng(2), 1, 3)
         est = make_estimator(prob, 3)

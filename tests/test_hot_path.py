@@ -1,20 +1,25 @@
-"""Per-query code calls ndarray methods and ufuncs, not numpy's module-level
-wrappers such as ``np.sum``: on the short vectors of a gradient query the
-wrapper's Python-level dispatch costs more than the arithmetic.  This test
-reads the source of every function on the per-query path and fails on a
-wrapper call, so a regression shows up here rather than in a benchmark."""
+"""Code on the per-query, per-round and per-solve paths calls ndarray methods
+and ufuncs, not numpy's module-level wrappers such as ``np.sum``: on the
+short vectors of a gradient query, and on the thousands of per-round
+estimator and maintainer constructions of a solve, the wrapper's
+Python-level dispatch costs more than the arithmetic.  This test reads the
+source of every function on those paths (each LI-MD query, each round's
+estimator and maintainer construction, and the game certificate run once
+per solve) and fails on a wrapper call, so a regression shows up here
+rather than in a benchmark."""
 
 import inspect
 import re
 
 import pytest
 
-from maxmin import ball_oracle, geometry
+from maxmin import apps, ball_oracle, geometry
 from maxmin.estimator import SoftmaxGradientEstimator
 from maxmin.maintenance import MatVecMaintainer
 from maxmin.sumtree import SumTree
 
 HOT_PATH = [
+    # per query
     ball_oracle.li_md,
     geometry._waterfill,
     geometry._prox_simplex,
@@ -26,10 +31,17 @@ HOT_PATH = [
     MatVecMaintainer.query,
     SumTree.sample_batch,
     SumTree._cumsum,
+    # per round
+    SoftmaxGradientEstimator.__init__,
+    SoftmaxGradientEstimator._init_mvm,
+    MatVecMaintainer.__init__,
+    # per solve
+    apps.dual_from_samples,
+    apps.polish_dual,
 ]
 
 WRAPPERS = re.compile(
-    r"\bnp\.(sum|all|any|searchsorted|argsort|cumsum|full|nonzero|max|min)\("
+    r"\bnp\.(sum|all|any|searchsorted|argsort|argmin|argmax|cumsum|full|nonzero|max|min)\("
 )
 
 
