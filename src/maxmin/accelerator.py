@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .ball_oracle import restricted_oracle
 from .errors import InvalidParams, IterationCapExceeded
+from .estimator import COUNTER_FIELDS, EstimatorCounters
 from .geometry import GeometrySetup
+from .io import TIMING_KEYS
 
 
 def stopping_threshold(r_bound: float, e0: float, eps: float) -> float:
@@ -63,21 +65,18 @@ class IterationRecord:
     rounds: int
 
 
-@dataclass
-class SolverReport:
+@dataclass(kw_only=True)
+class SolverReport(EstimatorCounters):
+    """A solve's result; its counter fields (``func_evals``, ``draws``,
+    ``t_eval``, ...) are those of ``EstimatorCounters``, summed over rounds."""
+
     x: np.ndarray
     f_max_value: float
     outer_iterations: int
     iterations: list[IterationRecord]
-    func_evals: int
-    grad_evals: int
-    mvm_rebuilds: int
-    t_eval: float
-    t_md: float
     wall_time: float
     seed: int
-    draws: int = 0  # sampler proposals; accepted / draws is the acceptance rate
-    accepted: int = 0
+    t_md: float = 0.0  # oracle wall time less the evaluations inside it
     trace: list[dict] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
@@ -85,27 +84,23 @@ class SolverReport:
     def total(cls, parts: list["SolverReport"], **fields) -> "SolverReport":
         """One report whose counters, timers and round records are the sums
         over ``parts``; ``fields`` sets x, f_max_value, seed and wall_time."""
-        return cls(
+        report = cls(
             outer_iterations=sum(p.outer_iterations for p in parts),
             iterations=[rec for p in parts for rec in p.iterations],
-            func_evals=sum(p.func_evals for p in parts),
-            grad_evals=sum(p.grad_evals for p in parts),
-            mvm_rebuilds=sum(p.mvm_rebuilds for p in parts),
-            draws=sum(p.draws for p in parts),
-            accepted=sum(p.accepted for p in parts),
-            t_eval=sum(p.t_eval for p in parts),
             t_md=sum(p.t_md for p in parts),
             **fields,
         )
+        for part in parts:
+            report.add(part)
+        return report
 
     def counters_dict(self) -> dict:
+        """The report's ``counters`` block; timers stay top-level keys."""
+        counts = {name: getattr(self, name) for name in COUNTER_FIELDS
+                  if name not in TIMING_KEYS}
         return {
             "outer_iterations": self.outer_iterations,
-            "func_evals": self.func_evals,
-            "grad_evals": self.grad_evals,
-            "mvm_rebuilds": self.mvm_rebuilds,
-            "draws": self.draws,
-            "accepted": self.accepted,
+            **counts,
             "oracle_queries": [rec.oracle_queries for rec in self.iterations],
             "oracle_movement": [rec.oracle_movement for rec in self.iterations],
             "c_history": [rec.c for rec in self.iterations],
@@ -157,8 +152,8 @@ def accelerate(
 
     records: list[IterationRecord] = []
     trace: list[dict] = []
-    func_evals = grad_evals = rebuilds = draws = accepted = 0
-    t_eval = t_md = 0.0
+    counters = EstimatorCounters()
+    t_md = 0.0
     t = 0
 
     while a_weight < threshold:
@@ -176,7 +171,7 @@ def accelerate(
         # streams from it, so no SeedSequence is built here
         est = estimator_factory(anchor, r_prime, (seed_entropy, seed_key + (t,)))
         # the anchor evaluation runs here, outside the oracle's timer
-        anchor_eval = est.counters.eval_seconds
+        anchor_eval = est.counters.t_eval
 
         scale = a_inc / a_next
 
@@ -202,14 +197,8 @@ def accelerate(
         if params.record_trace:
             trace.append({"x": x.copy(), "v": v.copy(), "A": a_weight, "c": c,
                           "rho": rho, "a_inc": a_inc})
-        counters = est.counters
-        func_evals += counters.func_evals
-        grad_evals += counters.grad_evals
-        rebuilds += counters.mvm_rebuilds
-        draws += counters.draws
-        accepted += counters.accepted
-        t_eval += counters.eval_seconds
-        t_md += oracle_wall - (counters.eval_seconds - anchor_eval)
+        counters.add(est.counters)
+        t_md += oracle_wall - (est.counters.t_eval - anchor_eval)
 
     wall = time.perf_counter() - start
     return SolverReport(
@@ -217,15 +206,10 @@ def accelerate(
         f_max_value=problem.f_max(x),
         outer_iterations=t,
         iterations=records,
-        func_evals=func_evals,
-        grad_evals=grad_evals,
-        mvm_rebuilds=rebuilds,
-        t_eval=t_eval,
         t_md=t_md,
         wall_time=wall,
         seed=params.seed,
-        draws=draws,
-        accepted=accepted,
         trace=trace,
+        **asdict(counters),
     )
 

@@ -155,7 +155,6 @@ def solve_smooth_max(
     report = accelerate(problem, setup, x0, params, factory)
     report.x = project(setup, report.x)
     report.f_max_value = problem.f_max(report.x)
-    report.extras["eps"] = eps
     report.extras["eps_prime"] = eps_prime
     report.extras["r"] = radius
     report.extras["gamma"] = gamma
@@ -251,10 +250,8 @@ def solve_matrix_game(
     gap_sampled = duality_gap(inst, x, y_hat)
     y_polished = polish_dual(inst, y_hat, CERTIFICATE_POLISH_STEPS)
     gap = min(gap_sampled, duality_gap(inst, x, y_polished))
-    report.extras["value"] = report.f_max_value
     report.extras["gap"] = gap
     report.extras["gap_sampled"] = gap_sampled
-    report.extras["certificate_draws"] = CERTIFICATE_DRAWS
     return x, report
 
 
@@ -325,10 +322,7 @@ def solve_meb(
         parts, x=x, f_max_value=base.f_max(x), seed=seed,
         wall_time=time.perf_counter() - start,
     )
-    report.extras.update(
-        {"radius": radius_in, "center": center_in.tolist(), "levels": levels,
-         "repeats": MEB_REPEATS}
-    )
+    report.extras.update({"levels": levels, "repeats": MEB_REPEATS})
     return center_in, radius_in, report
 
 
@@ -364,9 +358,6 @@ def subgradient_baseline(
         iterations=[],
         func_evals=steps * problem.n,
         grad_evals=steps,
-        mvm_rebuilds=0,
-        t_eval=0.0,
-        t_md=0.0,
         wall_time=time.perf_counter() - start,
         seed=seed,
     )

@@ -157,7 +157,7 @@ def _bench_cell(inst, method, eps, seed, r_value):
         "seed": seed,
         "value": rep.f_max_value,
         "gap": rep.extras.get("gap", float("nan")),
-        "evaluations": rep.func_evals + rep.grad_evals,
+        "evaluations": rep.evaluations,
         "iterations": rep.outer_iterations,
         "wall_time": wall,
     }

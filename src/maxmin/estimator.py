@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,16 +53,28 @@ class EstimateStats:
 
 @dataclass
 class EstimatorCounters:
+    """The solver's counters and evaluation timer, declared once: the
+    estimator counts into one, the accelerator sums them per round with
+    ``add``, and ``SolverReport`` inherits these fields."""
+
     func_evals: int = 0
     grad_evals: int = 0
-    draws: int = 0
+    draws: int = 0  # sampler proposals; accepted / draws is the acceptance rate
     accepted: int = 0
     mvm_rebuilds: int = 0
-    eval_seconds: float = 0.0
+    t_eval: float = 0.0  # seconds in the anchor evaluation and the rejection loop
 
     @property
     def evaluations(self) -> int:
         return self.func_evals + self.grad_evals
+
+    def add(self, other: "EstimatorCounters") -> None:
+        """Add ``other``'s counters to this record, field by field."""
+        for name in COUNTER_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
+COUNTER_FIELDS = tuple(f.name for f in fields(EstimatorCounters))
 
 
 class SoftmaxGradientEstimator:
@@ -131,7 +143,7 @@ class SoftmaxGradientEstimator:
         grads = np.asarray(problem.grad_matrix(self.x0), dtype=float)
         self.counters.func_evals += problem.n
         self.counters.grad_evals += problem.n
-        self.counters.eval_seconds += time.perf_counter() - t0
+        self.counters.t_eval += time.perf_counter() - t0
 
         self.lip = problem.lip
         self._a = grads if self.lip == 1.0 else grads / self.lip
@@ -226,12 +238,12 @@ class SoftmaxGradientEstimator:
                 counters.func_evals += _BATCH
             if accepted >= 0:
                 grad = self.problem.grad(accepted, x_t)
-                counters.eval_seconds += time.perf_counter() - t0
+                counters.t_eval += time.perf_counter() - t0
                 counters.draws += draws
                 counters.accepted += 1
                 counters.grad_evals += 1
                 return accepted, grad, EstimateStats(draws, prob)
-            counters.eval_seconds += time.perf_counter() - t0
+            counters.t_eval += time.perf_counter() - t0
             if draws > self.max_consecutive_rejections:
                 raise RejectionStall(
                     f"{draws} consecutive rejections (threshold "

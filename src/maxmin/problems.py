@@ -8,9 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, NormBoundViolated
-from .geometry import GeometrySetup, Kind
-
-_NORM_TOL = 1e-9
+from .sketches import _check_norm
 
 
 def _check_finite(name: str, a: np.ndarray) -> None:
@@ -22,30 +20,16 @@ def _check_finite(name: str, a: np.ndarray) -> None:
 class MaxProblem:
     """Family f_1..f_n of convex functions with Lipschitz/smoothness bounds.
 
-    Subclasses provide vectorized value/gradient access; everything the
-    solver needs (softmax values, anchor gradients) goes through these.
+    Subclasses provide ``value(i, x)``, ``values_all(x)`` (all n values),
+    ``grad(i, x)`` and ``grad_matrix(x)`` (all gradients as an (n, d)
+    matrix); everything the solver needs (softmax values, anchor
+    gradients) goes through these.
     """
 
     n: int
     d: int
     lip: float  # bound on ||grad f_i||_{p*}
     smooth: float  # bound on the gradient's Lipschitz constant
-
-    def values(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def value(self, i: int, x: np.ndarray) -> float:
-        return float(self.values(np.array([i]), x)[0])
-
-    def values_all(self, x: np.ndarray) -> np.ndarray:
-        return self.values(np.arange(self.n), x)
-
-    def grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def grad_matrix(self, x: np.ndarray) -> np.ndarray:
-        """All gradients at x, stacked as an (n, d) matrix."""
-        return np.stack([self.grad(i, x) for i in range(self.n)])
 
     def f_max(self, x: np.ndarray) -> float:
         return float(np.max(self.values_all(x)))
@@ -71,9 +55,6 @@ class LinearMaxProblem(MaxProblem):
         self.n, self.d = rows.shape
         self.lip = lip
         self.smooth = 0.0
-
-    def values(self, idx, x):
-        return self.rows[idx] @ x
 
     def value(self, i, x):
         return float(self.rows[i] @ x)
@@ -107,10 +88,6 @@ class QuadraticMaxProblem(MaxProblem):
         # gradient bound over the unit ball: scale * max ||x - p_i||
         self.lip = self.scale * float(1.0 + np.max(np.linalg.norm(centers, axis=1)))
 
-    def values(self, idx, x):
-        diff = x[None, :] - self.centers[idx]
-        return 0.5 * self.scale * np.sum(diff * diff, axis=1) + self.offsets[idx]
-
     def value(self, i, x):
         diff = x - self.centers[i]
         return 0.5 * self.scale * float(diff @ diff) + float(self.offsets[i])
@@ -128,13 +105,6 @@ class QuadraticMaxProblem(MaxProblem):
 
 # ---------------------------------------------------------------------------
 # Instances
-
-
-def _operator_norm(a: np.ndarray, ball_domain: bool) -> float:
-    """max_i of the dual norm of column a_i: l2 for the ball, linf for l1."""
-    if ball_domain:
-        return float(np.max(np.linalg.norm(a, axis=0))) if a.size else 0.0
-    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 @dataclass
@@ -155,9 +125,8 @@ class MatrixGameInstance:
         if self.kind not in ("l2l1", "l1l1"):
             raise NormBoundViolated(f"unknown game kind {self.kind!r}")
         _check_finite("payoff matrix", self.matrix)
-        nrm = _operator_norm(self.matrix, self.is_ball)
-        if nrm > 1.0 + _NORM_TOL:
-            raise NormBoundViolated(f"column norm bound violated: {nrm:.6g} > 1")
+        # each column's dual norm: l2 for the ball, linf for the simplex
+        _check_norm(self.matrix.T, 2 if self.is_ball else 1)
 
     @property
     def is_ball(self) -> bool:

@@ -65,9 +65,9 @@ def mve_error_check(
 
 def mvm_walk_check(
     p: int, n: int = 40, d: int = 15, steps: int = 500, ratio: float = 4.0,
-    delta: float = 0.2, seeds: int = 100, seed: int = 0, mode: str = "sketch",
+    delta: float = 0.2, seeds: int = 100, seed: int = 0,
 ) -> list[CheckResult]:
-    """Random-walk accuracy of the maintainer plus its level budgets."""
+    """Random-walk accuracy of the sketch maintainer plus its level budgets."""
     rng = np.random.Generator(np.random.Philox(seed))
     r_budget = 1.0
     eps = r_budget / ratio
@@ -77,7 +77,7 @@ def mvm_walk_check(
         x = rng.standard_normal(d)
         x /= np.linalg.norm(x, ord=p) * 4.0
         mvm = MatVecMaintainer(
-            a, x, r_budget, eps, delta, p, rng.integers(2**63), mode=mode, validate=True
+            a, x, r_budget, eps, delta, p, rng.integers(2**63), mode="sketch", validate=True
         )
         deltas = rng.standard_normal((steps, d))
         deltas /= np.sum(np.linalg.norm(deltas, ord=p, axis=1)) / (0.98 * r_budget)
@@ -95,13 +95,13 @@ def mvm_walk_check(
 
 
 def sampler_fidelity_check(
-    n: int = 10, d: int = 6, draws: int = 100_000, seed: int = 0, mode: str = "sketch",
+    n: int = 10, d: int = 6, draws: int = 100_000, seed: int = 0,
 ) -> list[CheckResult]:
-    """Accepted-index frequencies against the exact softmax law, plus the
-    mean acceptance-rate floor e^-2, at a fixed in-ball query point: with
-    a linear family every acceptance exponent lies in [-2 s, 0] on the
-    maintainer's good event, and the envelope s is 1 in sketch mode and
-    1/2 in exact mode."""
+    """Accepted-index frequencies of a sketch-mode estimator against the
+    exact softmax law, plus the mean acceptance-rate floor e^-2, at a fixed
+    in-ball query point: with a linear family every acceptance exponent
+    lies in [-2 s, 0] on the sketch maintainer's good event, where the
+    envelope s is 1."""
     rng = np.random.Generator(np.random.Philox(seed))
     rows = _unit_rows(rng, n, d, 2) * 0.9
     problem = LinearMaxProblem(rows)
@@ -110,7 +110,7 @@ def sampler_fidelity_check(
     r = 0.2
     r_prime = 4.0 * eps_prime / problem.lip  # keeps the maintainer depth small
     est = SoftmaxGradientEstimator(
-        problem, x0, eps_prime, r, r_prime, delta=0.05, rng_seed=seed, mode=mode, p=2
+        problem, x0, eps_prime, r, r_prime, delta=0.05, rng_seed=seed, mode="sketch", p=2
     )
     x_t = x0.copy()
     x_t[0] = r / 2.0

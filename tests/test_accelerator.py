@@ -1,11 +1,13 @@
 import math
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from maxmin.accelerator import (
     AccelParams,
+    SolverReport,
     accelerate,
     expected_iteration_bound,
     stopping_threshold,
@@ -16,6 +18,7 @@ from maxmin.ball_oracle import (
     restricted_oracle,
 )
 from maxmin.errors import InvalidParams, IterationCapExceeded
+from maxmin.estimator import EstimatorCounters, SoftmaxGradientEstimator
 from maxmin.geometry import Kind, ball_setup
 from maxmin.problems import LinearMaxProblem
 
@@ -56,15 +59,7 @@ def stub_oracle_factory(c_value, pull=0.5):
 
 
 class StubEstimator:
-    class _C:
-        func_evals = 0
-        grad_evals = 0
-        mvm_rebuilds = 0
-        draws = 0
-        accepted = 0
-        eval_seconds = 0.0
-
-    counters = _C()
+    counters = EstimatorCounters()
 
     def estimate(self, x):
         return 0, np.zeros_like(x), None
@@ -244,3 +239,44 @@ class TestTimingSplit:
         assert rep.t_md > 0.0
         assert rep.t_md >= sum(oracle_wall) - rep.t_eval + slept
         assert rep.t_eval + rep.t_md <= rep.wall_time
+
+
+class TestCounters:
+    """Written over the fields of ``EstimatorCounters``, so a new counter
+    is covered without an edit here."""
+
+    def test_report_counters_are_sums_over_rounds(self, monkeypatch):
+        import maxmin.apps as apps
+
+        rounds = []
+
+        def keeping_factory(*args, **kwargs):
+            est = SoftmaxGradientEstimator(*args, **kwargs)
+            rounds.append(est)
+            return est
+
+        monkeypatch.setattr(apps, "SoftmaxGradientEstimator", keeping_factory)
+        rows = np.random.default_rng(5).standard_normal((12, 4))
+        prob = LinearMaxProblem(0.9 * rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        rep = apps.solve_smooth_max(prob, 0.5, seed=2)
+        assert len(rounds) == rep.outer_iterations > 1
+        assert rep.draws >= rep.accepted > 0
+        for f in fields(EstimatorCounters):
+            assert getattr(rep, f.name) == sum(getattr(e.counters, f.name) for e in rounds), f.name
+
+    def test_total_sums_each_counter(self):
+        names = [f.name for f in fields(EstimatorCounters)]
+        parts = [
+            SolverReport(
+                x=np.zeros(2), f_max_value=0.0, outer_iterations=k, iterations=[],
+                t_md=0.25 * k, wall_time=1.0, seed=0,
+                **{name: (j + 1) * 10**k for j, name in enumerate(names)},
+            )
+            for k in (1, 2)
+        ]
+        total = SolverReport.total(parts, x=np.ones(2), f_max_value=1.0, seed=7, wall_time=3.0)
+        for name in names:
+            assert getattr(total, name) == getattr(parts[0], name) + getattr(parts[1], name), name
+        assert total.outer_iterations == 3
+        assert total.t_md == 0.75
+        assert (total.seed, total.wall_time) == (7, 3.0)

@@ -143,7 +143,7 @@ def test_criterion_04_mvm_random_walks():
 
 
 def test_criterion_05_sampler_fidelity():
-    results = sampler_fidelity_check(n=10, d=6, draws=100_000, seed=55, mode="sketch")
+    results = sampler_fidelity_check(n=10, d=6, draws=100_000, seed=55)
     tv, acc = results[0], results[1]
     ok = tv.passed and acc.passed
     report(

@@ -14,7 +14,7 @@ import re
 import pytest
 
 from maxmin import apps, ball_oracle, geometry
-from maxmin.estimator import SoftmaxGradientEstimator
+from maxmin.estimator import EstimatorCounters, SoftmaxGradientEstimator
 from maxmin.maintenance import MatVecMaintainer
 from maxmin.sumtree import SumTree
 
@@ -35,6 +35,7 @@ HOT_PATH = [
     SoftmaxGradientEstimator.__init__,
     SoftmaxGradientEstimator._init_mvm,
     MatVecMaintainer.__init__,
+    EstimatorCounters.add,
     # per solve
     apps.dual_from_samples,
     apps.polish_dual,
