@@ -1,7 +1,7 @@
 """maxmin: ball-oracle accelerated minimization of the maximum of convex
 functions over a Euclidean ball or truncated simplex."""
 
-from .accelerator import AccelParams, SolverReport, accelerate, stopping_threshold
+from .accelerator import SolverReport, accelerate, stopping_threshold
 from .apps import solve_matrix_game, solve_meb, solve_smooth_max, subgradient_baseline
 from .ball_oracle import BallOracleResult, lambda_bisection, li_md, restricted_oracle
 from .estimator import SoftmaxGradientEstimator

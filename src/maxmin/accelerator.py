@@ -16,10 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from .ball_oracle import restricted_oracle
+from .ball_oracle import STEP_CONSTANT, restricted_oracle
 from .errors import InvalidParams, IterationCapExceeded
 from .estimator import COUNTER_FIELDS, EstimatorCounters
-from .geometry import GeometrySetup
+from .geometry import GeometrySetup, domain_radius_bound, project, tau
 from .io import TIMING_KEYS
 
 
@@ -30,30 +30,6 @@ def stopping_threshold(r_bound: float, e0: float, eps: float) -> float:
     if eps >= 80.0 * e0:
         raise InvalidParams(f"eps = {eps:g} must be below 80 E0 = {80.0 * e0:g}")
     return 40.0 * r_bound**2 * math.log(80.0 * e0 / eps) / eps
-
-
-@dataclass
-class AccelParams:
-    r: float
-    r_bound: float  # R with V_{v0}(x*) <= R^2
-    e0: float  # initial suboptimality bound
-    eps: float
-    gamma: float
-    lip: float  # L_f of the underlying family
-    seed: int = 0
-    iteration_cap_factor: float = 10.0
-    record_trace: bool = False
-    # stop at this fraction of the worst-case weight threshold (1.0 is
-    # the published stopping rule; the MEB recursion stops earlier)
-    stopping_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.gamma < 0.5):
-            raise InvalidParams("gamma must lie in (0, 1/2)")
-        if not (0.0 < self.r <= self.r_bound):
-            raise InvalidParams("need 0 < r <= R")
-        if not (0.0 < self.stopping_scale <= 1.0):
-            raise InvalidParams("stopping_scale must lie in (0, 1]")
 
 
 @dataclass
@@ -110,45 +86,101 @@ class SolverReport(EstimatorCounters):
 
 EstimatorFactory = Callable[[np.ndarray, float, object], object]
 
+# the outer loop raises IterationCapExceeded past this multiple of
+# expected_iteration_bound
+ITERATION_CAP_FACTOR = 10.0
+# outer-round overhead in LI-MD step equivalents, for auto_gamma's cost model
+AUTO_GAMMA_OVERHEAD_STEPS = 12.0
 
-def expected_iteration_bound(params: AccelParams) -> float:
-    ratio = params.r_bound / (math.sqrt(params.gamma) * params.r)
-    return 18.0 * ratio ** (2.0 / 3.0) * math.log(80.0 * params.e0 / params.eps)
+
+def expected_iteration_bound(r_bound: float, e0: float, eps: float, r: float,
+                             gamma: float) -> float:
+    """Round count 18 (R / (sqrt(gamma) r))^{2/3} log(80 E0 / eps)."""
+    ratio = r_bound / (math.sqrt(gamma) * r)
+    return 18.0 * ratio ** (2.0 / 3.0) * math.log(80.0 * e0 / eps)
+
+
+def auto_gamma(
+    tau_val: float,
+    a_max: float,
+    a_start: float,
+    lip: float,
+    r_bound: float,
+    radius: float,
+) -> float:
+    """Oracle-quality parameter balancing inner-loop work against rounds.
+
+    The lam = 1 probe costs ~4 tau C (Gamma/rho)^2 steps, and summed over
+    a geometric weight schedule the probe total scales linearly in gamma,
+    while the round count scales as gamma^{-1/3}; the minimizer of
+    K1 gamma + K2 gamma^{-1/3} is (K2 / 3 K1)^{3/4}.  Small gamma is
+    always admissible (the oracle contract only weakens), it just trades
+    more outer rounds for cheaper inner loops.
+    """
+    k1 = 2.0 * tau_val * STEP_CONSTANT * (a_max * lip / r_bound) ** 2
+    k2 = (
+        math.log(max(a_max / a_start, 2.0))
+        * (r_bound / radius) ** (2.0 / 3.0)
+        * AUTO_GAMMA_OVERHEAD_STEPS
+    )
+    gamma = (k2 / (3.0 * k1)) ** 0.75
+    return min(max(gamma, 1e-10), 0.4)
 
 
 def accelerate(
     problem,
     setup: GeometrySetup,
-    x0: np.ndarray,
-    params: AccelParams,
     estimator_factory: EstimatorFactory,
+    *,
+    r: float,
+    e0: float,
+    eps: float,
+    gamma: float | None = None,
+    seed: int | np.random.SeedSequence = 0,
+    stopping_scale: float = 1.0,
+    record_trace: bool = False,
     oracle=restricted_oracle,
 ) -> SolverReport:
-    """Minimize the problem's smoothed max via restricted oracle calls
-    from x0, which also starts the mirror point.
+    """Minimize the problem's smoothed max to accuracy eps via restricted
+    oracle calls of radius r, from ``setup.center()``, which also starts
+    the mirror point.
 
+    ``e0`` bounds the start's suboptimality; the run stops once the weight
+    passes ``stopping_scale`` times the worst-case threshold (1.0 is the
+    published stopping rule; the MEB recursion stops earlier).  ``gamma``
+    defaults to ``auto_gamma`` of this run's schedule.
     ``estimator_factory(anchor, r_prime, seed)`` builds the per-round
     gradient estimator, where ``seed`` is round t's (entropy, spawn_key)
-    pair: ``params.seed``'s spawn key extended by (t,).  ``oracle`` is
-    called as
+    pair: ``seed``'s spawn key extended by (t,).  ``oracle`` is called as
     ``oracle(grad_est, setup, y, rho, gamma_bound)``.  A fresh estimator is
     anchored at Phi_t(v_t) each round, and its gradient is scaled by the
-    round weight a_{t+1}.
+    round weight a_{t+1}.  The report's x is projected onto the domain.
     """
     start = time.perf_counter()
-    threshold = params.stopping_scale * stopping_threshold(params.r_bound, params.e0, params.eps)
-    beta = (math.sqrt(params.gamma) * params.r / params.r_bound) ** (2.0 / 3.0)
-    rho = (1.0 + 1.0 / beta) * params.r
-    expected = expected_iteration_bound(params)
-    cap = math.ceil(params.iteration_cap_factor * expected)
+    x = setup.center()
+    r_bound = domain_radius_bound(setup, x)
+    if gamma is not None and not (0.0 < gamma < 0.5):
+        raise InvalidParams("gamma must lie in (0, 1/2)")
+    if not (0.0 < r <= r_bound):
+        raise InvalidParams("need 0 < r <= R")
+    if not (0.0 < stopping_scale <= 1.0):
+        raise InvalidParams("stopping_scale must lie in (0, 1]")
 
-    a_weight = params.r_bound**2 / params.e0
-    x = np.asarray(x0, dtype=float).copy()
+    threshold = stopping_scale * stopping_threshold(r_bound, e0, eps)
+    a_weight = r_bound**2 / e0
+    if gamma is None:
+        gamma = auto_gamma(tau(setup), threshold, a_weight, problem.lip, r_bound, r)
+    beta = (math.sqrt(gamma) * r / r_bound) ** (2.0 / 3.0)
+    rho = (1.0 + 1.0 / beta) * r
+    r_prime = 8.0 * r
+    expected = expected_iteration_bound(r_bound, e0, eps, r, gamma)
+    cap = math.ceil(ITERATION_CAP_FACTOR * expected)
+
     v = x.copy()
-    if isinstance(params.seed, np.random.SeedSequence):
-        seed_entropy, seed_key = params.seed.entropy, params.seed.spawn_key
+    if isinstance(seed, np.random.SeedSequence):
+        seed_entropy, seed_key = seed.entropy, seed.spawn_key
     else:
-        seed_entropy, seed_key = params.seed, ()
+        seed_entropy, seed_key = seed, ()
 
     records: list[IterationRecord] = []
     trace: list[dict] = []
@@ -165,8 +197,7 @@ def accelerate(
         a_inc = beta * a_weight
         a_next = a_weight + a_inc
         anchor = (a_weight * x + a_inc * v) / a_next
-        gamma_bound = a_inc * params.lip
-        r_prime = 8.0 * params.r
+        gamma_bound = a_inc * problem.lip
         # the round's (entropy, spawn key); the estimator derives its
         # streams from it, so no SeedSequence is built here
         est = estimator_factory(anchor, r_prime, (seed_entropy, seed_key + (t,)))
@@ -194,12 +225,13 @@ def accelerate(
             IterationRecord(c, a_weight, stats.total_queries, stats.total_movement,
                             stats.bisection_rounds)
         )
-        if params.record_trace:
+        if record_trace:
             trace.append({"x": x.copy(), "v": v.copy(), "A": a_weight, "c": c,
                           "rho": rho, "a_inc": a_inc})
         counters.add(est.counters)
         t_md += oracle_wall - (est.counters.t_eval - anchor_eval)
 
+    x = project(setup, x)
     wall = time.perf_counter() - start
     return SolverReport(
         x=x,
@@ -208,8 +240,8 @@ def accelerate(
         iterations=records,
         t_md=t_md,
         wall_time=wall,
-        seed=params.seed,
+        seed=seed,
         trace=trace,
+        extras={"gamma": gamma},
         **asdict(counters),
     )
-

@@ -8,8 +8,7 @@ import time
 
 import numpy as np
 
-from .accelerator import AccelParams, SolverReport, accelerate, stopping_threshold
-from .ball_oracle import STEP_CONSTANT
+from .accelerator import SolverReport, accelerate
 from .errors import InvalidParams
 from .estimator import SoftmaxGradientEstimator
 from .geometry import (
@@ -20,7 +19,6 @@ from .geometry import (
     project,
     prox_step,
     simplex_setup,
-    tau,
 )
 from .problems import (
     MatrixGameInstance,
@@ -58,34 +56,6 @@ def default_radius(problem: MaxProblem, eps: float, r_bound: float) -> float:
     return min(terms)
 
 
-def auto_gamma(
-    tau_val: float,
-    a_max: float,
-    a_start: float,
-    lip: float,
-    r_bound: float,
-    radius: float,
-    overhead_steps: float = 12.0,
-) -> float:
-    """Oracle-quality parameter balancing inner-loop work against rounds.
-
-    The lam = 1 probe costs ~4 tau C (Gamma/rho)^2 steps, and summed over
-    a geometric weight schedule the probe total scales linearly in gamma,
-    while the round count scales as gamma^{-1/3}; the minimizer of
-    K1 gamma + K2 gamma^{-1/3} is (K2 / 3 K1)^{3/4}.  Small gamma is
-    always admissible (the oracle contract only weakens), it just trades
-    more outer rounds for cheaper inner loops.
-    """
-    k1 = 2.0 * tau_val * STEP_CONSTANT * (a_max * lip / r_bound) ** 2
-    k2 = (
-        math.log(max(a_max / a_start, 2.0))
-        * (r_bound / radius) ** (2.0 / 3.0)
-        * overhead_steps
-    )
-    gamma = (k2 / (3.0 * k1)) ** 0.75
-    return min(max(gamma, 1e-10), 0.4)
-
-
 # failure probability handed to each round's gradient estimator
 ESTIMATOR_DELTA = 1e-3
 
@@ -117,28 +87,11 @@ def solve_smooth_max(
     else:
         setup = simplex_setup(d, min(eps / (4.0 * d * problem.lip), 0.5 / d))
 
-    x0 = setup.center()
-    r_bound = domain_radius_bound(setup, x0)
+    r_bound = domain_radius_bound(setup, setup.center())
     eps_prime = smoothing_level(eps, n)
     radius = default_radius(problem, eps, r_bound) if r is None else min(r, r_bound)
     if e0 is None:
         e0 = problem.lip * r_bound
-    eps_accel = eps / 8.0
-
-    if gamma is None:
-        a_max = stopping_scale * stopping_threshold(r_bound, e0, eps_accel)
-        gamma = auto_gamma(tau(setup), a_max, r_bound**2 / e0, problem.lip, r_bound, radius)
-    params = AccelParams(
-        r=radius,
-        r_bound=r_bound,
-        e0=e0,
-        eps=eps_accel,
-        gamma=gamma,
-        lip=problem.lip,
-        seed=seed,
-        record_trace=record_trace,
-        stopping_scale=stopping_scale,
-    )
 
     def factory(anchor, r_prime, child_seed):
         return SoftmaxGradientEstimator(
@@ -152,21 +105,21 @@ def solve_smooth_max(
             p=setup.p,
         )
 
-    report = accelerate(problem, setup, x0, params, factory)
-    report.x = project(setup, report.x)
-    report.f_max_value = problem.f_max(report.x)
-    report.extras["eps_prime"] = eps_prime
-    report.extras["r"] = radius
-    report.extras["gamma"] = gamma
+    report = accelerate(
+        problem, setup, factory, r=radius, e0=e0, eps=eps / 8.0, gamma=gamma, seed=seed,
+        stopping_scale=stopping_scale, record_trace=record_trace,
+    )
     report.extras["nu"] = setup.nu
     return report
 
 
 CERTIFICATE_DRAWS = 4096
 CERTIFICATE_POLISH_STEPS = 200
+# exponentiated-gradient step size of polish_dual
+POLISH_STEP = 0.5
 
 
-def polish_dual(inst: MatrixGameInstance, y0: np.ndarray, steps: int, eta: float = 0.5):
+def polish_dual(inst: MatrixGameInstance, y0: np.ndarray, steps: int):
     """Exponentiated-gradient ascent on the best-response lower bound.
 
     Starts from the sampled frequency vector and keeps the best feasible
@@ -186,7 +139,7 @@ def polish_dual(inst: MatrixGameInstance, y0: np.ndarray, steps: int, eta: float
             grad = -(a.T @ ay) / max(float(np.linalg.norm(ay)), 1e-15)
         else:
             grad = a[int(ay.argmin())]
-        log_y = log_y + eta * grad
+        log_y = log_y + POLISH_STEP * grad
         log_y -= log_y.max()
         y = np.exp(log_y)
         y /= y.sum()
@@ -297,7 +250,7 @@ def solve_meb(
         r_k = 2.0 ** (-(k - 1) / 2.0)
         eps_k = 2.0 ** (-(k + 1))
         scale_k = r_k * r_k
-        scaled = QuadraticMaxProblem((pts - x) / r_k, scale=1.0)
+        scaled = QuadraticMaxProblem((pts - x) / r_k)
         eps_hat = eps_k / scale_k
         e0_hat = min(scaled.lip, 2.0 * prev_err / scale_k)
         best_val = math.inf

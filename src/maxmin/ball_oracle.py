@@ -74,7 +74,6 @@ class OracleStats:
     bisection_rounds: int = 0
     total_queries: int = 0
     total_movement: float = 0.0
-    initial_check_hit: bool = False
 
 
 def step_plan(rho: float, lam: float, tau_val: float, gamma_bound: float) -> tuple[float, int]:
@@ -219,7 +218,6 @@ def lambda_bisection(
         return math.inf if res.out_of_bound else bregman(setup, y, res.z)
 
     if probe(lam_min) < upper:
-        stats.initial_check_hit = True
         return lam_min
 
     lam_k = lam_max

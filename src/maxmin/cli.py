@@ -173,7 +173,11 @@ def cmd_bench(args) -> int:
             raise InvalidParams(f"unknown bench method {m!r}; choose from {_BENCH_METHODS}")
     sweep = [None]
     if args.r_sweep:
-        sweep = [float(v) for v in args.r_sweep.split(",")]
+        try:
+            sweep = [float(v) for v in args.r_sweep.split(",")]
+        except ValueError:
+            raise InvalidParams(
+                f"--r-sweep takes comma-separated numbers, got {args.r_sweep!r}") from None
     seeds = [args.seed + i for i in range(args.repeats)]
     # the subgradient control has no query radius: one row per seed
     results = [

@@ -70,9 +70,9 @@ class LinearMaxProblem(MaxProblem):
 
 
 class QuadraticMaxProblem(MaxProblem):
-    """f_i(x) = scale/2 ||x - p_i||^2 + c_i on the unit ball."""
+    """f_i(x) = 1/2 ||x - p_i||^2 + c_i on the unit ball."""
 
-    def __init__(self, centers: np.ndarray, offsets: np.ndarray | None = None, scale: float = 1.0):
+    def __init__(self, centers: np.ndarray, offsets: np.ndarray | None = None):
         centers = np.asarray(centers, dtype=float)
         if centers.ndim != 2 or centers.shape[0] < 1:
             raise DimensionMismatch("centers must be an (n, d) matrix with n >= 1")
@@ -83,24 +83,23 @@ class QuadraticMaxProblem(MaxProblem):
         )
         _check_finite("centers", centers)
         _check_finite("offsets", self.offsets)
-        self.scale = float(scale)
-        self.smooth = self.scale
-        # gradient bound over the unit ball: scale * max ||x - p_i||
-        self.lip = self.scale * float(1.0 + np.max(np.linalg.norm(centers, axis=1)))
+        self.smooth = 1.0
+        # gradient bound over the unit ball: max ||x - p_i||
+        self.lip = float(1.0 + np.max(np.linalg.norm(centers, axis=1)))
 
     def value(self, i, x):
         diff = x - self.centers[i]
-        return 0.5 * self.scale * float(diff @ diff) + float(self.offsets[i])
+        return 0.5 * float(diff @ diff) + float(self.offsets[i])
 
     def values_all(self, x):
         diff = x[None, :] - self.centers
-        return 0.5 * self.scale * np.sum(diff * diff, axis=1) + self.offsets
+        return 0.5 * np.sum(diff * diff, axis=1) + self.offsets
 
     def grad(self, i, x):
-        return self.scale * (x - self.centers[i])
+        return x - self.centers[i]
 
     def grad_matrix(self, x):
-        return self.scale * (x[None, :] - self.centers)
+        return x[None, :] - self.centers
 
 
 # ---------------------------------------------------------------------------

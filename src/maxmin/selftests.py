@@ -181,6 +181,8 @@ def geometry_fuzz_check(
 
 
 def run_selftest(which: str, seed: int = 0, scale: float = 1.0) -> list[CheckResult]:
+    if not math.isfinite(scale):
+        raise InvalidParams(f"scale must be finite, got {scale}")
     if which == "mve":
         trials = max(20, int(200 * scale))
         return mve_error_check(2, trials=trials, seed=seed) + mve_error_check(

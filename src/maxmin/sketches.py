@@ -45,14 +45,10 @@ def _check_norm(a: np.ndarray, p: int) -> None:
 class CountSketchMve:
     """l2 estimator: keeps only the sketched rows plus the hash tables."""
 
-    p = 2
-
     def __init__(self, a: np.ndarray, eps: float, delta: float, seed):
         a = np.asarray(a, dtype=float)
         _check_norm(a, 2)
         self.n, self.d = a.shape
-        self.eps = float(eps)
-        self.delta = float(delta)
         self.t = max(1, math.ceil(C_REP * math.log(self.n / delta)))
         self.b = max(1, math.ceil(C_BUCKET / eps**2))
         rng = _rng(seed)
@@ -97,15 +93,11 @@ class SampleMve:
     per-row union bound does not need independence across rows.
     """
 
-    p = 1
-
     def __init__(self, a: np.ndarray, eps: float, delta: float, seed):
         a = np.asarray(a, dtype=float)
         _check_norm(a, 1)
         self.a = a  # shared reference; callers may reuse one copy across levels
         self.n, self.d = a.shape
-        self.eps = float(eps)
-        self.delta = float(delta)
         # Hoeffding with sample range 2 ||x||_1 ||a||_inf
         self.sample_count = max(1, math.ceil(2.0 / eps**2 * math.log(2.0 * self.n / delta)))
         self.rng = _rng(seed)
@@ -124,13 +116,9 @@ class SampleMve:
 class ExactMve:
     """Deterministic fallback: query returns A @ x exactly."""
 
-    p = 0
-
-    def __init__(self, a: np.ndarray, eps: float = 0.0, delta: float = 0.0, seed=None):
+    def __init__(self, a: np.ndarray):
         self.a = np.asarray(a, dtype=float)
         self.n, self.d = self.a.shape
-        self.eps = float(eps)
-        self.delta = float(delta)
 
     def query(self, x: np.ndarray) -> np.ndarray:
         return self.a @ x

@@ -5,10 +5,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import maxmin.accelerator as accelerator
 from maxmin.accelerator import (
-    AccelParams,
     SolverReport,
     accelerate,
+    auto_gamma,
     expected_iteration_bound,
     stopping_threshold,
 )
@@ -65,12 +66,12 @@ class StubEstimator:
         return 0, np.zeros_like(x), None
 
 
-def run_accel(params, oracle, d=2):
+def run_accel(oracle, d=2, **kw):
+    """Accelerate on the unit ball (R = 1) with L_f = 1."""
     prob = LinearMaxProblem(np.zeros((1, d)))
     setup = ball_setup(d)
     return accelerate(
-        prob, setup, np.zeros(d), params,
-        lambda anchor, r_prime, seed: StubEstimator(), oracle=oracle,
+        prob, setup, lambda anchor, r_prime, seed: StubEstimator(), oracle=oracle, **kw
     )
 
 
@@ -90,8 +91,7 @@ class TestWeightRecursions:
 
     def test_no_damping_at_unit_c(self):
         # c = 1 every round: A_{t+1} = A'_{t+1} and x_{t+1} = Phi_t(z_{t+1})
-        params = AccelParams(r=0.5, r_bound=1.0, e0=1.0, eps=0.25, gamma=0.25, lip=1.0)
-        rep = run_accel(params, stub_oracle_factory(1.0))
+        rep = run_accel(stub_oracle_factory(1.0), r=0.5, e0=1.0, eps=0.25, gamma=0.25)
         beta = (math.sqrt(0.25) * 0.5 / 1.0) ** (2.0 / 3.0)
         a = 1.0  # A_0 = R^2 / E0
         for rec in rep.iterations:
@@ -100,9 +100,8 @@ class TestWeightRecursions:
             assert rec.c == 1.0
 
     def test_growth_identity_with_damping(self):
-        params = AccelParams(r=0.5, r_bound=1.0, e0=1.0, eps=0.25, gamma=0.25, lip=1.0)
         c = 3.0
-        rep = run_accel(params, stub_oracle_factory(c))
+        rep = run_accel(stub_oracle_factory(c), r=0.5, e0=1.0, eps=0.25, gamma=0.25)
         beta = (math.sqrt(0.25) * 0.5) ** (2.0 / 3.0)
         a = 1.0
         for rec in rep.iterations:
@@ -119,31 +118,47 @@ class TestWeightRecursions:
             assert rho_t == pytest.approx(rho0, rel=1e-12)
             a += a_inc / 2.2
 
-    def test_iteration_cap_raises(self):
-        params = AccelParams(
-            r=0.5, r_bound=1.0, e0=1.0, eps=0.25, gamma=0.25, lip=1.0,
-            iteration_cap_factor=0.01,
-        )
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(accelerator, "ITERATION_CAP_FACTOR", 0.01)
         with pytest.raises(IterationCapExceeded):
-            run_accel(params, stub_oracle_factory(1e9))
+            run_accel(stub_oracle_factory(1e9), r=0.5, e0=1.0, eps=0.25, gamma=0.25)
 
     def test_stopping_scale_shortens_run(self):
-        kw = dict(r=0.5, r_bound=1.0, e0=1.0, eps=0.25, gamma=0.25, lip=1.0)
-        full = run_accel(AccelParams(**kw), stub_oracle_factory(1.0))
-        short = run_accel(AccelParams(**kw, stopping_scale=0.25), stub_oracle_factory(1.0))
+        kw = dict(r=0.5, e0=1.0, eps=0.25, gamma=0.25)
+        full = run_accel(stub_oracle_factory(1.0), **kw)
+        short = run_accel(stub_oracle_factory(1.0), **kw, stopping_scale=0.25)
         assert short.outer_iterations < full.outer_iterations
 
     def test_gamma_validation(self):
         with pytest.raises(InvalidParams):
-            AccelParams(r=0.5, r_bound=1.0, e0=1.0, eps=0.1, gamma=0.7, lip=1.0)
+            run_accel(stub_oracle_factory(1.0), r=0.5, e0=1.0, eps=0.1, gamma=0.7)
         with pytest.raises(InvalidParams):
-            AccelParams(r=2.0, r_bound=1.0, e0=1.0, eps=0.1, gamma=0.1, lip=1.0)
+            run_accel(stub_oracle_factory(1.0), r=2.0, e0=1.0, eps=0.1, gamma=0.1)
 
     def test_expected_iteration_bound_scaling(self):
-        base = AccelParams(r=0.4, r_bound=1.0, e0=1.0, eps=0.1, gamma=0.1, lip=1.0)
-        half = AccelParams(r=0.2, r_bound=1.0, e0=1.0, eps=0.1, gamma=0.1, lip=1.0)
-        ratio = expected_iteration_bound(half) / expected_iteration_bound(base)
+        base = expected_iteration_bound(1.0, 1.0, 0.1, 0.4, 0.1)
+        half = expected_iteration_bound(1.0, 1.0, 0.1, 0.2, 0.1)
+        ratio = half / base
         assert ratio == pytest.approx(2.0 ** (2.0 / 3.0), rel=1e-12)
+
+    @pytest.mark.parametrize("r", [0.0, -0.2, math.nan])
+    def test_radius_checked_before_gamma_is_sized(self, r):
+        from maxmin.apps import solve_smooth_max
+
+        with pytest.raises(InvalidParams, match="need 0 < r <= R"):
+            solve_smooth_max(LinearMaxProblem(np.eye(2)), 0.2, r=r)
+
+    def test_auto_gamma_sized_from_the_loop_schedule(self):
+        from maxmin.apps import solve_smooth_max
+
+        rows = np.random.default_rng(4).standard_normal((6, 3))
+        prob = LinearMaxProblem(0.9 * rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        eps, r = 0.5, 0.3
+        rep = solve_smooth_max(prob, eps, seed=0, r=r)
+        # unit ball from the origin: R = 1, tau = 4, E0 = L_f R = 1, and the
+        # loop runs at eps / 8 from A_0 = R^2 / E0
+        a_max = stopping_threshold(1.0, 1.0, eps / 8.0)
+        assert rep.extras["gamma"] == auto_gamma(4.0, a_max, 1.0, prob.lip, 1.0, r)
 
 
 class TestPotentialDecrease:

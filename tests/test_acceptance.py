@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from maxmin import refcheck
-from maxmin.accelerator import AccelParams, accelerate
 from maxmin.apps import smoothing_level, solve_matrix_game, solve_meb
 from maxmin.ball_oracle import (
     bisection_round_limit,
@@ -226,7 +225,7 @@ def test_criterion_07_bisection_band():
         lam = stats.lam
         v_exact = 0.5 * min(gam / lam, 1.0) ** 2
         in_band = rho**2 / (1024.0 * tau_v**4) <= v_exact <= rho**2 / 16.0
-        hits += in_band or (lam == 1.0 and stats.initial_check_hit)
+        hits += in_band or (lam == 1.0 and stats.bisection_rounds == 0)
         rounds_ok = rounds_ok and stats.bisection_rounds <= k_cap
     ok = hits >= 18 and rounds_ok
     report(

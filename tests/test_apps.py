@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from maxmin import estimator, refcheck
+from maxmin.accelerator import auto_gamma
 from maxmin.apps import (
     MEB_REPEATS,
-    auto_gamma,
     dual_from_samples,
     meb_level_count,
     polish_dual,
@@ -62,8 +62,8 @@ class TestInstances:
         x = rng.standard_normal(3)
         np.testing.assert_allclose(p.values_all(x), rows @ x)
         assert p.value(2, x) == pytest.approx(float(rows[2] @ x))
-        q = QuadraticMaxProblem(rows, np.arange(4.0), scale=2.0)
-        np.testing.assert_allclose(q.grad(1, x), 2.0 * (x - rows[1]))
+        q = QuadraticMaxProblem(rows, np.arange(4.0))
+        np.testing.assert_allclose(q.grad(1, x), x - rows[1])
         assert q.f_max(x) == pytest.approx(np.max(q.values_all(x)))
 
     def test_smoothed_max_bounds(self):

@@ -305,6 +305,12 @@ class TestSelftestAndBench:
     @pytest.mark.parametrize("kind,flags", [
         ("meb", ["--r-sweep", "0.4,0.2"]),  # the MEB recursion sets its own radius
         ("game", ["--method", "bogus"]),
+        ("game", ["--r-sweep", "abc"]),
+        ("game", ["--r-sweep", "0.2,,0.1"]),
+        ("game", ["--r-sweep", "0"]),
+        ("game", ["--r-sweep", "-0.2"]),
+        ("game", ["--r-sweep", "nan"]),
+        ("quadratics", ["--r-sweep", "0"]),
     ])
     def test_bench_rejects_flags_it_cannot_apply(self, tmp_path, kind, flags):
         inst = tmp_path / "i.txt"
@@ -320,6 +326,14 @@ class TestSelftestAndBench:
         code = run_cli(["selftest", "--which", "bogus", "--out", str(out)])
         assert code == 2
         assert "unknown selftest 'bogus'" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_selftest_rejects_non_finite_scale(self, tmp_path, caplog, scale):
+        out = tmp_path / "st.json"
+        code = run_cli(["selftest", "--which", "mve", "--scale", scale, "--out", str(out)])
+        assert code == 2
+        assert "scale must be finite" in caplog.text
         assert not out.exists()
 
     def test_bench_rejects_zero_repeats(self, tmp_path, caplog):
