@@ -4,7 +4,13 @@ Each round maps the trust region through the interpolation
 Phi(z) = (A x_t + a z) / (A + a), asks the restricted proximal oracle for
 (z, w, c) around the mirror point v_t, and damps the update by the
 returned multiplier: x <- Phi(z)/c + (1 - 1/c) x, A <- A + a/c.  The run
-stops once the weight A passes 40 R^2 log(80 E0 / eps) / eps.
+stops once the weight A passes 40 R^2 log(80 E0 / eps) / eps, or, when a
+certificate level is given, at the first anchor from round 2 on whose
+weak-duality gap (``SoftmaxGradientEstimator.anchor_gap``) is at most that
+level.  The gap reuses the round's anchor evaluation (n values, n
+gradients and the sampler's softmax weights) and adds one n x d product
+and O(n) work per round; its linear minimization runs over the full
+simplex, not the truncated one the loop walks on.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ class SolverReport(EstimatorCounters):
     wall_time: float
     seed: int
     t_md: float = 0.0  # oracle wall time less the evaluations inside it
+    stop_reason: str = "threshold"  # or "certificate"; the iteration cap raises
     trace: list[dict] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
@@ -138,6 +145,7 @@ def accelerate(
     gamma: float | None = None,
     seed: int | np.random.SeedSequence = 0,
     stopping_scale: float = 1.0,
+    certificate_eps: float | None = None,
     record_trace: bool = False,
     oracle=restricted_oracle,
 ) -> SolverReport:
@@ -147,8 +155,13 @@ def accelerate(
 
     ``e0`` bounds the start's suboptimality; the run stops once the weight
     passes ``stopping_scale`` times the worst-case threshold (1.0 is the
-    published stopping rule; the MEB recursion stops earlier).  ``gamma``
-    defaults to ``auto_gamma`` of this run's schedule.
+    published stopping rule; the MEB recursion stops earlier).  With
+    ``certificate_eps`` set, the run also stops, with ``stop_reason``
+    "certificate", at the first anchor from round 2 on whose
+    ``anchor_gap`` is at most it, and returns that anchor; its n values
+    and n gradients are counted, and ``outer_iterations`` counts the
+    oracle rounds before it.  ``gamma`` defaults to ``auto_gamma`` of
+    this run's schedule.
     ``estimator_factory(anchor, r_prime, seed)`` builds the per-round
     gradient estimator, where ``seed`` is round t's (entropy, spawn_key)
     pair: ``seed``'s spawn key extended by (t,).  ``oracle`` is called as
@@ -186,6 +199,7 @@ def accelerate(
     trace: list[dict] = []
     counters = EstimatorCounters()
     t_md = 0.0
+    stop_reason = "threshold"
     t = 0
 
     while a_weight < threshold:
@@ -201,6 +215,12 @@ def accelerate(
         # the round's (entropy, spawn key); the estimator derives its
         # streams from it, so no SeedSequence is built here
         est = estimator_factory(anchor, r_prime, (seed_entropy, seed_key + (t,)))
+        if (certificate_eps is not None and t > 1
+                and est.anchor_gap(setup) <= certificate_eps):
+            counters.add(est.counters)
+            x = anchor
+            stop_reason = "certificate"
+            break
         # the anchor evaluation runs here, outside the oracle's timer
         anchor_eval = est.counters.t_eval
 
@@ -236,9 +256,10 @@ def accelerate(
     return SolverReport(
         x=x,
         f_max_value=problem.f_max(x),
-        outer_iterations=t,
+        outer_iterations=len(records),
         iterations=records,
         t_md=t_md,
+        stop_reason=stop_reason,
         wall_time=wall,
         seed=seed,
         trace=trace,

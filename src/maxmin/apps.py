@@ -70,13 +70,16 @@ def solve_smooth_max(
     record_trace: bool = False,
     e0: float | None = None,
     stopping_scale: float = 1.0,
+    certificate_eps: float | None = None,
 ) -> SolverReport:
     """Minimize max_i f_i over the chosen domain to expected accuracy eps.
 
     Applies the softmax smoothing at temperature eps/(2 log n), truncates
     the simplex at nu = eps/(4 d L_f), and runs the accelerated outer
     loop at accuracy eps/8 with the rejection-sampling gradient
-    estimator rebuilt at each round's anchor.
+    estimator rebuilt at each round's anchor.  ``certificate_eps`` is
+    handed to ``accelerate``: the loop stops at the first anchor whose
+    duality gap is certified below it.
     """
     if eps <= 0.0:
         raise InvalidParams("eps must be positive")
@@ -107,7 +110,8 @@ def solve_smooth_max(
 
     report = accelerate(
         problem, setup, factory, r=radius, e0=e0, eps=eps / 8.0, gamma=gamma, seed=seed,
-        stopping_scale=stopping_scale, record_trace=record_trace,
+        stopping_scale=stopping_scale, certificate_eps=certificate_eps,
+        record_trace=record_trace,
     )
     report.extras["nu"] = setup.nu
     return report
@@ -181,28 +185,32 @@ def solve_matrix_game(
     """Primal solver for min_x max_y x^T A y with a post-hoc gap certificate.
 
     The query radius is ``r`` when given, else min(1, sqrt(d) eps).  The
-    dual certificate vector is the empirical frequency of
-    ``CERTIFICATE_DRAWS`` indices drawn from softmax(f(x)/eps') at the
-    final point (``dual_from_samples``), then polished; the reported gap
-    is f_max(x) minus the better vector's best-response lower bound.
+    outer loop stops early at the first anchor whose weak-duality gap is
+    at most eps.  Three dual vectors are tried at the final point x: the
+    empirical frequency of ``CERTIFICATE_DRAWS`` indices drawn from
+    softmax(f(x)/eps') (``dual_from_samples``), that vector polished
+    (``polish_dual``), and softmax(f(x)/eps') itself, the dual of the
+    loop's stop certificate.  The reported gap is f_max(x) minus the best
+    of their best-response lower bounds, so a solve stopped on a
+    certificate reports a gap of at most eps.
     """
     if not (0.0 < eps < 1.0):
         raise InvalidParams("eps must lie in (0, 1)")
     problem = inst.problem()
     kind = Kind.BALL if inst.is_ball else Kind.TRUNCATED_SIMPLEX
     radius = min(1.0, math.sqrt(inst.d) * eps) if r is None else r
-    report = solve_smooth_max(problem, eps, seed=seed, kind=kind, r=radius)
+    report = solve_smooth_max(
+        problem, eps, seed=seed, kind=kind, r=radius, certificate_eps=eps
+    )
     x = report.x
+    eps_prime = smoothing_level(eps, inst.n)
     y_hat = dual_from_samples(
-        problem,
-        x,
-        smoothing_level(eps, inst.n),
-        CERTIFICATE_DRAWS,
-        np.random.SeedSequence([seed, 0xD0A1]),
+        problem, x, eps_prime, CERTIFICATE_DRAWS, np.random.SeedSequence([seed, 0xD0A1])
     )
     gap_sampled = duality_gap(inst, x, y_hat)
     y_polished = polish_dual(inst, y_hat, CERTIFICATE_POLISH_STEPS)
-    gap = min(gap_sampled, duality_gap(inst, x, y_polished))
+    y_softmax = refcheck.exact_softmax_dist(problem, x, eps_prime)
+    gap = min(gap_sampled, duality_gap(inst, x, y_polished), duality_gap(inst, x, y_softmax))
     report.extras["gap"] = gap
     report.extras["gap_sampled"] = gap_sampled
     return x, report

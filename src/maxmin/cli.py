@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -32,7 +33,7 @@ from .errors import (
     MaxminError,
     RejectionStall,
 )
-from .selftests import run_selftest
+from .selftests import run_selftests
 
 log = logging.getLogger("maxmin")
 
@@ -114,6 +115,7 @@ def cmd_solve(args) -> int:
 
     doc["result"] = result
     doc["status"] = "ok"
+    doc["stop_reason"] = report.stop_reason
     doc["counters"] = report.counters_dict()
     doc["wall_time"] = time.perf_counter() - t0
     doc["t_eval"] = report.t_eval
@@ -126,15 +128,14 @@ def cmd_solve(args) -> int:
 def cmd_selftest(args) -> int:
     rows = []
     ok = True
-    for which in args.which.split(","):
-        results = run_selftest(which.strip(), seed=args.seed, scale=args.scale)
-        for res in results:
-            print(res.row(), file=sys.stderr)
-            rows.append(
-                {"name": res.name, "passed": res.passed, "observed": res.observed,
-                 "bound": res.bound}
-            )
-            ok = ok and res.passed
+    names = [which.strip() for which in args.which.split(",")]
+    for res in run_selftests(names, seed=args.seed, scale=args.scale):
+        print(res.row(), file=sys.stderr)
+        rows.append(
+            {"name": res.name, "passed": res.passed, "observed": res.observed,
+             "bound": res.bound}
+        )
+        ok = ok and res.passed
     if args.out:
         Path(args.out).write_text(json.dumps({"checks": rows, "seed": args.seed}, indent=1))
         print(args.out)
@@ -178,6 +179,9 @@ def cmd_bench(args) -> int:
         except ValueError:
             raise InvalidParams(
                 f"--r-sweep takes comma-separated numbers, got {args.r_sweep!r}") from None
+        # every radius is checked before the first cell is solved
+        if not all(math.isfinite(r) and r > 0.0 for r in sweep):
+            raise InvalidParams(f"--r-sweep radii must be finite and > 0, got {args.r_sweep!r}")
     seeds = [args.seed + i for i in range(args.repeats)]
     # the subgradient control has no query radius: one row per seed
     results = [

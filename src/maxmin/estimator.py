@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import BudgetExceeded, PreconditionViolated, RejectionStall
-from .geometry import pnorm
+from .geometry import GeometrySetup, linear_min, pnorm
 from .maintenance import MatVecMaintainer
 from .problems import MaxProblem
 from .sumtree import SumTree
@@ -156,6 +156,23 @@ class SoftmaxGradientEstimator:
         self.logits = self.f0 / self.eps_prime
         self._offset = float(self.logits.max())
         self.tree = SumTree(np.exp(self.logits - self._offset))
+
+    def anchor_gap(self, setup: GeometrySetup) -> float:
+        """Weak-duality bound on f_max(x0) - min_X f_max from the anchor's
+        own evaluations, valid for any convex family and exact for linear
+        ones.
+
+        With the sampler's softmax weights y (proportional to
+        exp(f0 / eps')) and g = sum_i y_i grad f_i(x0), convexity gives
+        f_max(x) >= sum_i y_i f_i(x) >= y.f0 + <g, x - x0> for every x, so
+        min_X f_max >= y.f0 - <g, x0> + min_X <g, x>, where the last
+        minimum is ``linear_min``'s, over the ball or the full simplex.
+        Costs one n x d product and O(n) work; no f or grad evaluation.
+        """
+        y = self.tree.weights / self.tree.total
+        g = self.lip * (y @ self._a)
+        lower = float(y @ self.f0) - float(g @ self.x0) + linear_min(setup, g)
+        return float(self.f0.max()) - lower
 
     def _init_mvm(self, v0: np.ndarray) -> None:
         seed = 0 if self.mode == "exact" else self._mvm_seed.spawn(1)[0]

@@ -268,3 +268,14 @@ def project(setup: GeometrySetup, x: np.ndarray) -> np.ndarray:
             return np.full(setup.dim, 1.0 / setup.dim)
         return setup.nu + excess * (free / s)
     return w / float(w.sum())
+
+
+def linear_min(setup: GeometrySetup, g: np.ndarray) -> float:
+    """min <g, x> over the unit ball, or over the full simplex for the
+    simplex setup.  The truncated simplex's minimum is larger by up to
+    ``nu * d * (mean(g) - min(g))``: a lower bound taken there would hold
+    only for the truncated problem, not for the simplex one it stands in
+    for."""
+    if setup.kind is Kind.BALL:
+        return -math.sqrt(float(g @ g))
+    return float(g.min())

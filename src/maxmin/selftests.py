@@ -180,9 +180,21 @@ def geometry_fuzz_check(
     return out
 
 
-def run_selftest(which: str, seed: int = 0, scale: float = 1.0) -> list[CheckResult]:
+SUITES = ("mve", "mvm", "sampler", "geometry")
+
+
+def run_selftests(names: list[str], seed: int = 0, scale: float = 1.0) -> list[CheckResult]:
+    """Run the named suites in order.  Every name and the scale are checked
+    before the first suite runs."""
     if not math.isfinite(scale):
         raise InvalidParams(f"scale must be finite, got {scale}")
+    for which in names:
+        if which not in SUITES:
+            raise InvalidParams(f"unknown selftest {which!r}; choose from {', '.join(SUITES)}")
+    return [res for which in names for res in _run_suite(which, seed, scale)]
+
+
+def _run_suite(which: str, seed: int, scale: float) -> list[CheckResult]:
     if which == "mve":
         trials = max(20, int(200 * scale))
         return mve_error_check(2, trials=trials, seed=seed) + mve_error_check(
@@ -197,9 +209,8 @@ def run_selftest(which: str, seed: int = 0, scale: float = 1.0) -> list[CheckRes
     if which == "sampler":
         draws = max(2000, int(40_000 * scale))
         return sampler_fidelity_check(draws=draws, seed=seed)
-    if which == "geometry":
-        count = max(1000, int(10_000 * scale))
-        return geometry_fuzz_check(ball_setup(6), count=count, seed=seed) + geometry_fuzz_check(
-            simplex_setup(6, 0.02), count=count, seed=seed
-        )
-    raise InvalidParams(f"unknown selftest {which!r}; choose from mve, mvm, sampler, geometry")
+    # which == "geometry": run_selftests has checked the name
+    count = max(1000, int(10_000 * scale))
+    return geometry_fuzz_check(ball_setup(6), count=count, seed=seed) + geometry_fuzz_check(
+        simplex_setup(6, 0.02), count=count, seed=seed
+    )

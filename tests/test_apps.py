@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from maxmin import estimator, refcheck
 from maxmin.accelerator import auto_gamma
@@ -137,6 +138,32 @@ class TestSolveSmoothMax:
         assert 1e-10 <= g < 0.5
 
 
+def planted_l1l1(mu, d, n, seed):
+    """A simplex game whose first row pays -mu against every column, so
+    v* <= -mu sits at a vertex, far from the uniform start."""
+    a = (1.0 - mu) * np.random.default_rng(seed).uniform(-1.0, 1.0, size=(d, n))
+    a[0] = -mu
+    return MatrixGameInstance(a, "l1l1")
+
+
+def game_value(inst):
+    """v* by linear programming: min t subject to A^T x <= t over the
+    simplex; for a ball game, 0 once an LP finds the origin in the hull
+    of the columns."""
+    a = inst.matrix
+    d, n = a.shape
+    if inst.is_ball:
+        res = linprog(np.zeros(n), A_eq=np.vstack([a, np.ones((1, n))]),
+                      b_eq=np.append(np.zeros(d), 1.0), bounds=(0.0, None), method="highs")
+        assert res.status == 0, "origin outside the columns' hull"
+        return 0.0
+    res = linprog(np.append(np.zeros(d), 1.0), A_ub=np.hstack([a.T, -np.ones((n, 1))]),
+                  b_ub=np.zeros(n), A_eq=np.append(np.ones(d), 0.0)[None, :], b_eq=[1.0],
+                  bounds=[(0.0, None)] * d + [(None, None)], method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
 class TestMatrixGames:
     def test_zero_matrix_gap_zero(self):
         inst = MatrixGameInstance(np.zeros((3, 4)), "l2l1")
@@ -147,6 +174,57 @@ class TestMatrixGames:
         inst = MatrixGameInstance(np.zeros((2, 2)), "l2l1")
         with pytest.raises(InvalidParams):
             solve_matrix_game(inst, 1.5)
+
+    def test_planted_game_within_eps_of_its_value(self):
+        # the uniform start is 0.47 above v* = -0.3, and the worst-case
+        # schedule's last iterate stays 0.22 above it; the loop's stop
+        # certificate returns an anchor within eps
+        inst = planted_l1l1(0.3, 10, 20, [1, 7])
+        x, rep = solve_matrix_game(inst, 0.2, seed=0)
+        err = float(np.max(inst.matrix.T @ x)) - game_value(inst)
+        assert rep.stop_reason == "certificate"
+        assert err <= rep.extras["gap"] + 1e-9
+        assert err <= 0.2
+
+    @pytest.mark.parametrize("game", ["l2l1", "l1l1", "l1l1-planted"])
+    def test_in_loop_certificate_never_below_true_error(self, game, monkeypatch):
+        rng = np.random.default_rng(43)
+        if game == "l2l1":
+            a = rng.standard_normal((5, 30))
+            inst = MatrixGameInstance(a / np.linalg.norm(a, axis=0), "l2l1")
+        elif game == "l1l1":
+            inst = MatrixGameInstance(rng.uniform(-1.0, 1.0, size=(6, 15)), "l1l1")
+        else:
+            inst = planted_l1l1(0.3, 6, 15, [2, 7])
+        a, v_star = inst.matrix, game_value(inst)
+        seen = []
+        anchor_gap = estimator.SoftmaxGradientEstimator.anchor_gap
+
+        def recording(est, setup):
+            gap = anchor_gap(est, setup)
+            seen.append((est.x0.copy(), gap, a @ (est.tree.weights / est.tree.total), setup.nu))
+            return gap
+
+        monkeypatch.setattr(estimator.SoftmaxGradientEstimator, "anchor_gap", recording)
+        kind = Kind.BALL if inst.is_ball else Kind.TRUNCATED_SIMPLEX
+        # a zero level never stops the loop, so every anchor from round 2
+        # on is checked
+        solve_smooth_max(inst.problem(), 0.1, seed=0, kind=kind, stopping_scale=1.0 / 64.0,
+                         certificate_eps=0.0)
+        assert len(seen) > 20
+        truncated_under = 0
+        for x, gap, g, nu in seen:
+            f_max = float(np.max(a.T @ x))
+            assert gap >= f_max - v_star - 1e-9
+            if not inst.is_ball:
+                # the same bound with min <g, x> taken over the truncated
+                # simplex {x >= nu}; for a linear family y.f0 = <g, x>
+                truncated = f_max - (nu * g.sum() + (1.0 - nu * g.size) * g.min())
+                truncated_under += truncated < f_max - v_star - 1e-6
+        if game == "l1l1-planted":
+            # v* sits at a vertex the truncated simplex excludes, so that
+            # bound falls below the true error
+            assert truncated_under > 0
 
     def test_dual_sampler_matches_softmax(self):
         rng = np.random.default_rng(4)

@@ -201,6 +201,22 @@ class TestSolve:
         assert counters["accepted"] == sum(counters["oracle_queries"]) > 0
         assert counters["draws"] >= counters["accepted"]
 
+    @pytest.mark.parametrize("kind,stop_reason", [("game", "certificate"),
+                                                  ("quadratics", "threshold")])
+    def test_report_names_the_stop_reason(self, tmp_path, kind, stop_reason):
+        inst = tmp_path / "i.txt"
+        run_cli(["gen", "--kind", kind, "--n", "40", "--d", "3", "--seed", "3",
+                 "--out", str(inst)])
+        out = tmp_path / "rep.json"
+        assert run_cli(["solve", "--in", str(inst), "--eps", "0.5", "--out", str(out)]) == 0
+        doc = mio.read_report(out)
+        assert doc["stop_reason"] == stop_reason
+        if kind == "game":
+            # the start's gap is below eps: one oracle round, then the
+            # certified anchor
+            assert doc["counters"]["outer_iterations"] == 1
+            assert doc["result"]["gap"] <= 0.5
+
     def test_non_finite_instance_exit_two(self, tmp_path):
         inst = tmp_path / "nan.txt"
         mio.save_instance_text(inst, "game_l2l1", np.array([[0.5, np.nan], [0.0, 1.0]]))
@@ -319,6 +335,34 @@ class TestSelftestAndBench:
         code = run_cli(["bench", "--in", str(inst), "--eps", "0.25", *flags,
                         "--out", str(out)])
         assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bench", "selftest"])
+    def test_bad_last_value_runs_nothing(self, tmp_path, monkeypatch, command):
+        import maxmin.cli as cli_mod
+        import maxmin.selftests as selftests_mod
+
+        runs = []
+
+        def counting(real):
+            def run(*args, **kwargs):
+                runs.append(1)
+                return real(*args, **kwargs)
+            return run
+
+        inst = tmp_path / "g.txt"
+        run_cli(["gen", "--kind", "game", "--n", "5", "--d", "3", "--out", str(inst)])
+        out = tmp_path / "out"
+        if command == "bench":
+            monkeypatch.setattr(cli_mod, "solve_instance", counting(cli_mod.solve_instance))
+            args = ["bench", "--in", str(inst), "--eps", "0.25", "--method", "proposed",
+                    "--r-sweep", "0.4,0"]
+        else:
+            monkeypatch.setattr(selftests_mod, "geometry_fuzz_check",
+                                counting(selftests_mod.geometry_fuzz_check))
+            args = ["selftest", "--which", "geometry,bogus", "--scale", "0.1"]
+        assert run_cli([*args, "--out", str(out)]) == 2
+        assert runs == []
         assert not out.exists()
 
     def test_selftest_rejects_unknown_suite(self, tmp_path, caplog):
