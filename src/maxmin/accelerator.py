@@ -4,13 +4,16 @@ Each round maps the trust region through the interpolation
 Phi(z) = (A x_t + a z) / (A + a), asks the restricted proximal oracle for
 (z, w, c) around the mirror point v_t, and damps the update by the
 returned multiplier: x <- Phi(z)/c + (1 - 1/c) x, A <- A + a/c.  The run
-stops once the weight A passes 40 R^2 log(80 E0 / eps) / eps, or, when a
-certificate level is given, at the first anchor from round 2 on whose
-weak-duality gap (``SoftmaxGradientEstimator.anchor_gap``) is at most that
-level.  The gap reuses the round's anchor evaluation (n values, n
-gradients and the sampler's softmax weights) and adds one n x d product
-and O(n) work per round; its linear minimization runs over the full
-simplex, not the truncated one the loop walks on.
+stops once the weight A passes 40 R^2 log(80 E0 / eps) / eps (times the
+caller's stopping scale), or, when a certificate level is given, at the
+first anchor from round 2 on whose weak-duality gap
+(``SoftmaxGradientEstimator.anchor_gap``) is at most that level.  The gap
+reuses the round's anchor evaluation (n values, n gradients and the
+sampler's softmax weights) and adds one n x d product and O(n) work per
+round.  It uses the family's strong-convexity modulus, so it is exact
+for linear families (games) and for the quadratic family (MEB levels);
+its minimization runs over the ball or the full simplex, not the
+truncated one the loop walks on.
 """
 
 from __future__ import annotations
@@ -155,7 +158,8 @@ def accelerate(
 
     ``e0`` bounds the start's suboptimality; the run stops once the weight
     passes ``stopping_scale`` times the worst-case threshold (1.0 is the
-    published stopping rule; the MEB recursion stops earlier).  With
+    published stopping rule; the MEB recursion caps its uncertified
+    levels lower).  With
     ``certificate_eps`` set, the run also stops, with ``stop_reason``
     "certificate", at the first anchor from round 2 on whose
     ``anchor_gap`` is at most it, and returns that anchor; its n values

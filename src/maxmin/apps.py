@@ -121,6 +121,9 @@ CERTIFICATE_DRAWS = 4096
 CERTIFICATE_POLISH_STEPS = 200
 # exponentiated-gradient step size of polish_dual
 POLISH_STEP = 0.5
+# polish_dual stops after this many steps in a row that do not improve
+# its best bound
+POLISH_PATIENCE = 10
 
 
 def polish_dual(inst: MatrixGameInstance, y0: np.ndarray, steps: int):
@@ -128,8 +131,10 @@ def polish_dual(inst: MatrixGameInstance, y0: np.ndarray, steps: int):
 
     Starts from the sampled frequency vector and keeps the best feasible
     dual seen; every iterate is a valid certificate, so this only
-    tightens the reported gap.  Each iterate's product A y serves both
-    its lower bound and the next step's gradient.
+    tightens the reported gap.  Runs at most ``steps`` steps, and stops
+    after ``POLISH_PATIENCE`` steps in a row that do not beat the best
+    bound.  Each iterate's product A y serves both its lower bound and
+    the next step's gradient.
     """
     a = inst.matrix
     y = np.maximum(y0, 1e-12)
@@ -138,6 +143,7 @@ def polish_dual(inst: MatrixGameInstance, y0: np.ndarray, steps: int):
     best = y.copy()
     ay = a @ y
     best_val = refcheck.best_response_value(ay, inst.is_ball)
+    stalled = 0
     for _ in range(steps):
         if inst.is_ball:
             grad = -(a.T @ ay) / max(float(np.linalg.norm(ay)), 1e-15)
@@ -152,6 +158,11 @@ def polish_dual(inst: MatrixGameInstance, y0: np.ndarray, steps: int):
         if val > best_val:
             best_val = val
             best = y.copy()
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled == POLISH_PATIENCE:
+                break
     return best
 
 
@@ -220,11 +231,12 @@ def meb_level_count(eps: float) -> int:
     return max(1, math.ceil(math.log2(4.0 / eps)))
 
 
-# Stopping fraction for the recursion's sub-solves.  The worst-case weight
-# threshold overdelivers accuracy by several orders of magnitude at these
-# scales; the boosting step still selects on the exact objective.
+# Cap for uncertified levels: a sub-solve the certificate does not stop
+# runs to this fraction of the worst-case weight threshold, which
+# overdelivers accuracy by several orders of magnitude at these scales.
 MEB_STOPPING_SCALE = 1.0 / 1024.0
-# sub-solves per level; the level keeps the best under the exact objective
+# most sub-solves per level; a certified sub-solve ends its level, and
+# the level keeps the best of those run under the exact objective
 MEB_REPEATS = 2
 
 
@@ -237,10 +249,18 @@ def solve_meb(
 
     Level k solves the smooth-max problem restricted to the ball of
     radius 2^{-(k-1)/2} around the previous center, rescaled to the unit
-    ball, at accuracy 2^{-(k+1)}; each level is boosted by keeping the
-    best of several repetitions under the exact objective.  The previous
-    level's accuracy guarantee seeds the next level's suboptimality
-    bound.
+    ball, at accuracy 2^{-(k+1)}.  Each sub-solve stops at the first
+    anchor whose strong-convexity duality gap (``anchor_gap``) certifies
+    the level's accuracy, or else at ``MEB_STOPPING_SCALE`` of the weight
+    threshold.  A certified sub-solve ends its level; an uncertified one
+    is repeated, up to ``MEB_REPEATS`` sub-solves, and the level keeps
+    the best under the exact objective.  The previous level's accuracy
+    guarantee seeds the next level's suboptimality bound: a level error
+    of at most 2^{-(k+1)} puts the center within 2^{-k/2} of the optimum
+    by strong convexity, so when every level is certified the radius is
+    within a factor 1 + eps/2 of the optimum.  The report's
+    ``stop_reason`` is "certificate" only then, and its ``extras`` count
+    the certified levels and the sub-solves run.
     """
     if not (0.0 < eps < 1.0):
         raise InvalidParams("eps must lie in (0, 1)")
@@ -253,6 +273,7 @@ def solve_meb(
     x = np.zeros(d)
     start = time.perf_counter()
     parts: list[SolverReport] = []
+    certified_levels = 0
     prev_err = 0.5  # f(x0) - f* <= f_max(0) <= 1/2 for normalized inputs
     for k in range(1, levels + 1):
         r_k = 2.0 ** (-(k - 1) / 2.0)
@@ -263,10 +284,12 @@ def solve_meb(
         e0_hat = min(scaled.lip, 2.0 * prev_err / scale_k)
         best_val = math.inf
         best_x = x
+        # spawned in full, so later levels draw the same seeds however
+        # many repeats this level runs
         for rep_seed in root.spawn(MEB_REPEATS):
             rep = solve_smooth_max(
                 scaled, eps_hat, seed=rep_seed, kind=Kind.BALL, e0=e0_hat,
-                stopping_scale=MEB_STOPPING_SCALE,
+                stopping_scale=MEB_STOPPING_SCALE, certificate_eps=eps_hat,
             )
             cand = x + r_k * rep.x
             val = base.f_max(cand)
@@ -274,6 +297,10 @@ def solve_meb(
             if val < best_val:
                 best_val = val
                 best_x = cand
+            if rep.stop_reason == "certificate":
+                # the kept candidate is no worse than this certified one
+                certified_levels += 1
+                break
         x = best_x
         prev_err = eps_k
     radius = math.sqrt(2.0 * base.f_max(x))
@@ -282,8 +309,10 @@ def solve_meb(
     report = SolverReport.total(
         parts, x=x, f_max_value=base.f_max(x), seed=seed,
         wall_time=time.perf_counter() - start,
+        stop_reason="certificate" if certified_levels == levels else "threshold",
     )
-    report.extras.update({"levels": levels, "repeats": MEB_REPEATS})
+    report.extras.update({"levels": levels, "repeats": MEB_REPEATS,
+                          "certified_levels": certified_levels, "sub_solves": len(parts)})
     return center_in, radius_in, report
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import BudgetExceeded, PreconditionViolated, RejectionStall
-from .geometry import GeometrySetup, linear_min, pnorm
+from .geometry import GeometrySetup, model_min, pnorm
 from .maintenance import MatVecMaintainer
 from .problems import MaxProblem
 from .sumtree import SumTree
@@ -160,18 +160,23 @@ class SoftmaxGradientEstimator:
     def anchor_gap(self, setup: GeometrySetup) -> float:
         """Weak-duality bound on f_max(x0) - min_X f_max from the anchor's
         own evaluations, valid for any convex family and exact for linear
-        ones.
+        and quadratic ones.
 
         With the sampler's softmax weights y (proportional to
-        exp(f0 / eps')) and g = sum_i y_i grad f_i(x0), convexity gives
-        f_max(x) >= sum_i y_i f_i(x) >= y.f0 + <g, x - x0> for every x, so
-        min_X f_max >= y.f0 - <g, x0> + min_X <g, x>, where the last
-        minimum is ``linear_min``'s, over the ball or the full simplex.
-        Costs one n x d product and O(n) work; no f or grad evaluation.
+        exp(f0 / eps')), g = sum_i y_i grad f_i(x0) and the family's
+        strong-convexity modulus mu, f_max(x) >= sum_i y_i f_i(x) >=
+        y.f0 + <g, x - x0> + (mu/2) ||x - x0||^2 for every x, so
+        min_X f_max >= y.f0 - <g, x0> + min_X [<g, x> + (mu/2) ||x - x0||^2],
+        where the last minimum is ``model_min``'s, over the ball or the
+        full simplex.  For the MEB family (mu = 1) the bound's dual is the
+        weighted centroid of the points, the core-set certificate of
+        Badoiu and Clarkson.  Costs one n x d product and O(n) work; no f
+        or grad evaluation.
         """
         y = self.tree.weights / self.tree.total
         g = self.lip * (y @ self._a)
-        lower = float(y @ self.f0) - float(g @ self.x0) + linear_min(setup, g)
+        lower = (float(y @ self.f0) - float(g @ self.x0)
+                 + model_min(setup, g, self.x0, self.problem.mu))
         return float(self.f0.max()) - lower
 
     def _init_mvm(self, v0: np.ndarray) -> None:

@@ -270,12 +270,24 @@ def project(setup: GeometrySetup, x: np.ndarray) -> np.ndarray:
     return w / float(w.sum())
 
 
-def linear_min(setup: GeometrySetup, g: np.ndarray) -> float:
-    """min <g, x> over the unit ball, or over the full simplex for the
-    simplex setup.  The truncated simplex's minimum is larger by up to
-    ``nu * d * (mean(g) - min(g))``: a lower bound taken there would hold
-    only for the truncated problem, not for the simplex one it stands in
-    for."""
-    if setup.kind is Kind.BALL:
+def model_min(setup: GeometrySetup, g: np.ndarray, x0: np.ndarray, mu: float) -> float:
+    """min <g, x> + (mu/2) ||x - x0||^2 over the unit ball, or over the full
+    simplex for the simplex setup.
+
+    On the ball the minimizer is the projection of x0 - g/mu onto the
+    ball, and with mu = 0 the minimum is -||g||_2.  On the simplex the
+    quadratic term is dropped, which leaves a valid but weaker bound, and
+    the minimum is min_j g_j.  The truncated simplex's minimum is larger
+    by up to ``nu * d * (mean(g) - min(g))``: a lower bound taken there
+    would hold only for the truncated problem, not for the simplex one it
+    stands in for."""
+    if setup.kind is not Kind.BALL:
+        return float(g.min())
+    if mu == 0.0:
         return -math.sqrt(float(g @ g))
-    return float(g.min())
+    c = x0 - g / mu
+    nrm = math.sqrt(float(c @ c))
+    if nrm > 1.0:
+        c = c / nrm
+    step = c - x0
+    return float(g @ c) + 0.5 * mu * float(step @ step)

@@ -30,6 +30,8 @@ class MaxProblem:
     d: int
     lip: float  # bound on ||grad f_i||_{p*}
     smooth: float  # bound on the gradient's Lipschitz constant
+    # strong-convexity modulus: f_i(x) >= f_i(y) + <grad f_i(y), x - y> + mu/2 ||x - y||^2
+    mu: float
 
     def f_max(self, x: np.ndarray) -> float:
         return float(np.max(self.values_all(x)))
@@ -55,6 +57,7 @@ class LinearMaxProblem(MaxProblem):
         self.n, self.d = rows.shape
         self.lip = lip
         self.smooth = 0.0
+        self.mu = 0.0
 
     def value(self, i, x):
         return float(self.rows[i] @ x)
@@ -84,6 +87,7 @@ class QuadraticMaxProblem(MaxProblem):
         _check_finite("centers", centers)
         _check_finite("offsets", self.offsets)
         self.smooth = 1.0
+        self.mu = 1.0
         # gradient bound over the unit ball: max ||x - p_i||
         self.lip = float(1.0 + np.max(np.linalg.norm(centers, axis=1)))
 

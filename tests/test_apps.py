@@ -8,6 +8,7 @@ from maxmin import estimator, refcheck
 from maxmin.accelerator import auto_gamma
 from maxmin.apps import (
     MEB_REPEATS,
+    POLISH_PATIENCE,
     dual_from_samples,
     meb_level_count,
     polish_dual,
@@ -293,6 +294,7 @@ class TestMatrixGames:
         y = y / y.sum()
         log_y = np.log(y)
         best, best_val = y.copy(), lower(y)
+        stalled = 0
         for _ in range(60):
             ay = a @ y
             if inst.is_ball:
@@ -305,6 +307,13 @@ class TestMatrixGames:
             y /= y.sum()
             if lower(y) > best_val:
                 best_val, best = lower(y), y.copy()
+                stalled = 0
+            else:
+                # the loop ends after POLISH_PATIENCE steps in a row
+                # that do not improve the best bound
+                stalled += 1
+                if stalled == POLISH_PATIENCE:
+                    break
         assert np.array_equal(polish_dual(inst, y0, steps=60), best)
 
     def test_polish_only_improves(self):
@@ -326,7 +335,23 @@ class TestMeb:
         inst = MebInstance(np.array([[0.0, 0.0], [1.0, 0.0]]))
         _, _, rep = solve_meb(inst, 0.25, seed=0)
         assert rep.extras["levels"] == meb_level_count(0.25) == 4
+        # the cap on sub-solves per level; a certified one ends its level
         assert rep.extras["repeats"] == MEB_REPEATS
+        levels, certified = rep.extras["levels"], rep.extras["certified_levels"]
+        assert 0 <= certified <= levels
+        assert levels <= rep.extras["sub_solves"] <= levels * MEB_REPEATS
+        # each uncertified level runs every repeat
+        assert rep.extras["sub_solves"] >= certified + (levels - certified) * MEB_REPEATS
+        assert (rep.stop_reason == "certificate") == (certified == levels)
+
+    def test_certified_levels_within_eps_of_welzl(self):
+        inst = MebInstance(np.random.default_rng(78).standard_normal((200, 3)))
+        eps = 0.01
+        _, r, rep = solve_meb(inst, eps, seed=0)
+        _, wr = refcheck.welzl_meb(inst.points)
+        assert rep.extras["certified_levels"] >= 1
+        assert rep.extras["sub_solves"] < rep.extras["levels"] * MEB_REPEATS
+        assert r / inst.scale <= (1.0 + eps) * wr
 
     def test_two_points(self):
         inst = MebInstance(np.array([[0.0, 0.0], [1.0, 0.0]]))

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxmin import refcheck
 from maxmin.errors import PreconditionViolated, RejectionStall
 from maxmin.estimator import SoftmaxGradientEstimator
-from maxmin.geometry import pnorm
+from maxmin.geometry import ball_setup, pnorm
 from maxmin.maintenance import MatVecMaintainer
-from maxmin.problems import LinearMaxProblem, QuadraticMaxProblem
+from maxmin.problems import LinearMaxProblem, MebInstance, QuadraticMaxProblem
 from maxmin.sumtree import SumTree
 
 
@@ -421,3 +423,41 @@ class TestObliviousness:
         assert len(logs[0]) == len(logs[1])
         for qa, qb in zip(*logs):
             np.testing.assert_array_equal(qa, qb)
+
+
+class TestAnchorGap:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        d=st.integers(1, 3),
+        anchor_norm=st.floats(0.0, 1.0),
+        eps_prime=st.floats(1e-3, 1.0),
+        level=st.integers(0, 9),
+    )
+    def test_quadratic_bound_never_below_the_true_error(
+        self, seed, n, d, anchor_norm, eps_prime, level
+    ):
+        """For the MEB family the strong-convexity bound is a weak-duality
+        gap: it never falls below f_max(x^) - min f_max, where min f_max
+        over the unit ball is (1/2) r^2 of Welzl's ball.  ``level`` > 0
+        solves a halving level's problem instead: the points seen from a
+        center within r_k of Welzl's and scaled by 1/r_k, whose minimum
+        over the unit ball is (1/2) (r / r_k)^2."""
+        rng = np.random.default_rng(seed)
+        pts = MebInstance(rng.standard_normal((n, d))).points
+        w_center, w_radius = refcheck.welzl_meb(pts)
+        if level:
+            r_k = 2.0 ** (-(level - 1) / 2.0)
+            u = rng.standard_normal(d)
+            u *= rng.random() / max(float(np.linalg.norm(u)), 1e-12)
+            pts = (pts - (w_center + r_k * u)) / r_k
+            w_radius /= r_k
+        prob = QuadraticMaxProblem(pts)
+        x0 = rng.standard_normal(d)
+        x0 *= anchor_norm / max(float(np.linalg.norm(x0)), 1e-12)
+        r = math.sqrt(eps_prime)
+        est = SoftmaxGradientEstimator(prob, x0, eps_prime, r, 8.0 * r, delta=0.05,
+                                       rng_seed=seed)
+        gap = est.anchor_gap(ball_setup(d))
+        assert gap >= prob.f_max(x0) - 0.5 * w_radius**2 - 1e-9

@@ -11,6 +11,7 @@ from maxmin.geometry import (
     ball_setup,
     bregman,
     domain_radius_bound,
+    model_min,
     pnorm,
     project,
     prox_step,
@@ -237,3 +238,26 @@ class TestProject:
         out = project(s, vec(0.05, 0.9, 0.15))
         assert np.all(out >= s.nu - 1e-12)
         assert np.sum(out) == pytest.approx(1.0)
+
+
+class TestModelMin:
+    def test_zero_modulus_is_the_linear_minimum(self):
+        g = vec(0.3, -0.4, 1.2)
+        x0 = vec(0.1, 0.2, -0.3)
+        assert model_min(ball_setup(3), g, x0, 0.0) == -math.sqrt(float(g @ g))
+        assert model_min(simplex_setup(3, 0.05), g, x0, 1.0) == -0.4
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 4.0])
+    def test_ball_minimum_against_samples(self, mu):
+        rng = np.random.default_rng(11)
+        setup = ball_setup(3)
+        for _ in range(20):
+            g = rng.standard_normal(3) * rng.choice([0.1, 1.0, 5.0])
+            x0 = _sample_ball(rng, 1, 3)[0]
+            got = model_min(setup, g, x0, mu)
+            pts = np.vstack([_sample_ball(rng, 4000, 3), x0])
+            vals = pts @ g + 0.5 * mu * np.sum((pts - x0) ** 2, axis=1)
+            assert got <= vals.min() + 1e-12
+            # attained: the projection of x0 - g/mu is a feasible point
+            c = project(setup, x0 - g / mu)
+            assert got == pytest.approx(float(c @ g) + 0.5 * mu * float((c - x0) @ (c - x0)))
