@@ -34,9 +34,10 @@ from .io import TIMING_KEYS
 
 def stopping_threshold(r_bound: float, e0: float, eps: float) -> float:
     """Target weight 40 R^2 log(80 E0 / eps) / eps for the outer loop."""
-    if r_bound <= 0.0 or e0 <= 0.0 or eps <= 0.0:
-        raise InvalidParams("R, E0 and eps must be positive")
-    if eps >= 80.0 * e0:
+    # written so that a NaN fails each test
+    if not (r_bound > 0.0 and e0 > 0.0 and eps > 0.0):
+        raise InvalidParams(f"R, E0 and eps must be positive, got eps = {eps:g}")
+    if not eps < 80.0 * e0:
         raise InvalidParams(f"eps = {eps:g} must be below 80 E0 = {80.0 * e0:g}")
     return 40.0 * r_bound**2 * math.log(80.0 * e0 / eps) / eps
 
@@ -186,7 +187,11 @@ def accelerate(
     threshold = stopping_scale * stopping_threshold(r_bound, e0, eps)
     a_weight = r_bound**2 / e0
     if gamma is None:
-        gamma = auto_gamma(tau(setup), threshold, a_weight, problem.lip, r_bound, r)
+        try:
+            gamma = auto_gamma(tau(setup), threshold, a_weight, problem.lip, r_bound, r)
+        except OverflowError:
+            raise InvalidParams(f"eps = {eps:g} is too small for the outer loop: "
+                                "its weight schedule overflows") from None
     beta = (math.sqrt(gamma) * r / r_bound) ** (2.0 / 3.0)
     rho = (1.0 + 1.0 / beta) * r
     r_prime = 8.0 * r

@@ -81,8 +81,8 @@ def solve_smooth_max(
     handed to ``accelerate``: the loop stops at the first anchor whose
     duality gap is certified below it.
     """
-    if eps <= 0.0:
-        raise InvalidParams("eps must be positive")
+    if not eps > 0.0:  # NaN fails too
+        raise InvalidParams(f"eps must be positive, got {eps:g}")
     d, n = problem.d, problem.n
 
     if kind is Kind.BALL:
@@ -365,7 +365,13 @@ def subgradient_control(inst, eps: float, seed: int = 0) -> SolverReport:
         problem, setup = inst, ball_setup(inst.d)
     else:
         raise InvalidParams(f"no subgradient control for {type(inst).__name__}")
-    return subgradient_baseline(problem, setup, max(1000, int(4.0 / eps**2)), seed=seed)
+    if not eps > 0.0:  # NaN fails too
+        raise InvalidParams(f"eps must be positive, got {eps:g}")
+    try:
+        steps = max(1000, int(4.0 / eps**2))
+    except (ZeroDivisionError, OverflowError):
+        raise InvalidParams(f"eps = {eps:g} is too small: 4 / eps^2 steps overflow") from None
+    return subgradient_baseline(problem, setup, steps, seed=seed)
 
 
 def solve_instance(

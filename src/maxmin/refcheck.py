@@ -1,4 +1,4 @@
-"""Brute-force reference oracles and statistical test helpers.
+"""Brute-force reference oracles and the selftests' statistical bounds.
 
 Everything here is deliberately independent of the solver code paths it
 validates: exact mat-vecs use compensated summation, prox subproblems are
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as _stats
 
 from .errors import InvalidParams
 from .geometry import GeometrySetup, Kind
@@ -147,11 +146,6 @@ def exact_prox(
 # Matrix games
 
 
-def game_best_response_lower_bound(a: np.ndarray, y: np.ndarray, ball_domain: bool) -> float:
-    """min_x x^T (A y) over the primal domain for a fixed dual vector y."""
-    return best_response_value(a @ y, ball_domain)
-
-
 def best_response_value(ay: np.ndarray, ball_domain: bool) -> float:
     """min_x x^T ay over the primal domain, given the product ay = A y."""
     if ball_domain:
@@ -165,7 +159,7 @@ def duality_gap(inst, x: np.ndarray, y: np.ndarray) -> float:
     Always nonnegative up to roundoff; zero only at a saddle point.
     """
     fmax = float(np.max(inst.matrix.T @ x))
-    lower = game_best_response_lower_bound(inst.matrix, y, inst.is_ball)
+    lower = best_response_value(inst.matrix @ y, inst.is_ball)
     return fmax - lower
 
 
@@ -222,28 +216,11 @@ def welzl_meb(points: np.ndarray, rng_seed: int = 0) -> tuple[np.ndarray, float]
 
 
 # ---------------------------------------------------------------------------
-# Statistical helpers (shared by the sampler and data-structure suites)
+# Statistical bounds (shared by the selftests and the test suites)
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.asarray(p) - np.asarray(q))))
-
-
-def chi_square_pvalue(counts: np.ndarray, probs: np.ndarray) -> float:
-    counts = np.asarray(counts, dtype=float)
-    expected = np.asarray(probs, dtype=float) * counts.sum()
-    keep = expected > 0
-    res = _stats.chisquare(counts[keep], expected[keep])
-    return float(res.pvalue)
-
-
-def one_sided_upper_confidence(samples: np.ndarray, level: float = 0.95) -> float:
-    """Normal-approximation upper confidence bound for the mean."""
-    samples = np.asarray(samples, dtype=float)
-    n = samples.size
-    z = float(_stats.norm.ppf(level))
-    sd = float(samples.std(ddof=1)) if n > 1 else 0.0
-    return float(samples.mean()) + z * sd / math.sqrt(max(n, 1))
 
 
 def binomial_slack_bound(delta: float, trials: int, widen: float = 3.0) -> float:

@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from stat_checks import one_sided_upper_confidence
 
 import maxmin.accelerator as accelerator
 from maxmin.accelerator import (
@@ -211,9 +212,7 @@ class TestPotentialDecrease:
                 sign = 1.0 if rec["c"] >= 2.0 else -1.0
                 increments.append(p_cur - p_prev + gamma * sign * rec["rho"] ** 2)
                 a_prev, x_prev, v_prev = rec["A"], rec["x"], rec["v"]
-        import maxmin.refcheck as rc
-
-        ucb = rc.one_sided_upper_confidence(np.array(increments))
+        ucb = one_sided_upper_confidence(np.array(increments))
         assert ucb <= 0.0, f"potential increment UCB {ucb:.3e}"
 
 

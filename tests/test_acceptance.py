@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from stat_checks import one_sided_upper_confidence
 
 from maxmin import refcheck
 from maxmin.apps import smoothing_level, solve_matrix_game, solve_meb
@@ -197,7 +198,7 @@ def test_criterion_06_oracle_inequality():
                 + bregman(setup, res.w, u)
                 + gamma * sign * rho**2
             )
-    bounds = {k: refcheck.one_sided_upper_confidence(np.array(v)) for k, v in residuals.items()}
+    bounds = {k: one_sided_upper_confidence(np.array(v)) for k, v in residuals.items()}
     ok = all(ub <= 0.0 for ub in bounds.values())
     report(
         6,

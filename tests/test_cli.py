@@ -163,12 +163,20 @@ class TestSolve:
         assert doc["result"]["gap"] <= 0.1
         assert doc["counters"]["func_evals"] > 0
 
-    def test_invalid_eps_exit_two(self, tmp_path, capsys):
-        inst = tmp_path / "i2.txt"
-        mio.save_instance_text(inst, "game_l1l1", np.eye(2))
-        code = run_cli(["solve", "--in", str(inst), "--eps", "0",
-                        "--out", str(tmp_path / "r.json")])
-        assert code == 2
+    def test_invalid_eps_exit_two(self, tmp_path, caplog):
+        """A zero, NaN or schedule-overflowing eps is rejected with a message
+        naming eps, on games and on quadratics."""
+        game = tmp_path / "i2.txt"
+        mio.save_instance_text(game, "game_l1l1", np.eye(2))
+        quad = tmp_path / "q.txt"
+        run_cli(["gen", "--kind", "quadratics", "--n", "5", "--d", "3", "--out", str(quad)])
+        for inst in (game, quad):
+            for eps in ("0", "nan", "1e-300"):
+                caplog.clear()
+                code = run_cli(["solve", "--in", str(inst), "--eps", eps,
+                                "--out", str(tmp_path / "r.json")])
+                assert code == 2, (inst.name, eps)
+                assert "eps" in caplog.text, (inst.name, eps)
 
     def test_report_fields_and_determinism(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -327,6 +335,13 @@ class TestSelftestAndBench:
         ("game", ["--r-sweep", "-0.2"]),
         ("game", ["--r-sweep", "nan"]),
         ("quadratics", ["--r-sweep", "0"]),
+        # a later --eps overrides the 0.25 below; the subgradient control
+        # sizes its run from eps too
+        ("quadratics", ["--eps", "nan"]),
+        ("quadratics", ["--eps", "1e-300"]),
+        ("quadratics", ["--method", "subgradient", "--eps", "0"]),
+        ("quadratics", ["--method", "subgradient", "--eps", "nan"]),
+        ("quadratics", ["--method", "subgradient", "--eps", "1e-300"]),
     ])
     def test_bench_rejects_flags_it_cannot_apply(self, tmp_path, kind, flags):
         inst = tmp_path / "i.txt"
@@ -455,3 +470,13 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "gen" in proc.stdout and "solve" in proc.stdout
+
+    def test_import_loads_no_scipy(self):
+        """The library runs on numpy alone; only the tests use scipy."""
+        code = (
+            "import sys, maxmin, maxmin.io, maxmin.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

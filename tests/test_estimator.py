@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from stat_checks import chi_square_pvalue
 
 from maxmin import refcheck
 from maxmin.errors import PreconditionViolated, RejectionStall
@@ -82,7 +83,7 @@ class TestSumTree:
         t = SumTree(w)
         idx = t.sample_batch(rng, 60_000)
         counts = np.bincount(idx, minlength=3000)
-        assert refcheck.chi_square_pvalue(counts, w / w.sum()) > 0.01
+        assert chi_square_pvalue(counts, w / w.sum()) > 0.01
 
     def test_large_n_respects_zero_weights(self):
         rng = np.random.default_rng(2)
@@ -195,7 +196,7 @@ class TestEstimate:
         for _ in range(draws - 1):
             i, _, _ = est.estimate(x_t)
             counts[i] += 1
-        assert refcheck.chi_square_pvalue(counts, np.full(20, 0.05)) > 0.01
+        assert chi_square_pvalue(counts, np.full(20, 0.05)) > 0.01
 
     def test_index_distribution_matches_softmax(self):
         rng = np.random.default_rng(6)
@@ -222,7 +223,7 @@ class TestEstimate:
             i, _, _ = est.estimate(x_t)
             counts[i] += 1
         target = refcheck.exact_softmax_dist(prob, x_t, est.eps_prime)
-        assert refcheck.chi_square_pvalue(counts, target) > 0.01
+        assert chi_square_pvalue(counts, target) > 0.01
 
     def test_unbiased_for_smoothed_max_gradient(self):
         rng = np.random.default_rng(8)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from stat_checks import chi_square_pvalue, one_sided_upper_confidence
 
 from maxmin import refcheck
 from maxmin.geometry import ball_setup, simplex_setup
@@ -160,11 +161,11 @@ class TestStatsHelpers:
     def test_chi_square_uniform(self):
         rng = np.random.default_rng(0)
         counts = np.bincount(rng.integers(0, 8, 4000), minlength=8)
-        assert refcheck.chi_square_pvalue(counts, np.full(8, 0.125)) > 0.01
+        assert chi_square_pvalue(counts, np.full(8, 0.125)) > 0.01
 
     def test_upper_confidence_bound(self):
         samples = np.array([-1.0, -1.2, -0.8, -1.1])
-        ub = refcheck.one_sided_upper_confidence(samples)
+        ub = one_sided_upper_confidence(samples)
         assert samples.mean() < ub < 0.0
 
     def test_projection_onto_truncated_simplex(self):
