@@ -13,7 +13,10 @@ sampler's softmax weights) and adds one n x d product and O(n) work per
 round.  It uses the family's strong-convexity modulus, so it is exact
 for linear families (games) and for the quadratic family (MEB levels);
 its minimization runs over the ball or the full simplex, not the
-truncated one the loop walks on.
+truncated one the loop walks on.  ``auto_gamma`` sizes the oracle
+quality for the weight the run is planned to reach: the threshold, or,
+with a positive certificate level c, the smaller weight
+``CERTIFICATE_PLAN_FACTOR`` R^2 / c by which the certificate can fire.
 """
 
 from __future__ import annotations
@@ -102,6 +105,13 @@ EstimatorFactory = Callable[[np.ndarray, float, object], object]
 ITERATION_CAP_FACTOR = 10.0
 # outer-round overhead in LI-MD step equivalents, for auto_gamma's cost model
 AUTO_GAMMA_OVERHEAD_STEPS = 12.0
+# With a certificate level c, auto_gamma plans for the weight
+# min(threshold, CERTIFICATE_PLAN_FACTOR R^2 / c) instead of the threshold.
+# From A_0 = R^2 / E0 the loop's potential gives
+# f(x) - f* <= (A_0 E0 + V(x*, x0)) / A <= 2 R^2 / A, so the primal error
+# reaches c by A = 2 R^2 / c; a factor 4 leaves the anchor's softmax dual
+# as much weight again to close its side of the gap.
+CERTIFICATE_PLAN_FACTOR = 4.0
 
 
 def expected_iteration_bound(r_bound: float, e0: float, eps: float, r: float,
@@ -124,9 +134,11 @@ def auto_gamma(
     The lam = 1 probe costs ~4 tau C (Gamma/rho)^2 steps, and summed over
     a geometric weight schedule the probe total scales linearly in gamma,
     while the round count scales as gamma^{-1/3}; the minimizer of
-    K1 gamma + K2 gamma^{-1/3} is (K2 / 3 K1)^{3/4}.  Small gamma is
-    always admissible (the oracle contract only weakens), it just trades
-    more outer rounds for cheaper inner loops.
+    K1 gamma + K2 gamma^{-1/3} is (K2 / 3 K1)^{3/4}.  Both terms are
+    sized for the schedule from ``a_start`` to ``a_max``, the weight the
+    run is planned to reach.  Small gamma is always admissible (the
+    oracle contract only weakens), it just trades more outer rounds for
+    cheaper inner loops.
     """
     k1 = 2.0 * tau_val * STEP_CONSTANT * (a_max * lip / r_bound) ** 2
     k2 = (
@@ -166,7 +178,10 @@ def accelerate(
     ``anchor_gap`` is at most it, and returns that anchor; its n values
     and n gradients are counted, and ``outer_iterations`` counts the
     oracle rounds before it.  ``gamma`` defaults to ``auto_gamma`` of
-    this run's schedule.
+    this run's schedule from A_0 = R^2 / E0 to the plan weight: the
+    threshold, or min(threshold, ``CERTIFICATE_PLAN_FACTOR`` R^2 /
+    ``certificate_eps``) when the level is positive.  A level of 0 checks
+    every anchor but keeps the threshold's gamma.
     ``estimator_factory(anchor, r_prime, seed)`` builds the per-round
     gradient estimator, where ``seed`` is round t's (entropy, spawn_key)
     pair: ``seed``'s spawn key extended by (t,).  ``oracle`` is called as
@@ -187,8 +202,11 @@ def accelerate(
     threshold = stopping_scale * stopping_threshold(r_bound, e0, eps)
     a_weight = r_bound**2 / e0
     if gamma is None:
+        a_plan = threshold
+        if certificate_eps is not None and certificate_eps > 0.0:
+            a_plan = min(threshold, CERTIFICATE_PLAN_FACTOR * r_bound**2 / certificate_eps)
         try:
-            gamma = auto_gamma(tau(setup), threshold, a_weight, problem.lip, r_bound, r)
+            gamma = auto_gamma(tau(setup), a_plan, a_weight, problem.lip, r_bound, r)
         except OverflowError:
             raise InvalidParams(f"eps = {eps:g} is too small for the outer loop: "
                                 "its weight schedule overflows") from None

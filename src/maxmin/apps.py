@@ -231,6 +231,11 @@ def meb_level_count(eps: float) -> int:
     return max(1, math.ceil(math.log2(4.0 / eps)))
 
 
+# Level k rescales the points by 1 / r_k with r_k^2 = 2^{-(k-1)}, which
+# falls below float64's relative resolution 2^{-52} after this many levels.
+MEB_MAX_LEVELS = 53
+
+
 # Cap for uncertified levels: a sub-solve the certificate does not stop
 # runs to this fraction of the worst-case weight threshold, which
 # overdelivers accuracy by several orders of magnitude at these scales.
@@ -268,6 +273,10 @@ def solve_meb(
     n, d = pts.shape
     base = QuadraticMaxProblem(pts)
     levels = meb_level_count(eps)
+    if levels > MEB_MAX_LEVELS:
+        raise InvalidParams(
+            f"eps = {eps:g} needs {levels} halving levels; past {MEB_MAX_LEVELS} "
+            "the level radii fall below float64 resolution")
     root = np.random.SeedSequence(seed)
 
     x = np.zeros(d)

@@ -8,6 +8,7 @@ from stat_checks import one_sided_upper_confidence
 
 import maxmin.accelerator as accelerator
 from maxmin.accelerator import (
+    CERTIFICATE_PLAN_FACTOR,
     SolverReport,
     accelerate,
     auto_gamma,
@@ -22,7 +23,7 @@ from maxmin.ball_oracle import (
 from maxmin.errors import InvalidParams, IterationCapExceeded
 from maxmin.estimator import EstimatorCounters, SoftmaxGradientEstimator
 from maxmin.geometry import Kind, ball_setup
-from maxmin.problems import LinearMaxProblem
+from maxmin.problems import LinearMaxProblem, MebInstance
 
 
 class TestStoppingThreshold:
@@ -160,6 +161,41 @@ class TestWeightRecursions:
         # loop runs at eps / 8 from A_0 = R^2 / E0
         a_max = stopping_threshold(1.0, 1.0, eps / 8.0)
         assert rep.extras["gamma"] == auto_gamma(4.0, a_max, 1.0, prob.lip, 1.0, r)
+
+    @pytest.mark.parametrize("level", [0.0, 1e-4, 0.2])
+    def test_auto_gamma_sized_for_the_certificate_plan_weight(self, level):
+        from maxmin.apps import solve_smooth_max
+
+        rows = np.random.default_rng(4).standard_normal((6, 3))
+        prob = LinearMaxProblem(0.9 * rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        eps, r = 0.5, 0.3
+        rep = solve_smooth_max(prob, eps, seed=0, r=r, certificate_eps=level)
+        # R = 1, so a positive level c plans for min(threshold, K / c); a
+        # level of 0 keeps the threshold, as no level does (test above)
+        threshold = stopping_threshold(1.0, 1.0, eps / 8.0)
+        a_plan = min(threshold, CERTIFICATE_PLAN_FACTOR / level) if level else threshold
+        assert (a_plan < threshold) == (level == 0.2)
+        assert rep.extras["gamma"] == auto_gamma(4.0, a_plan, 1.0, prob.lip, 1.0, r)
+
+    def test_meb_sub_solves_keep_their_threshold_gamma(self, monkeypatch):
+        import maxmin.apps as apps
+
+        calls = []
+
+        def recording_accelerate(problem, *args, **kw):
+            rep = accelerate(problem, *args, **kw)
+            calls.append((problem.lip, kw, rep.extras["gamma"]))
+            return rep
+
+        monkeypatch.setattr(apps, "accelerate", recording_accelerate)
+        pts = np.random.default_rng(2).standard_normal((12, 3))
+        apps.solve_meb(MebInstance(pts), 0.05, seed=0)
+        assert len(calls) >= apps.meb_level_count(0.05)
+        for lip, kw, gamma in calls:
+            # each level works on the unit ball around its center, R = 1
+            threshold = kw["stopping_scale"] * stopping_threshold(1.0, kw["e0"], kw["eps"])
+            assert CERTIFICATE_PLAN_FACTOR / kw["certificate_eps"] >= threshold
+            assert gamma == auto_gamma(4.0, threshold, 1.0 / kw["e0"], lip, 1.0, kw["r"])
 
 
 class TestPotentialDecrease:

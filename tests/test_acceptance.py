@@ -55,6 +55,7 @@ def test_criterion_01_matrix_game_gap():
     seeds = 10
     rng = np.random.default_rng(20240501)
     passes = 0
+    beats_start = 0
     worst_wall = 0.0
     gaps = []
     for seed in range(seeds):
@@ -67,13 +68,16 @@ def test_criterion_01_matrix_game_gap():
         worst_wall = max(worst_wall, wall)
         gaps.append(rep.extras["gap"])
         passes += rep.extras["gap"] <= eps
-    ok = passes >= 8 and worst_wall <= 60.0
+        # start-point control: x0 = 0 is already certified near 0.034, so
+        # the gap alone would pass a solver that never moves
+        beats_start += rep.f_max_value < inst.problem().f_max(ball_setup(80).center())
+    ok = passes >= 8 and beats_start >= 8 and worst_wall <= 60.0
     report(
         1,
         "matrix-game certified gap",
         ok,
         f"{passes}/10 gaps <= {eps}, gaps={np.round(gaps, 4).tolist()}, "
-        f"max wall {worst_wall:.1f}s <= 60s",
+        f"{beats_start}/10 below f_max(x0) (need 8), max wall {worst_wall:.1f}s <= 60s",
     )
 
 

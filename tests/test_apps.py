@@ -8,6 +8,7 @@ from stat_checks import chi_square_pvalue
 from maxmin import estimator, refcheck
 from maxmin.accelerator import auto_gamma
 from maxmin.apps import (
+    MEB_MAX_LEVELS,
     MEB_REPEATS,
     POLISH_PATIENCE,
     dual_from_samples,
@@ -331,6 +332,12 @@ class TestMatrixGames:
 
 
 class TestMeb:
+    def test_levels_capped_at_float_resolution(self):
+        assert meb_level_count(2.0**-51) == MEB_MAX_LEVELS
+        inst = MebInstance(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(InvalidParams, match="eps"):
+            solve_meb(inst, 2.0**-52, seed=0)
+
     def test_level_and_repeat_counts(self):
         assert meb_level_count(0.01) == math.ceil(math.log2(400))
         inst = MebInstance(np.array([[0.0, 0.0], [1.0, 0.0]]))
@@ -394,7 +401,7 @@ class TestCrossMethodAgreement:
         eps = 0.1
         _, rep = solve_matrix_game(inst, eps, seed=2)
         base = subgradient_baseline(inst.problem(), ball_setup(40), 1_000_000, seed=0)
-        assert abs(rep.f_max_value - base.f_max_value) <= 2 * eps
+        assert abs(rep.f_max_value - base.f_max_value) <= eps
 
 
 class TestBaseline:

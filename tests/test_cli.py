@@ -178,6 +178,17 @@ class TestSolve:
                 assert code == 2, (inst.name, eps)
                 assert "eps" in caplog.text, (inst.name, eps)
 
+    def test_meb_eps_past_float_resolution_exit_two(self, tmp_path, caplog):
+        """An eps whose halving levels shrink the radius below float64
+        resolution is rejected before any level runs."""
+        inst = tmp_path / "m.txt"
+        run_cli(["gen", "--kind", "meb", "--n", "5", "--d", "3", "--out", str(inst)])
+        out = tmp_path / "r.json"
+        caplog.clear()
+        assert run_cli(["solve", "--in", str(inst), "--eps", "1e-300", "--out", str(out)]) == 2
+        assert "eps = 1e-300" in caplog.text
+        assert not out.exists()
+
     def test_report_fields_and_determinism(self, tmp_path):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((6, 8))
