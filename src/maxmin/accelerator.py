@@ -30,7 +30,7 @@ import numpy as np
 
 from .ball_oracle import STEP_CONSTANT, restricted_oracle
 from .errors import InvalidParams, IterationCapExceeded
-from .estimator import COUNTER_FIELDS, EstimatorCounters
+from .estimator import COUNTER_FIELDS, EstimatorCounters, seed_parts
 from .geometry import GeometrySetup, domain_radius_bound, project, tau
 from .io import TIMING_KEYS
 
@@ -98,7 +98,7 @@ class SolverReport(EstimatorCounters):
         }
 
 
-EstimatorFactory = Callable[[np.ndarray, float, object], object]
+EstimatorFactory = Callable[[np.ndarray, object], object]
 
 # the outer loop raises IterationCapExceeded past this multiple of
 # expected_iteration_bound
@@ -182,9 +182,9 @@ def accelerate(
     threshold, or min(threshold, ``CERTIFICATE_PLAN_FACTOR`` R^2 /
     ``certificate_eps``) when the level is positive.  A level of 0 checks
     every anchor but keeps the threshold's gamma.
-    ``estimator_factory(anchor, r_prime, seed)`` builds the per-round
-    gradient estimator, where ``seed`` is round t's (entropy, spawn_key)
-    pair: ``seed``'s spawn key extended by (t,).  ``oracle`` is called as
+    ``estimator_factory(anchor, seed)`` builds the per-round gradient
+    estimator, where ``seed`` is round t's (entropy, spawn_key) pair:
+    ``seed``'s spawn key extended by (t,).  ``oracle`` is called as
     ``oracle(grad_est, setup, y, rho, gamma_bound)``.  A fresh estimator is
     anchored at Phi_t(v_t) each round, and its gradient is scaled by the
     round weight a_{t+1}.  The report's x is projected onto the domain.
@@ -212,15 +212,11 @@ def accelerate(
                                 "its weight schedule overflows") from None
     beta = (math.sqrt(gamma) * r / r_bound) ** (2.0 / 3.0)
     rho = (1.0 + 1.0 / beta) * r
-    r_prime = 8.0 * r
     expected = expected_iteration_bound(r_bound, e0, eps, r, gamma)
     cap = math.ceil(ITERATION_CAP_FACTOR * expected)
 
     v = x.copy()
-    if isinstance(seed, np.random.SeedSequence):
-        seed_entropy, seed_key = seed.entropy, seed.spawn_key
-    else:
-        seed_entropy, seed_key = seed, ()
+    seed_entropy, seed_key = seed_parts(seed)
 
     records: list[IterationRecord] = []
     trace: list[dict] = []
@@ -240,8 +236,8 @@ def accelerate(
         anchor = (a_weight * x + a_inc * v) / a_next
         gamma_bound = a_inc * problem.lip
         # the round's (entropy, spawn key); the estimator derives its
-        # streams from it, so no SeedSequence is built here
-        est = estimator_factory(anchor, r_prime, (seed_entropy, seed_key + (t,)))
+        # sampler stream from it, so no SeedSequence is built here
+        est = estimator_factory(anchor, (seed_entropy, seed_key + (t,)))
         if (certificate_eps is not None and t > 1
                 and est.anchor_gap(setup) <= certificate_eps):
             counters.add(est.counters)

@@ -96,13 +96,12 @@ def solve_smooth_max(
     if e0 is None:
         e0 = problem.lip * r_bound
 
-    def factory(anchor, r_prime, child_seed):
+    def factory(anchor, child_seed):
         return SoftmaxGradientEstimator(
             problem,
             anchor,
             eps_prime,
             radius,
-            r_prime,
             ESTIMATOR_DELTA,
             rng_seed=child_seed,
             p=setup.p,

@@ -12,17 +12,16 @@ where the envelope
 bounds (f_i(x_t) - f_i(x0) - y_i)/eps', so the probability never clamps
 at 1.  Its first term bounds the curvature gap of a convex, L_g-smooth
 f_i within the radius r; its second bounds the maintainer's error on
-<grad f_i(x0), x_t - x0> (eps'/2 in exact mode, eps' in sketch mode).
-So s = 1/2 for games (L_g = 0), s <= 3/2 for quadratic families in
-exact mode, and s <= 2 in sketch mode; each gradient costs about e^s
-proposals.  On the maintainer's good event the accepted index has
-exactly the softmax law, so the output is an unbiased estimator of the
-smoothed-max gradient, and it is always bounded by the family's
-Lipschitz constant.
+<grad f_i(x0), x_t - x0>: eps'/2 for the default exact maintainer, eps'
+for the dyadic sketch chain the selftests pass in.  So s = 1/2 for games
+(L_g = 0), s <= 3/2 for quadratic families, and s <= 2 over the sketch
+chain; each gradient costs about e^s proposals.  On the maintainer's good
+event the accepted index has exactly the softmax law, so the output is
+an unbiased estimator of the smoothed-max gradient, and it is always
+bounded by the family's Lipschitz constant.
 
-Two independent random streams are used: one for the sampler and one for
-the maintainer, so the output distribution carries no dependence on the
-data structure's random bits.
+The sampler's random stream is keyed off the seed alone, so the output
+distribution carries no dependence on a randomized maintainer's bits.
 """
 
 from __future__ import annotations
@@ -77,17 +76,27 @@ class EstimatorCounters:
 COUNTER_FIELDS = tuple(f.name for f in fields(EstimatorCounters))
 
 
+def seed_parts(rng_seed) -> tuple[object, tuple]:
+    """The (entropy, spawn_key) of an int, a SeedSequence, or such a pair."""
+    if isinstance(rng_seed, np.random.SeedSequence):
+        return rng_seed.entropy, rng_seed.spawn_key
+    if isinstance(rng_seed, tuple):
+        return rng_seed
+    return rng_seed, ()
+
+
 class SoftmaxGradientEstimator:
-    """Stateful estimator anchored at x0 with query radius r and total
-    movement budget r_prime.
+    """Stateful estimator anchored at x0 with query radius r.
 
     Queries must stay within distance r of the anchor and be chosen as a
     deterministic function of previous outputs (the maintainer's
-    obliviousness contract).  ``mode`` picks the maintainer backend:
-    "exact" for the deterministic fallback, "sketch" for the real data
-    structures.  ``rng_seed`` is an int, a SeedSequence, or the
-    (entropy, spawn_key) pair of one; the sampler's stream is keyed by
-    spawn_key + (202,), the sketch maintainer's by spawn_key + (101,).
+    obliviousness contract).  The maintainer of y is the exact
+    ``MatVecMaintainer`` unless ``mvm_factory(a, v0)`` is given, which
+    builds one over the rows a = grad f_i(x0) / L_f started at v0 (for the
+    selftests' ``DyadicMaintainer``).  A maintainer that raises
+    ``BudgetExceeded`` is rebuilt by the factory at the current point.
+    ``rng_seed`` is an int, a SeedSequence, or the (entropy, spawn_key)
+    pair of one; the sampler's stream is keyed by spawn_key + (202,).
     """
 
     def __init__(
@@ -96,45 +105,26 @@ class SoftmaxGradientEstimator:
         x0: np.ndarray,
         eps_prime: float,
         r: float,
-        r_prime: float,
         delta: float,
         rng_seed=0,
-        mode: str = "exact",
         p: int | None = None,
+        mvm_factory=None,
     ):
         half_smooth = 0.5 * problem.smooth * r * r
         if half_smooth > eps_prime * (1.0 + 1e-9):
             raise PreconditionViolated(
                 f"need (1/2) L_g r^2 <= eps': {half_smooth:.6g} > {eps_prime:.6g}"
             )
-        if eps_prime > 0.5 * problem.lip * r_prime * (1.0 + 1e-9):
-            raise PreconditionViolated(
-                f"need eps' <= L_f r'/2: {eps_prime:.6g} > {0.5 * problem.lip * r_prime:.6g}"
-            )
 
         self.problem = problem
         self.x0 = np.asarray(x0, dtype=float).copy()
         self.eps_prime = float(eps_prime)
         self.r = float(r)
-        self.r_prime = float(r_prime)
-        self.delta = float(delta)
         self.p = p if p is not None else 2
-        self.mode = mode
         self.max_consecutive_rejections = max(8, math.ceil(200.0 * math.log(1.0 / delta)))
         self.counters = EstimatorCounters()
 
-        # two independent streams keyed off the seed's (entropy, spawn key):
-        # the sampler's output distribution must not depend on the
-        # maintainer's random bits.  Exact mode draws no maintainer bits,
-        # so only sketch mode builds that stream.
-        if isinstance(rng_seed, np.random.SeedSequence):
-            entropy, key = rng_seed.entropy, rng_seed.spawn_key
-        elif isinstance(rng_seed, tuple):
-            entropy, key = rng_seed
-        else:
-            entropy, key = rng_seed, ()
-        if mode != "exact":
-            self._mvm_seed = np.random.SeedSequence(entropy=entropy, spawn_key=key + (101,))
+        entropy, key = seed_parts(rng_seed)
         sampler_seed = np.random.SeedSequence(entropy=entropy, spawn_key=key + (202,))
         self.sampler_rng = np.random.Generator(np.random.Philox(sampler_seed))
 
@@ -148,7 +138,12 @@ class SoftmaxGradientEstimator:
         self.lip = problem.lip
         self._a = grads if self.lip == 1.0 else grads / self.lip
         self.x_prev = self.x0.copy()
-        self._init_mvm(np.zeros(problem.d))
+        self._mvm_factory = mvm_factory
+        v0 = np.zeros(problem.d)
+        if mvm_factory is None:
+            self.mvm = MatVecMaintainer(self._a, v0, self.eps_prime / self.lip, self.p)
+        else:
+            self.mvm = mvm_factory(self._a, v0)
         # the rejection envelope s of the module docstring
         self.envelope = (half_smooth + self.lip * self.mvm.error_bound) / self.eps_prime
         # at the anchor y = 0, so the logits are f0 / eps' alone
@@ -179,22 +174,6 @@ class SoftmaxGradientEstimator:
                  + model_min(setup, g, self.x0, self.problem.mu))
         return float(self.f0.max()) - lower
 
-    def _init_mvm(self, v0: np.ndarray) -> None:
-        seed = 0 if self.mode == "exact" else self._mvm_seed.spawn(1)[0]
-        # rows are gradients over lip, so the unit norm bound holds by the
-        # problem's Lipschitz contract; skip the per-rebuild scan
-        self.mvm = MatVecMaintainer(
-            self._a,
-            v0,
-            r_budget=self.r_prime,
-            eps=self.eps_prime / self.lip,
-            delta=self.delta / 2.0,
-            p=self.p,
-            rng_seed=seed,
-            mode=self.mode,
-            check_norm=False,
-        )
-
     def _refresh_logits(self, changed: np.ndarray) -> None:
         """Recompute the logits at ``changed`` (non-empty) and pass their weights to
         the sampler: all weights are rebased when the max logit drifts past the
@@ -218,15 +197,16 @@ class SoftmaxGradientEstimator:
         try:
             raw, changed = self.mvm.query(delta)
         except BudgetExceeded:
-            # a single step longer than the whole budget fails a rebuild too
+            # a single step longer than the whole budget r' fails a rebuild too
             step = pnorm(delta, self.p)
-            if step > self.r_prime * (1.0 + 1e-12):
-                raise PreconditionViolated(f"query step {step:.6g} > r' = {self.r_prime:.6g}")
+            budget = self.mvm.r_budget
+            if step > budget * (1.0 + 1e-12):
+                raise PreconditionViolated(f"query step {step:.6g} > r' = {budget:.6g}")
             # fresh maintainer at the same anchor: budget resets, the new
             # reference products are exact, and the radius precondition is
             # untouched
             self.counters.mvm_rebuilds += 1
-            self._init_mvm(self.x_prev - self.x0)
+            self.mvm = self._mvm_factory(self._a, self.x_prev - self.x0)
             raw, changed = self.mvm.query(delta)
             changed = np.arange(self.problem.n)
 

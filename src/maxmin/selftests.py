@@ -14,9 +14,9 @@ import numpy as np
 
 from . import refcheck
 from .errors import InvalidParams
-from .estimator import SoftmaxGradientEstimator
+from .estimator import SoftmaxGradientEstimator, seed_parts
 from .geometry import GeometrySetup, Kind, ball_setup, bregman_pairwise, simplex_setup, tau
-from .maintenance import MatVecMaintainer
+from .maintenance import DyadicMaintainer
 from .problems import LinearMaxProblem
 from .sketches import mve_init
 
@@ -67,7 +67,8 @@ def mvm_walk_check(
     p: int, n: int = 40, d: int = 15, steps: int = 500, ratio: float = 4.0,
     delta: float = 0.2, seeds: int = 100, seed: int = 0,
 ) -> list[CheckResult]:
-    """Random-walk accuracy of the sketch maintainer plus its level budgets."""
+    """Random-walk accuracy of the sketch maintainer; its level budgets are
+    asserted on every query."""
     rng = np.random.Generator(np.random.Philox(seed))
     r_budget = 1.0
     eps = r_budget / ratio
@@ -76,9 +77,7 @@ def mvm_walk_check(
         a = _unit_rows(rng, n, d, p)
         x = rng.standard_normal(d)
         x /= np.linalg.norm(x, ord=p) * 4.0
-        mvm = MatVecMaintainer(
-            a, x, r_budget, eps, delta, p, rng.integers(2**63), mode="sketch", validate=True
-        )
+        mvm = DyadicMaintainer(a, x, r_budget, eps, delta, p, rng.integers(2**63))
         deltas = rng.standard_normal((steps, d))
         deltas /= np.sum(np.linalg.norm(deltas, ord=p, axis=1)) / (0.98 * r_budget)
         worst = 0.0
@@ -94,23 +93,37 @@ def mvm_walk_check(
     return [CheckResult(f"mvm p={p} walk error-rate", observed <= bound, observed, bound)]
 
 
+def dyadic_factory(rng_seed, r_budget: float, eps: float, delta: float, p: int):
+    """An estimator's ``mvm_factory`` of ``DyadicMaintainer``s with budget R:
+    the k-th one built draws its sketches from the k-th child of
+    ``rng_seed``'s spawn_key + (101,)."""
+    entropy, key = seed_parts(rng_seed)
+    seeds = np.random.SeedSequence(entropy=entropy, spawn_key=key + (101,))
+
+    def build(a: np.ndarray, v0: np.ndarray) -> DyadicMaintainer:
+        return DyadicMaintainer(a, v0, r_budget, eps, delta, p, seeds.spawn(1)[0])
+
+    return build
+
+
 def sampler_fidelity_check(
     n: int = 10, d: int = 6, draws: int = 100_000, seed: int = 0,
 ) -> list[CheckResult]:
-    """Accepted-index frequencies of a sketch-mode estimator against the
-    exact softmax law, plus the mean acceptance-rate floor e^-2, at a fixed
-    in-ball query point: with a linear family every acceptance exponent
-    lies in [-2 s, 0] on the sketch maintainer's good event, where the
-    envelope s is 1."""
+    """Accepted-index frequencies of an estimator over the dyadic sketch
+    chain against the exact softmax law, plus the mean acceptance-rate
+    floor e^-2, at a fixed in-ball query point: with a linear family every
+    acceptance exponent lies in [-2 s, 0] on the sketch maintainer's good
+    event, where the envelope s is 1."""
     rng = np.random.Generator(np.random.Philox(seed))
     rows = _unit_rows(rng, n, d, 2) * 0.9
     problem = LinearMaxProblem(rows)
     x0 = np.zeros(d)
     eps_prime = 0.05
     r = 0.2
-    r_prime = 4.0 * eps_prime / problem.lip  # keeps the maintainer depth small
+    r_budget = 4.0 * eps_prime / problem.lip  # keeps the maintainer depth small
     est = SoftmaxGradientEstimator(
-        problem, x0, eps_prime, r, r_prime, delta=0.05, rng_seed=seed, mode="sketch", p=2
+        problem, x0, eps_prime, r, delta=0.05, rng_seed=seed, p=2,
+        mvm_factory=dyadic_factory(seed, r_budget, eps_prime / problem.lip, 0.025, 2),
     )
     x_t = x0.copy()
     x_t[0] = r / 2.0
@@ -186,8 +199,9 @@ SUITES = ("mve", "mvm", "sampler", "geometry")
 def run_selftests(names: list[str], seed: int = 0, scale: float = 1.0) -> list[CheckResult]:
     """Run the named suites in order.  Every name and the scale are checked
     before the first suite runs."""
-    if not math.isfinite(scale):
-        raise InvalidParams(f"scale must be finite, got {scale}")
+    # a scale of 0 or below would silently run every suite at its floor
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise InvalidParams(f"scale must be finite and positive, got {scale}")
     for which in names:
         if which not in SUITES:
             raise InvalidParams(f"unknown selftest {which!r}; choose from {', '.join(SUITES)}")

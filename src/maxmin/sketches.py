@@ -5,8 +5,8 @@ l-infinity guarantee relative to ``||A||_{p->inf} ||x||_p``:
 
 * ``CountSketchMve`` (p = 2): per-row CountSketch with median decoding.
 * ``SampleMve`` (p = 1): importance sampling of coordinates by |x|.
-* ``ExactMve``: stores A and multiplies; the deterministic fallback the
-  test suites compare against.
+* ``ExactMve``: stores A and multiplies; the solver's product, which the
+  test suites also compare against.
 """
 
 from __future__ import annotations
@@ -28,12 +28,6 @@ C_REP = 8.0
 C_BUCKET = 6.0
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def _check_norm(a: np.ndarray, p: int) -> None:
     if a.size == 0:
         return
@@ -51,7 +45,7 @@ class CountSketchMve:
         self.n, self.d = a.shape
         self.t = max(1, math.ceil(C_REP * math.log(self.n / delta)))
         self.b = max(1, math.ceil(C_BUCKET / eps**2))
-        rng = _rng(seed)
+        rng = np.random.Generator(np.random.Philox(seed))
         self.buckets = rng.integers(0, self.b, size=(self.t, self.d))
         self.signs = rng.integers(0, 2, size=(self.t, self.d)).astype(float) * 2.0 - 1.0
         self.row_sketches = self._sketch_rows(a)
@@ -100,7 +94,7 @@ class SampleMve:
         self.n, self.d = a.shape
         # Hoeffding with sample range 2 ||x||_1 ||a||_inf
         self.sample_count = max(1, math.ceil(2.0 / eps**2 * math.log(2.0 * self.n / delta)))
-        self.rng = _rng(seed)
+        self.rng = np.random.Generator(np.random.Philox(seed))
 
     def query(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

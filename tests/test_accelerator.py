@@ -73,7 +73,7 @@ def run_accel(oracle, d=2, **kw):
     prob = LinearMaxProblem(np.zeros((1, d)))
     setup = ball_setup(d)
     return accelerate(
-        prob, setup, lambda anchor, r_prime, seed: StubEstimator(), oracle=oracle, **kw
+        prob, setup, lambda anchor, seed: StubEstimator(), oracle=oracle, **kw
     )
 
 

@@ -82,19 +82,28 @@ def test_criterion_01_matrix_game_gap():
 
 
 def test_criterion_02_symmetric_game_exactness():
+    """The identity game starts at its own solution, the simplex centre, so
+    the diag(1, 1/2) game is the start-point control: its solution is
+    x* = (1/3, 2/3) with value 1/3, and f_max at the centre is 1/2."""
     eps = 0.05
-    inst = MatrixGameInstance(np.eye(2), "l1l1")
-    x, rep = solve_matrix_game(inst, eps, seed=0)
-    value_err = abs(rep.f_max_value - 0.5)
-    l1_dist = float(np.sum(np.abs(x - 0.5)))
-    ok = value_err <= eps and l1_dist <= 4.0 * eps
-    report(
-        2,
-        "identity game on the simplex",
-        ok,
-        f"value {rep.f_max_value:.4f} (|err| {value_err:.4f} <= {eps}), "
-        f"l1 distance {l1_dist:.4f} <= {4 * eps}",
-    )
+    centre = np.full(2, 0.5)
+    details = []
+    ok = True
+    for diag, x_star, value in (((1.0, 1.0), (0.5, 0.5), 0.5),
+                                ((1.0, 0.5), (1 / 3, 2 / 3), 1 / 3)):
+        inst = MatrixGameInstance(np.diag(diag), "l1l1")
+        x, rep = solve_matrix_game(inst, eps, seed=0)
+        value_err = abs(rep.f_max_value - value)
+        l1_dist = float(np.sum(np.abs(x - np.array(x_star))))
+        ok = ok and value_err <= eps and l1_dist <= 4.0 * eps
+        detail = (f"diag{diag}: value {rep.f_max_value:.4f} (|err| {value_err:.4f} <= {eps}), "
+                  f"l1 distance {l1_dist:.4f} <= {4 * eps}")
+        start = inst.problem().f_max(centre)
+        if start > value:  # the identity game starts at its own solution
+            ok = ok and rep.f_max_value < start
+            detail += f", f_max(x) < f_max(centre) = {start:.4f}"
+        details.append(detail)
+    report(2, "identity and diag(1, 1/2) games on the simplex", ok, "; ".join(details))
 
 
 def test_criterion_03_meb_against_welzl():

@@ -398,12 +398,12 @@ class TestSelftestAndBench:
         assert "unknown selftest 'bogus'" in caplog.text
         assert not out.exists()
 
-    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
     def test_selftest_rejects_non_finite_scale(self, tmp_path, caplog, scale):
         out = tmp_path / "st.json"
         code = run_cli(["selftest", "--which", "mve", "--scale", scale, "--out", str(out)])
         assert code == 2
-        assert "scale must be finite" in caplog.text
+        assert "scale must be finite and positive" in caplog.text
         assert not out.exists()
 
     def test_bench_rejects_zero_repeats(self, tmp_path, caplog):

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from stat_checks import chi_square_pvalue
 
 from maxmin import refcheck
-from maxmin.errors import PreconditionViolated, RejectionStall
+from maxmin.errors import InvalidParams, PreconditionViolated, RejectionStall
 from maxmin.estimator import SoftmaxGradientEstimator
 from maxmin.geometry import ball_setup, pnorm
-from maxmin.maintenance import MatVecMaintainer
+from maxmin.maintenance import DyadicMaintainer
 from maxmin.problems import LinearMaxProblem, MebInstance, QuadraticMaxProblem
+from maxmin.selftests import dyadic_factory
 from maxmin.sumtree import SumTree
 
 
@@ -21,11 +22,16 @@ def linear_problem(rng, n, d, scale=0.9):
     return LinearMaxProblem(rows * scale)
 
 
-def make_estimator(problem, d, eps_prime=0.05, r=0.2, seed=0, mode="exact", **kw):
+def make_estimator(problem, d, eps_prime=0.05, r=0.2, seed=0, **kw):
     return SoftmaxGradientEstimator(
-        problem, np.zeros(d), eps_prime, r, 4.0 * eps_prime / problem.lip,
-        delta=0.05, rng_seed=seed, mode=mode, p=2, **kw
+        problem, np.zeros(d), eps_prime, r, delta=0.05, rng_seed=seed, p=2, **kw
     )
+
+
+def dyadic(rng_seed, eps_prime, r_budget, lip=1.0):
+    """A factory of sketch chains at accuracy eps' / L_f and failure
+    probability 0.025, half the delta = 0.05 these estimators run at."""
+    return dyadic_factory(rng_seed, r_budget, eps_prime / lip, 0.025, 2)
 
 
 class TestSumTree:
@@ -101,9 +107,10 @@ class TestInit:
     def test_preconditions_named(self):
         prob = QuadraticMaxProblem(np.zeros((3, 2)))  # L_g = 1
         with pytest.raises(PreconditionViolated, match="L_g r"):
-            SoftmaxGradientEstimator(prob, np.zeros(2), 0.001, r=1.0, r_prime=8.0, delta=0.1)
-        with pytest.raises(PreconditionViolated, match="r'/2"):
-            SoftmaxGradientEstimator(prob, np.zeros(2), 0.05, r=0.2, r_prime=0.001, delta=0.1)
+            SoftmaxGradientEstimator(prob, np.zeros(2), 0.001, r=1.0, delta=0.1)
+        with pytest.raises(InvalidParams, match="R/2"):
+            SoftmaxGradientEstimator(prob, np.zeros(2), 0.05, r=0.2, delta=0.1,
+                                     mvm_factory=dyadic(0, 0.05, 0.001, prob.lip))
 
     def test_linear_any_radius(self):
         rng = np.random.default_rng(0)
@@ -116,9 +123,7 @@ class TestInit:
         prob = QuadraticMaxProblem(centers)
         r = 0.05
         eps_prime = 2.0 * 0.5 * prob.smooth * r * r
-        est = SoftmaxGradientEstimator(
-            prob, np.zeros(5), eps_prime, r, 4.0 * eps_prime / prob.lip, delta=0.1
-        )
+        est = SoftmaxGradientEstimator(prob, np.zeros(5), eps_prime, r, delta=0.1)
         assert est.counters.evaluations == 2 * 20
 
     def test_fresh_estimator_state_at_anchor(self):
@@ -126,9 +131,7 @@ class TestInit:
         prob = QuadraticMaxProblem(rng.standard_normal((40, 4)) * 0.3)
         x0 = rng.standard_normal(4) * 0.1
         eps_prime = 0.05
-        est = SoftmaxGradientEstimator(
-            prob, x0, eps_prime, r=0.1, r_prime=8.0, delta=0.05, rng_seed=4, mode="exact"
-        )
+        est = SoftmaxGradientEstimator(prob, x0, eps_prime, r=0.1, delta=0.05, rng_seed=4)
         assert not est.y.any()
         np.testing.assert_array_equal(est.logits, est.f0 / eps_prime)
         np.testing.assert_array_equal(est.f0, prob.values_all(x0))
@@ -138,27 +141,30 @@ class TestInit:
     @pytest.mark.parametrize("form", ["seed_sequence", "pair"])
     def test_seed_forms_give_the_same_streams(self, monkeypatch, form):
         """A SeedSequence and its (entropy, spawn_key) pair key the same
-        sampler stream, and sketch-mode maintainers take the children of
-        spawn_key + (101,) in rebuild order, as the selftests' pinned
-        seeds expect."""
+        sampler stream, and the selftests' dyadic factory gives the
+        maintainers it builds the children of spawn_key + (101,) in build
+        order, as their pinned seeds expect."""
         seeds = []
-        init = MatVecMaintainer.__init__
+        init = DyadicMaintainer.__init__
 
-        def logged_init(self, *args, **kwargs):
-            seeds.append(kwargs["rng_seed"])
-            init(self, *args, **kwargs)
+        def logged_init(self, *args):
+            seeds.append(args[-1])
+            init(self, *args)
 
-        monkeypatch.setattr(MatVecMaintainer, "__init__", logged_init)
+        monkeypatch.setattr(DyadicMaintainer, "__init__", logged_init)
         prob = linear_problem(np.random.default_rng(32), 8, 3)
         ss = np.random.SeedSequence(entropy=91, spawn_key=(3, 7))
         rng_seed = ss if form == "seed_sequence" else (91, (3, 7))
-        est = make_estimator(prob, 3, seed=rng_seed, mode="sketch")
-        est._init_mvm(np.zeros(3))
-        keys = [(s.entropy, s.spawn_key) for s in seeds]
-        assert keys == [(91, (3, 7, 101, 0)), (91, (3, 7, 101, 1))]
+        est = make_estimator(prob, 3, seed=rng_seed, mvm_factory=dyadic(rng_seed, 0.05, 0.2))
         sampler = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=91, spawn_key=(3, 7, 202))))
         assert est.sampler_rng.random() == sampler.random()
+        # out to the radius and back: twice the budget of 0.2, one rebuild
+        est.estimate(np.array([0.2, 0.0, 0.0]))
+        est.estimate(np.zeros(3))
+        assert est.counters.mvm_rebuilds == 1
+        keys = [(s.entropy, s.spawn_key) for s in seeds]
+        assert keys == [(91, (3, 7, 101, 0)), (91, (3, 7, 101, 1))]
 
     def test_single_function_degenerate(self):
         prob = linear_problem(np.random.default_rng(2), 1, 3)
@@ -285,8 +291,8 @@ class TestEstimate:
         prob = linear_problem(rng, 5, 4)
         eps_prime = 0.05
         est = SoftmaxGradientEstimator(
-            prob, np.zeros(4), eps_prime, r=1.0, r_prime=2.0 * eps_prime / prob.lip * 1.05,
-            delta=0.05, rng_seed=18, mode="exact", p=2,
+            prob, np.zeros(4), eps_prime, r=1.0, delta=0.05, rng_seed=18, p=2,
+            mvm_factory=dyadic(18, eps_prime, 2.0 * eps_prime / prob.lip * 1.05),
         )
         # zig-zag between two in-ball points until the budget runs out
         a = np.zeros(4)
@@ -296,11 +302,11 @@ class TestEstimate:
         assert est.counters.mvm_rebuilds >= 1
 
     def test_step_longer_than_budget_names_r_prime(self):
-        # r' < r is allowed, but no maintainer, fresh or not, can absorb a
-        # single step longer than r'
+        # a budget r' < r is allowed, but no maintainer, fresh or not, can
+        # absorb a single step longer than r'
         prob = linear_problem(np.random.default_rng(19), 5, 3)
         est = SoftmaxGradientEstimator(
-            prob, np.zeros(3), 0.05, r=0.3, r_prime=0.105, delta=0.05, mode="exact", p=2,
+            prob, np.zeros(3), 0.05, r=0.3, delta=0.05, p=2, mvm_factory=dyadic(0, 0.05, 0.105),
         )
         with pytest.raises(PreconditionViolated, match="r' = 0.105"):
             est.estimate(np.array([0.3, 0.0, 0.0]))
@@ -311,11 +317,12 @@ class TestEstimate:
         # must equal lip times that product after every query: on steps
         # that refresh it, on steps that leave it alone, and after rebuilds
         rng = np.random.default_rng(20)
-        prob = QuadraticMaxProblem(rng.standard_normal((30, 3)) * 0.4)
+        prob = QuadraticMaxProblem(rng.standard_normal((10, 3)) * 0.4)
         assert prob.lip != 1.0
+        eps_prime = 0.05
         est = SoftmaxGradientEstimator(
-            prob, np.zeros(3), 0.05, r=0.3, r_prime=0.4, delta=0.05, rng_seed=21,
-            mode="exact", p=2,
+            prob, np.zeros(3), eps_prime, r=0.3, delta=0.05, rng_seed=21, p=2,
+            mvm_factory=dyadic(21, eps_prime, 4.0 * eps_prime / prob.lip, prob.lip),
         )
         refreshed = set()
         x_t = est.x0.copy()
@@ -331,10 +338,35 @@ class TestEstimate:
         assert refreshed == {True, False}
         assert est.counters.mvm_rebuilds >= 1
 
+    def test_exact_maintainer_walks_without_a_budget(self):
+        # the default maintainer has no movement budget: a walk longer than
+        # 8 r, the budget each solver round once had, never rebuilds, and y
+        # stays within eps'/2 of lip A (x - x0) = grad f(x0) (x - x0)
+        rng = np.random.default_rng(40)
+        prob = QuadraticMaxProblem(rng.standard_normal((30, 3)) * 0.4)
+        x0 = rng.standard_normal(3) * 0.1
+        eps_prime, r = 0.05, 0.3
+        est = SoftmaxGradientEstimator(prob, x0, eps_prime, r, delta=0.05, rng_seed=41)
+        grads = prob.grad_matrix(x0)
+        walked = 0.0
+        x_t = x0.copy()
+        while walked <= 10.0 * r:
+            move = rng.standard_normal(3)
+            x_next = x_t + move * (0.05 * rng.random() / pnorm(move, 2))
+            dist = pnorm(x_next - x0, 2)
+            if dist > r:
+                x_next = x0 + (x_next - x0) * (r / dist)
+            walked += pnorm(x_next - x_t, 2)
+            x_t = x_next
+            est.estimate(x_t)
+            assert np.max(np.abs(est.y - grads @ (x_t - x0))) <= 0.5 * eps_prime + 1e-12
+            assert np.array_equal(est.y, est.lip * est.mvm.y)
+        assert est.counters.mvm_rebuilds == 0
+
 
 class TestEnvelope:
-    """The envelope bounds every acceptance exponent in exact mode, so no
-    proposal's acceptance probability is clamped at 1."""
+    """The envelope bounds every acceptance exponent over the exact
+    maintainer, so no proposal's acceptance probability is clamped at 1."""
 
     @staticmethod
     def walk(est, rng, steps, step_size):
@@ -363,15 +395,11 @@ class TestEnvelope:
                             dtype=float)
         prob = LinearMaxProblem(rows)
         eps_prime = 0.05
-        # the second walk outruns its movement budget and rebuilds
-        for r_prime, rebuilds in ((1e3, False), (0.75, True)):
-            est = SoftmaxGradientEstimator(
-                prob, np.zeros(3), eps_prime, r=0.3, r_prime=r_prime, delta=0.05,
-                rng_seed=p, mode="exact", p=p,
-            )
-            assert est.envelope == 0.5
-            assert self.walk(est, rng, 300, 0.6 * eps_prime) <= 1e-12
-            assert (est.counters.mvm_rebuilds >= 1) == rebuilds
+        est = SoftmaxGradientEstimator(
+            prob, np.zeros(3), eps_prime, r=0.3, delta=0.05, rng_seed=p, p=p,
+        )
+        assert est.envelope == 0.5
+        assert self.walk(est, rng, 300, 0.6 * eps_prime) <= 1e-12
 
     def test_quadratic_family(self):
         rng = np.random.default_rng(33)
@@ -381,9 +409,7 @@ class TestEnvelope:
         # close to L_f, so the maintainer's error term is close to tight
         far = prob.centers[np.argmax(np.linalg.norm(prob.centers, axis=1))]
         x0 = -0.9 * far / np.linalg.norm(far)
-        est = SoftmaxGradientEstimator(
-            prob, x0, eps_prime, r, r_prime=10.0, delta=0.05, rng_seed=3, mode="exact", p=2,
-        )
+        est = SoftmaxGradientEstimator(prob, x0, eps_prime, r, delta=0.05, rng_seed=3, p=2)
         assert est.envelope == pytest.approx(0.5 * prob.smooth * r * r / eps_prime + 0.5,
                                              rel=1e-15)
         assert self.walk(est, rng, 300, 0.05) <= 1e-12
@@ -393,14 +419,14 @@ class TestObliviousness:
     def test_query_log_identical_across_maintainer_seeds(self, monkeypatch):
         # fixed sampler stream, two maintainer seeds, deterministic query
         # policy: the maintainer must see the same delta sequence
-        query = MatVecMaintainer.query
+        query = DyadicMaintainer.query
         log = []
 
         def logged_query(self, delta):
             log.append(np.array(delta, dtype=float))
             return query(self, delta)
 
-        monkeypatch.setattr(MatVecMaintainer, "query", logged_query)
+        monkeypatch.setattr(DyadicMaintainer, "query", logged_query)
         rng = np.random.default_rng(21)
         rows = rng.standard_normal((12, 6))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
@@ -412,8 +438,8 @@ class TestObliviousness:
         for mvm_variant in (0, 1):
             seed = np.random.SeedSequence(entropy=77, spawn_key=(mvm_variant,))
             est = SoftmaxGradientEstimator(
-                prob, np.zeros(6), eps_prime, r=0.3, r_prime=4.0 * eps_prime,
-                delta=0.05, rng_seed=seed, mode="sketch", p=2,
+                prob, np.zeros(6), eps_prime, r=0.3, delta=0.05, rng_seed=seed, p=2,
+                mvm_factory=dyadic(seed, eps_prime, 4.0 * eps_prime),
             )
             # align the sampler streams regardless of the maintainer seed
             est.sampler_rng = np.random.Generator(np.random.Philox(12345))
@@ -458,7 +484,6 @@ class TestAnchorGap:
         x0 = rng.standard_normal(d)
         x0 *= anchor_norm / max(float(np.linalg.norm(x0)), 1e-12)
         r = math.sqrt(eps_prime)
-        est = SoftmaxGradientEstimator(prob, x0, eps_prime, r, 8.0 * r, delta=0.05,
-                                       rng_seed=seed)
+        est = SoftmaxGradientEstimator(prob, x0, eps_prime, r, delta=0.05, rng_seed=seed)
         gap = est.anchor_gap(ball_setup(d))
         assert gap >= prob.f_max(x0) - 0.5 * w_radius**2 - 1e-9

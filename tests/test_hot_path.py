@@ -33,7 +33,6 @@ HOT_PATH = [
     SumTree._cumsum,
     # per round
     SoftmaxGradientEstimator.__init__,
-    SoftmaxGradientEstimator._init_mvm,
     MatVecMaintainer.__init__,
     EstimatorCounters.add,
     # per solve

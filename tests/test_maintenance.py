@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maxmin.errors import BudgetExceeded, InvalidParams
-from maxmin.maintenance import MatVecMaintainer, level_accuracies
+from maxmin.maintenance import DyadicMaintainer, MatVecMaintainer
 from maxmin.selftests import mvm_walk_check
 from maxmin.sketches import ExactMve
 
@@ -20,13 +20,11 @@ def unit_rows(rng, n, d, p=2):
 
 class TestInit:
     def test_level_count(self):
-        m = MatVecMaintainer(np.zeros((3, 4)), np.zeros(4), 4.0, 1.0, 0.1, p=1, mode="sketch")
+        m = DyadicMaintainer(np.zeros((3, 4)), np.zeros(4), 4.0, 1.0, 0.1, p=1)
         assert m.k == 3  # ceil(log2 4) + 1
 
     def test_level_count_and_accuracies(self):
-        m = MatVecMaintainer(
-            np.zeros((30, 10)), np.zeros(10), 1.0, 0.05, 0.1, p=1, mode="sketch"
-        )
+        m = DyadicMaintainer(np.zeros((30, 10)), np.zeros(10), 1.0, 0.05, 0.1, p=1)
         assert m.k == 6
         # alpha_i proportional to 2^{i/3}, normalized; eps_i = alpha_i 2^{-i}
         i = np.arange(1, 7)
@@ -37,18 +35,20 @@ class TestInit:
         assert m.alpha.sum() == pytest.approx(1.0, abs=1e-14)
         assert m.delta_bar == pytest.approx(0.1 * 0.05 / 1.0)
 
-    def test_accuracy_clamped_to_half_range(self):
-        with pytest.warns(UserWarning):
-            m = MatVecMaintainer(np.zeros((2, 2)), np.zeros(2), 1.0, 0.9, 0.1, p=2, mode="exact")
-        assert m.eps == pytest.approx(0.5)
+    def test_accuracy_above_half_range_rejected(self):
+        with pytest.raises(InvalidParams, match="R/2"):
+            DyadicMaintainer(np.zeros((2, 2)), np.zeros(2), 1.0, 0.9, 0.1, p=2)
+        assert DyadicMaintainer(np.zeros((2, 2)), np.zeros(2), 1.0, 0.5, 0.1, p=2).k == 2
 
     def test_rejects_bad_p(self):
         with pytest.raises(InvalidParams):
-            MatVecMaintainer(np.zeros((2, 2)), np.zeros(2), 1.0, 0.1, 0.1, p=3)
+            DyadicMaintainer(np.zeros((2, 2)), np.zeros(2), 1.0, 0.1, 0.1, p=3)
+        with pytest.raises(InvalidParams):
+            MatVecMaintainer(np.zeros((2, 2)), np.zeros(2), 0.1, p=3)
 
     def test_zero_matrix_stays_zero(self):
         rng = np.random.default_rng(0)
-        m = MatVecMaintainer(np.zeros((4, 3)), np.zeros(3), 1.0, 0.2, 0.1, p=1, mode="sketch")
+        m = DyadicMaintainer(np.zeros((4, 3)), np.zeros(3), 1.0, 0.2, 0.1, p=1)
         for _ in range(20):
             y, _ = m.query(rng.standard_normal(3) * 0.01)
             np.testing.assert_array_equal(y, np.zeros(4))
@@ -58,7 +58,14 @@ class TestQuery:
     def test_zero_step_changes_nothing(self):
         rng = np.random.default_rng(1)
         a = unit_rows(rng, 5, 4)
-        m = MatVecMaintainer(a, np.zeros(4), 1.0, 0.1, 0.1, p=2, mode="exact")
+        m = MatVecMaintainer(a, np.zeros(4), 0.1, p=2)
+        m.query(rng.standard_normal(4) * 0.05)
+        before = m.y.copy()
+        y, changed = m.query(np.zeros(4))
+        assert changed.size == 0
+        np.testing.assert_array_equal(y, before)
+        # p = 1 levels keep A alone, not the large sketches of p = 2 ones
+        m = DyadicMaintainer(unit_rows(rng, 5, 4, p=1), np.zeros(4), 1.0, 0.1, 0.1, p=1)
         m.query(rng.standard_normal(4) * 0.05)
         before = m.ref_y[1].copy()
         y, changed = m.query(np.zeros(4))
@@ -68,7 +75,7 @@ class TestQuery:
 
     def test_budget_exceeded_raises_and_preserves_state(self):
         a = unit_rows(np.random.default_rng(2), 3, 3)
-        m = MatVecMaintainer(a, np.zeros(3), 1.0, 0.25, 0.1, p=2, mode="exact")
+        m = DyadicMaintainer(a, np.zeros(3), 1.0, 0.25, 0.1, p=2)
         m.query(np.array([0.9, 0.0, 0.0]))
         x_before = m.x.copy()
         with pytest.raises(BudgetExceeded):
@@ -81,7 +88,7 @@ class TestQuery:
         fails = 0
         for seed in range(100):
             a = np.eye(12)
-            m = MatVecMaintainer(a, np.zeros(12), 1.0, 0.25, 0.1, p=2, rng_seed=seed)
+            m = DyadicMaintainer(a, np.zeros(12), 1.0, 0.25, 0.1, p=2, rng_seed=seed)
             delta = rng.standard_normal(12)
             delta /= np.linalg.norm(delta)
             y, _ = m.query(delta)
@@ -89,28 +96,28 @@ class TestQuery:
         assert fails <= 100 * (0.1 + 3 * math.sqrt(0.1 * 0.9 / 100))
 
     def test_exact_mode_error_deterministically_small(self):
-        # with the exact fallback the only error is the level-1 gap <= eps/2
+        # the exact maintainer's only error is the reference gap <= eps/2,
+        # however far x walks: here a total movement of 100 eps
         rng = np.random.default_rng(4)
         a = unit_rows(rng, 6, 5)
         eps = 0.05
-        m = MatVecMaintainer(a, np.zeros(5), 1.0, eps, 0.1, p=2, mode="exact", validate=True)
+        m = MatVecMaintainer(a, np.zeros(5), eps, p=2)
         cur = np.zeros(5)
         for _ in range(300):
             step = rng.standard_normal(5)
-            step *= (1.0 / 320) / np.linalg.norm(step)
+            step *= (eps / 3.0) / np.linalg.norm(step)
             y, _ = m.query(step)
             cur += step
             assert np.max(np.abs(y - a @ cur)) <= eps / 2 + 1e-12
 
     def test_exact_mode_pays_one_product_per_refresh(self, monkeypatch):
-        # exact mode keeps one level: a move past every dyadic scale costs
-        # one product, not one per level
+        # one long move costs the exact maintainer one product
         calls = []
         real = ExactMve.query
         monkeypatch.setattr(ExactMve, "query", lambda mve, x: calls.append(1) or real(mve, x))
         rng = np.random.default_rng(8)
         a = unit_rows(rng, 7, 5)
-        m = MatVecMaintainer(a, np.zeros(5), 1.0, 0.01, 0.1, p=2, mode="exact")
+        m = MatVecMaintainer(a, np.zeros(5), 0.01, p=2)
         x = rng.standard_normal(5)
         x *= 0.9 / np.linalg.norm(x)
         y, changed = m.query(x)
@@ -120,19 +127,19 @@ class TestQuery:
 
     def test_top_reference_never_moves(self):
         rng = np.random.default_rng(5)
-        a = unit_rows(rng, 4, 4)
-        m = MatVecMaintainer(a, np.zeros(4), 1.0, 0.1, 0.1, p=2, mode="exact", validate=True)
+        a = unit_rows(rng, 4, 4, p=1)
+        m = DyadicMaintainer(a, np.zeros(4), 1.0, 0.1, 0.1, p=1)
         top_before = m.ref_x[m.k + 1].copy()
         for _ in range(200):
             step = rng.standard_normal(4)
-            step *= (1.0 / 210) / np.linalg.norm(step)
+            step *= (1.0 / 210) / np.linalg.norm(step, ord=1)
             m.query(step)
         np.testing.assert_array_equal(m.ref_x[m.k + 1], top_before)
 
     def test_level_budgets_respected(self):
         rng = np.random.default_rng(6)
         a = unit_rows(rng, 5, 6)
-        m = MatVecMaintainer(a, np.zeros(6), 1.0, 0.125, 0.1, p=2, mode="exact", validate=True)
+        m = DyadicMaintainer(a, np.zeros(6), 1.0, 0.125, 0.1, p=2)
         total = 0.0
         while total < 0.99:
             step = rng.standard_normal(6)
@@ -145,9 +152,9 @@ class TestQuery:
     def test_changed_coordinates_reported(self):
         rng = np.random.default_rng(7)
         a = unit_rows(rng, 8, 4)
-        m = MatVecMaintainer(a, np.zeros(4), 1.0, 0.2, 0.1, p=2, mode="exact")
+        m = MatVecMaintainer(a, np.zeros(4), 0.2, p=2)
         seen_change = False
-        prev = m.ref_y[1].copy()
+        prev = m.y.copy()
         for _ in range(60):
             step = rng.standard_normal(4)
             step *= 0.015 / np.linalg.norm(step)
