@@ -52,6 +52,7 @@ class IterationRecord:
     oracle_queries: int
     oracle_movement: float
     rounds: int
+    planned_steps: int  # T of the oracle's output run
 
 
 @dataclass(kw_only=True)
@@ -92,6 +93,7 @@ class SolverReport(EstimatorCounters):
             "outer_iterations": self.outer_iterations,
             **counts,
             "oracle_queries": [rec.oracle_queries for rec in self.iterations],
+            "oracle_planned_steps": [rec.planned_steps for rec in self.iterations],
             "oracle_movement": [rec.oracle_movement for rec in self.iterations],
             "c_history": [rec.c for rec in self.iterations],
             "a_history": [rec.a_weight for rec in self.iterations],
@@ -266,7 +268,7 @@ def accelerate(
 
         records.append(
             IterationRecord(c, a_weight, stats.total_queries, stats.total_movement,
-                            stats.bisection_rounds)
+                            stats.bisection_rounds, stats.planned_steps)
         )
         if record_trace:
             trace.append({"x": x.copy(), "v": v.copy(), "A": a_weight, "c": c,

@@ -3,10 +3,11 @@
 ``li_md`` runs last-iterate proximal mirror descent: gradients are
 queried at the running average of the iterates, which keeps every query
 within the working radius and bounds the total query movement by
-O(rho log T).  ``lambda_bisection`` searches for a regularization weight
-whose prox point sits at divergence Theta(rho^2) from the center, and
-``restricted_oracle`` combines the two into the (z, w, c) output whose
-in-expectation inequality the accelerator consumes.
+O(rho log T).  ``lambda_bisection`` probes LI-MD runs in search of a
+regularization weight whose prox point sits at divergence Theta(rho^2)
+from the center, and ``restricted_oracle`` returns the run it accepts as
+the (z, w, c) output whose in-expectation inequality the accelerator
+consumes.
 
 LI-MD runs with step size eta = rho^2 lam / (C Gamma^2), C = 64, and
 T = 4 tau / (eta lam) steps.  The published analysis takes
@@ -74,6 +75,7 @@ class OracleStats:
     bisection_rounds: int = 0
     total_queries: int = 0
     total_movement: float = 0.0
+    planned_steps: int = 0  # T of the output run
 
 
 def step_plan(rho: float, lam: float, tau_val: float, gamma_bound: float) -> tuple[float, int]:
@@ -169,24 +171,6 @@ def bisection_round_limit(tau_val: float, gamma_bound: float, rho: float) -> int
     return max(1, math.ceil(math.log2(max(arg, 2.0))))
 
 
-def _tallied_li_md(
-    grad_est: GradEst,
-    setup: GeometrySetup,
-    y: np.ndarray,
-    rho: float,
-    lam: float,
-    gamma_bound: float,
-    stats: OracleStats,
-) -> tuple[LimdResult, float]:
-    """One LI-MD run at lam under ``step_plan``, its queries and movement
-    added to ``stats``; returns the run and its multiplier lam + 1/(eta T)."""
-    eta, steps = step_plan(rho, lam, tau(setup), gamma_bound)
-    res = li_md(grad_est, setup, y, rho, lam, eta, steps)
-    stats.total_queries += res.queries
-    stats.total_movement += res.movement
-    return res, lam + 1.0 / (eta * steps)
-
-
 def lambda_bisection(
     grad_est: GradEst,
     setup: GeometrySetup,
@@ -194,13 +178,16 @@ def lambda_bisection(
     rho: float,
     gamma_bound: float,
     stats: OracleStats | None = None,
-) -> float:
+) -> tuple[float, LimdResult, float]:
     """Find lam with the prox point at divergence ~rho^2 scale from y.
 
-    Runs the mirror-descent probe at lam = 1 first; if the probe already
-    stays close, 1 is returned.  Otherwise halves the bracket
+    Runs the mirror-descent probe at lam = 1 first and accepts it if it
+    already stays close.  Otherwise halves the bracket
     [1, 16 tau Gamma / rho], raising the floor when the probe escapes and
-    lowering the ceiling when it collapses onto the center.
+    lowering the ceiling when it collapses onto the center.  Returns the
+    accepted lam (the last probed one when the rounds run out), that
+    probe's LI-MD run and its multiplier c = lam + 1/(eta T); each probe's
+    queries, movement and planned T are tallied in ``stats``.
     """
     stats = stats if stats is not None else OracleStats()
     tau_val = tau(setup)
@@ -212,27 +199,33 @@ def lambda_bisection(
     upper = rho**2 / (UPPER_DIV * tau_val)
     lower = rho**2 / (LOWER_DIV * tau_val**3)
 
-    def probe(lam: float) -> float:
-        """V_y(z) of the LI-MD run at lam; inf when the run left the ball."""
-        res, _ = _tallied_li_md(grad_est, setup, y, rho, lam, gamma_bound, stats)
-        return math.inf if res.out_of_bound else bregman(setup, y, res.z)
+    def probe(lam: float) -> tuple[LimdResult, float, float]:
+        """The LI-MD run at lam under ``step_plan``, its multiplier
+        lam + 1/(eta T) and V_y(z), inf when the run left the ball."""
+        eta, steps = step_plan(rho, lam, tau_val, gamma_bound)
+        res = li_md(grad_est, setup, y, rho, lam, eta, steps)
+        stats.total_queries += res.queries
+        stats.total_movement += res.movement
+        stats.planned_steps = steps
+        div = math.inf if res.out_of_bound else bregman(setup, y, res.z)
+        return res, lam + 1.0 / (eta * steps), div
 
-    if probe(lam_min) < upper:
-        return lam_min
-
-    lam_k = lam_max
-    for k in range(1, bisection_round_limit(tau_val, gamma_bound, rho) + 1):
-        lam_k = 0.5 * (lam_max + lam_min)
-        div = probe(lam_k)
-        stats.bisection_rounds = k
-        if div > upper:
-            lam_min = lam_k
-        elif div < lower:
-            lam_max = lam_k
-        else:
-            return lam_k
-    # reached only on the low-probability bad event
-    return lam_k
+    lam = lam_min
+    res, c, div = probe(lam)
+    if div >= upper:
+        for k in range(1, bisection_round_limit(tau_val, gamma_bound, rho) + 1):
+            lam = 0.5 * (lam_max + lam_min)
+            res, c, div = probe(lam)
+            stats.bisection_rounds = k
+            if div > upper:
+                lam_min = lam
+            elif div < lower:
+                lam_max = lam
+            else:
+                break
+        # running out of rounds is the low-probability bad event; the last
+        # probe stands
+    return lam, res, c
 
 
 def restricted_oracle(
@@ -244,16 +237,16 @@ def restricted_oracle(
 ) -> tuple[BallOracleResult, OracleStats]:
     """(rho, gamma, c_max) restricted proximal oracle around y.
 
-    Returns points z, w and a multiplier c in [1, 32 tau Gamma / rho]
-    with c = lam (1 + 1/(4 tau)) for the bisected lam.
+    Returns the points z, w of the LI-MD run that ``lambda_bisection``
+    accepted and its multiplier c = lam (1 + 1/(4 tau)), which lies in
+    [1, 32 tau Gamma / rho].
     """
     if rho <= 0.0:
         raise InvalidParams("rho must be positive")
     if not tau(setup) >= 4.0:
         raise PreconditionViolated("setup must satisfy a finite tau >= 4 triangle inequality")
     stats = OracleStats()
-    stats.lam = lambda_bisection(grad_est, setup, y, rho, gamma_bound, stats)
-    res, c = _tallied_li_md(grad_est, setup, y, rho, stats.lam, gamma_bound, stats)
+    stats.lam, res, c = lambda_bisection(grad_est, setup, y, rho, gamma_bound, stats)
     return BallOracleResult(res.z, res.w, c), stats
 
 
@@ -267,8 +260,8 @@ def movement_bound(rho: float, tau_val: float, gamma_bound: float) -> float:
 
 def query_budget_bound(rho: float, tau_val: float, gamma_bound: float) -> float:
     """Upper bound on the total gradient calls of one oracle call: the
-    per-call budget at lam = 1 summed over every possible bisection round
-    plus the initial probe and the final run."""
+    per-run budget at lam = 1 summed over the initial probe and every
+    possible bisection round (the accepted probe is the output)."""
     k_max = bisection_round_limit(tau_val, gamma_bound, rho)
     t_max = 4.0 * STEP_CONSTANT * tau_val * (gamma_bound / rho) ** 2
-    return (k_max + 2.0) * (t_max + 1.0)
+    return (k_max + 1.0) * (t_max + 1.0)

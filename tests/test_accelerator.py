@@ -314,6 +314,23 @@ class TestCounters:
         for f in fields(EstimatorCounters):
             assert getattr(rep, f.name) == sum(getattr(e.counters, f.name) for e in rounds), f.name
 
+    def test_planned_steps_reported_per_round(self):
+        # a round whose lam = 1 probe is accepted runs LI-MD once, so its
+        # oracle queries are the planned T
+        from maxmin.apps import solve_matrix_game
+        from maxmin.problems import MatrixGameInstance
+
+        cols = np.random.default_rng(20240501).standard_normal((20, 25))
+        inst = MatrixGameInstance(cols / np.linalg.norm(cols, axis=0), "l2l1")
+        _, rep = solve_matrix_game(inst, 0.1, seed=0)
+        counters = rep.counters_dict()
+        assert counters["oracle_planned_steps"] == [rec.planned_steps for rec in rep.iterations]
+        single = [rec for rec in rep.iterations if rec.rounds == 0]
+        assert len(single) == rep.outer_iterations > 1
+        assert max(rec.planned_steps for rec in single) > 1
+        for rec in single:
+            assert rec.oracle_queries == rec.planned_steps
+
     def test_total_sums_each_counter(self):
         names = [f.name for f in fields(EstimatorCounters)]
         parts = [

@@ -107,12 +107,16 @@ def test_criterion_02_symmetric_game_exactness():
 
 
 def test_criterion_03_meb_against_welzl():
+    # start-point control: the solve starts at a_1, the normalized origin,
+    # whose enclosing radius is max ||a_i|| = 1; each start ratio 1 / wr
+    # must fail the radius test, so a solve that never moved cannot pass
     eps = 0.01
     instances = 20
     rng = np.random.default_rng(77)
     good = 0
     t0 = time.perf_counter()
     ratios = []
+    starts = []
     for seed in range(instances):
         pts = rng.standard_normal((200, 3))
         inst = MebInstance(pts)
@@ -122,15 +126,16 @@ def test_criterion_03_meb_against_welzl():
         r_norm = radius / inst.scale
         dist2 = 0.5 * float(np.sum((c_norm - wc) ** 2))
         ratios.append(r_norm / wr)
+        starts.append(1.0 / wr)
         good += (r_norm <= (1.0 + eps) * wr) and (dist2 <= eps * wr * wr)
     total = time.perf_counter() - t0
-    ok = good >= 18 and total <= 120.0
+    ok = good >= 18 and min(starts) > 1.0 + eps and total <= 120.0
     report(
         3,
         "minimum enclosing ball vs exact oracle",
         ok,
         f"{good}/20 within tolerance, worst radius ratio {max(ratios):.5f}, "
-        f"total {total:.1f}s <= 120s",
+        f"smallest start ratio {min(starts):.5f} > 1 + eps, total {total:.1f}s <= 120s",
     )
 
 
@@ -168,33 +173,40 @@ def test_criterion_05_sampler_fidelity():
     )
 
 
-def test_criterion_06_oracle_inequality():
-    # d = 5 Euclidean quadratic with exact gradients; residual of the
-    # two-point oracle condition at u in {y, prox point, random points}
+# criterion 6's d = 5 Euclidean quadratic h(x) = ||x - b||^2 / 2, whose
+# oracle calls run around y = 0 at rho = 0.35
+QUAD_B = np.array([0.45, -0.3, 0.2, -0.1, 0.25])
+QUAD_GRAD_BOUND = 1.0 + float(np.linalg.norm(QUAD_B))
+
+
+def quad_val(x):
+    return 0.5 * float(np.sum((x - QUAD_B) ** 2))
+
+
+def quad_grad(x):
+    return x - QUAD_B
+
+
+def oracle_inequality_bounds(grad, gam_bound, runs):
+    """95% UCBs of the two-point oracle condition's residuals at u in
+    {y, prox point, three random points} over ``runs`` calls on the
+    quadratic driven by ``grad``, and the number of calls that bisected."""
     setup = ball_setup(5)
     tau_v = tau(setup)
     gamma = 1.0 / (2.0**13 * tau_v**5)
-    b = np.array([0.45, -0.3, 0.2, -0.1, 0.25])
     y = np.zeros(5)
     rho = 0.35
-    gam_bound = 1.0 + float(np.linalg.norm(b))
-
-    def h_val(x):
-        return 0.5 * float(np.sum((x - b) ** 2))
-
-    def h_grad(x):
-        return x - b
-
-    runs = 200
     rng = np.random.default_rng(606)
     prox_cache = {}
+    bisected = 0
     residuals = {"y": [], "prox": [], "u1": [], "u2": [], "u3": []}
     for _ in range(runs):
-        res, stats = restricted_oracle(h_grad, setup, y, rho, gam_bound)
+        res, stats = restricted_oracle(grad, setup, y, rho, gam_bound)
         lam = stats.lam
+        bisected += stats.bisection_rounds > 0
         if lam not in prox_cache:
             prox_cache[lam] = refcheck.exact_prox(
-                setup, h_val, h_grad, y, lam, refcheck.ReferenceBudget(tolerance=1e-11)
+                setup, quad_val, quad_grad, y, lam, refcheck.ReferenceBudget(tolerance=1e-11)
             )
         u_points = {
             "y": y,
@@ -206,18 +218,45 @@ def test_criterion_06_oracle_inequality():
         sign = 1.0 if res.c >= 2.0 else -1.0
         for key, u in u_points.items():
             residuals[key].append(
-                (h_val(res.z) - h_val(u)) / res.c
+                (quad_val(res.z) - quad_val(u)) / res.c
                 - bregman(setup, y, u)
                 + bregman(setup, res.w, u)
                 + gamma * sign * rho**2
             )
     bounds = {k: one_sided_upper_confidence(np.array(v)) for k, v in residuals.items()}
+    return bounds, bisected
+
+
+def test_criterion_06_oracle_inequality():
+    bounds, _ = oracle_inequality_bounds(quad_grad, QUAD_GRAD_BOUND, runs=200)
     ok = all(ub <= 0.0 for ub in bounds.values())
     report(
         6,
         "restricted proximal oracle inequality",
         ok,
         "95% UCB of residuals: "
+        + ", ".join(f"{k}={ub:.3e}" for k, ub in bounds.items()),
+    )
+
+
+def test_criterion_06_oracle_inequality_noisy_gradients():
+    # the oracle returns the probe that passed its own divergence test;
+    # with exact gradients that probe is deterministic, so only noisy
+    # gradients can show a selection bias.  The gradient bound is widened
+    # by sigma sqrt(d), the mean norm scale of the noise.
+    sigma = 0.25
+    noise = np.random.default_rng(616)
+    bounds, bisected = oracle_inequality_bounds(
+        lambda x: quad_grad(x) + sigma * noise.standard_normal(5),
+        QUAD_GRAD_BOUND + sigma * math.sqrt(5.0),
+        runs=30,
+    )
+    ok = bisected >= 1 and all(ub <= 0.0 for ub in bounds.values())
+    report(
+        6,
+        "restricted proximal oracle inequality, noisy gradients",
+        ok,
+        f"sigma {sigma}, {bisected}/30 calls bisected, 95% UCB of residuals: "
         + ", ".join(f"{k}={ub:.3e}" for k, ub in bounds.items()),
     )
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from maxmin import refcheck
+from maxmin import ball_oracle, refcheck
 from maxmin.ball_oracle import (
     OracleStats,
     bisection_round_limit,
@@ -107,10 +107,11 @@ class TestLiMd:
 class TestLambdaBisection:
     def test_flat_objective_returns_floor(self):
         setup = ball_setup(2)
-        lam = lambda_bisection(
+        lam, _, c = lambda_bisection(
             lambda x: np.zeros(2), setup, np.zeros(2), 0.5, 1.0
         )
         assert lam == 1.0
+        assert c == pytest.approx(1.0 + 1.0 / (4.0 * tau(setup)), rel=1e-12)
 
     def test_linear_objective_lands_in_band(self):
         # h(x) = Gam <u, x>: exact prox point at -(Gam/lam) u, so
@@ -126,7 +127,7 @@ class TestLambdaBisection:
             rng = np.random.default_rng(seed)
             q = rng.standard_normal(3)
             q /= np.linalg.norm(q)
-            lam = lambda_bisection(
+            lam, _, _ = lambda_bisection(
                 lambda x: gam * q, setup, y, rho, gam
             )
             v_exact = 0.5 * min(gam / lam, 1.0) ** 2
@@ -165,6 +166,33 @@ class TestRestrictedOracle:
         np.testing.assert_allclose(res.z, y, atol=1e-12)
         np.testing.assert_allclose(res.w, y, atol=1e-12)
         assert res.c == pytest.approx(1.0 + 1.0 / (4.0 * tau(setup)), rel=1e-12)
+        # the accepted lam = 1 probe is the only run: its T queries in all
+        _, steps = step_plan(0.5, 1.0, tau(setup), 1.0)
+        assert stats.total_queries == stats.planned_steps == steps
+
+    def test_output_is_the_accepted_probe(self, monkeypatch):
+        # a gradient large enough to enter bisection: no LI-MD run beyond
+        # the probes, and the last probe's points are the output
+        runs = []
+
+        def recording_li_md(*args):
+            runs.append(li_md(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(ball_oracle, "li_md", recording_li_md)
+        setup = ball_setup(2)
+        rho, gam = 0.3, 1.0
+        res, stats = restricted_oracle(
+            lambda x: gam * np.array([0.6, 0.8]), setup, np.zeros(2), rho, gam
+        )
+        assert stats.bisection_rounds >= 1
+        assert len(runs) == 1 + stats.bisection_rounds
+        assert stats.total_queries == sum(run.queries for run in runs)
+        np.testing.assert_array_equal(res.z, runs[-1].z)
+        np.testing.assert_array_equal(res.w, runs[-1].w)
+        eta, steps = step_plan(rho, stats.lam, tau(setup), gam)
+        assert stats.planned_steps == steps
+        assert res.c == stats.lam + 1.0 / (eta * steps)
 
     def test_c_relation_and_cap(self):
         setup = ball_setup(3)
