@@ -94,6 +94,7 @@ class SolverReport(EstimatorCounters):
             **counts,
             "oracle_queries": [rec.oracle_queries for rec in self.iterations],
             "oracle_planned_steps": [rec.planned_steps for rec in self.iterations],
+            "oracle_bisection_rounds": [rec.rounds for rec in self.iterations],
             "oracle_movement": [rec.oracle_movement for rec in self.iterations],
             "c_history": [rec.c for rec in self.iterations],
             "a_history": [rec.a_weight for rec in self.iterations],

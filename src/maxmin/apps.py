@@ -27,7 +27,6 @@ from .problems import (
     QuadraticMaxProblem,
 )
 from . import refcheck
-from .refcheck import duality_gap
 from .sumtree import SumTree
 
 
@@ -116,7 +115,6 @@ def solve_smooth_max(
     return report
 
 
-CERTIFICATE_DRAWS = 4096
 CERTIFICATE_POLISH_STEPS = 200
 # exponentiated-gradient step size of polish_dual
 POLISH_STEP = 0.5
@@ -128,12 +126,13 @@ POLISH_PATIENCE = 10
 def polish_dual(inst: MatrixGameInstance, y0: np.ndarray, steps: int):
     """Exponentiated-gradient ascent on the best-response lower bound.
 
-    Starts from the sampled frequency vector and keeps the best feasible
-    dual seen; every iterate is a valid certificate, so this only
-    tightens the reported gap.  Runs at most ``steps`` steps, and stops
-    after ``POLISH_PATIENCE`` steps in a row that do not beat the best
-    bound.  Each iterate's product A y serves both its lower bound and
-    the next step's gradient.
+    Starts from ``y0`` (``solve_matrix_game`` passes softmax(f(x)/eps')
+    at its final point) and keeps the best feasible dual seen; every
+    iterate is a valid certificate, so this only tightens the reported
+    gap.  Runs at most ``steps`` steps, and stops after
+    ``POLISH_PATIENCE`` steps in a row that do not beat the best bound.
+    Each iterate's product A y serves both its lower bound and the next
+    step's gradient.
     """
     a = inst.matrix
     y = np.maximum(y0, 1e-12)
@@ -178,7 +177,10 @@ def dual_from_samples(
     This is the law of the gradient estimator's accepted index at x: with
     x as its own anchor the maintained product is 0, so every proposal
     is accepted with the same probability and the accepted law is the
-    proposal law.
+    proposal law.  No solve calls it: the game certificate polishes the
+    exact softmax instead.  It stays because the benchmark's tracer
+    patches it by name and its tests cover the batch sampler; it goes
+    with the next change to the benchmark.
     """
     logits = problem.values_all(x) / eps_prime
     tree = SumTree(np.exp(logits - logits.max()))
@@ -196,13 +198,12 @@ def solve_matrix_game(
 
     The query radius is ``r`` when given, else min(1, sqrt(d) eps).  The
     outer loop stops early at the first anchor whose weak-duality gap is
-    at most eps.  Three dual vectors are tried at the final point x: the
-    empirical frequency of ``CERTIFICATE_DRAWS`` indices drawn from
-    softmax(f(x)/eps') (``dual_from_samples``), that vector polished
-    (``polish_dual``), and softmax(f(x)/eps') itself, the dual of the
-    loop's stop certificate.  The reported gap is f_max(x) minus the best
-    of their best-response lower bounds, so a solve stopped on a
-    certificate reports a gap of at most eps.
+    at most eps.  At the final point x, with f(x) evaluated once, two
+    dual vectors are tried: softmax(f(x)/eps'), the dual of the loop's
+    stop certificate, and that vector polished (``polish_dual``).  The
+    reported gap is f_max(x) minus the larger of their best-response
+    lower bounds, so a solve stopped on a certificate reports a gap of
+    at most eps.
     """
     if not (0.0 < eps < 1.0):
         raise InvalidParams("eps must lie in (0, 1)")
@@ -213,16 +214,14 @@ def solve_matrix_game(
         problem, eps, seed=seed, kind=kind, r=radius, certificate_eps=eps
     )
     x = report.x
-    eps_prime = smoothing_level(eps, inst.n)
-    y_hat = dual_from_samples(
-        problem, x, eps_prime, CERTIFICATE_DRAWS, np.random.SeedSequence([seed, 0xD0A1])
-    )
-    gap_sampled = duality_gap(inst, x, y_hat)
-    y_polished = polish_dual(inst, y_hat, CERTIFICATE_POLISH_STEPS)
-    y_softmax = refcheck.exact_softmax_dist(problem, x, eps_prime)
-    gap = min(gap_sampled, duality_gap(inst, x, y_polished), duality_gap(inst, x, y_softmax))
-    report.extras["gap"] = gap
-    report.extras["gap_sampled"] = gap_sampled
+    values = problem.values_all(x)
+    f_max = float(values.max())
+    y_softmax = np.exp((values - f_max) / smoothing_level(eps, inst.n))
+    y_softmax /= y_softmax.sum()
+    y_polished = polish_dual(inst, y_softmax, CERTIFICATE_POLISH_STEPS)
+    lower = max(refcheck.best_response_value(inst.matrix @ y, inst.is_ball)
+                for y in (y_softmax, y_polished))
+    report.extras["gap"] = f_max - lower
     return x, report
 
 

@@ -37,7 +37,14 @@ def _check_norm(a: np.ndarray, p: int) -> None:
 
 
 class CountSketchMve:
-    """l2 estimator: keeps only the sketched rows plus the hash tables."""
+    """l2 estimator: keeps only the sketched rows plus the hash tables.
+
+    A repetition hashes the d columns into at most d of its b buckets, so
+    the row sketches are stored on each repetition's occupied buckets
+    only: ``row_sketches[rep, slot, i]`` is row i's sketch on repetition
+    rep's slot-th occupied bucket, t x k x n with k <= d the most buckets
+    any repetition occupies (the rest stay 0).
+    """
 
     def __init__(self, a: np.ndarray, eps: float, delta: float, seed):
         a = np.asarray(a, dtype=float)
@@ -48,20 +55,19 @@ class CountSketchMve:
         rng = np.random.Generator(np.random.Philox(seed))
         self.buckets = rng.integers(0, self.b, size=(self.t, self.d))
         self.signs = rng.integers(0, 2, size=(self.t, self.d)).astype(float) * 2.0 - 1.0
-        self.row_sketches = self._sketch_rows(a)
+        slots = np.stack([np.unique(hashed, return_inverse=True)[1] for hashed in self.buckets])
+        self.k = int(slots.max(initial=0)) + 1
+        # repetition rep's slots are numbered from rep * k, so one
+        # bincount sketches a vector on every repetition at once
+        self.slots = slots + self.k * np.arange(self.t)[:, None]
+        acc = np.zeros((self.t * self.k, self.n))
+        for rep in range(self.t):
+            np.add.at(acc, self.slots[rep], (a * self.signs[rep]).T)
+        self.row_sketches = acc.reshape(self.t, self.k, self.n)
 
     @property
     def s(self) -> int:
         return self.t * self.b
-
-    def _sketch_rows(self, a: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.n, self.t, self.b))
-        for rep in range(self.t):
-            signed = (a * self.signs[rep]).T  # (d, n)
-            acc = np.zeros((self.b, self.n))
-            np.add.at(acc, self.buckets[rep], signed)
-            out[:, rep, :] = acc.T
-        return out
 
     def sketch_vector(self, x: np.ndarray) -> np.ndarray:
         """Apply the sketch to a d-vector; exactly linear in x."""
@@ -73,8 +79,11 @@ class CountSketchMve:
         return out
 
     def query(self, x: np.ndarray) -> np.ndarray:
-        xs = self.sketch_vector(np.asarray(x, dtype=float))
-        estimates = np.einsum("itb,tb->it", self.row_sketches, xs)
+        # x's sketch on the occupied buckets; the others meet only zero
+        # row-sketch entries
+        signed = (self.signs * np.asarray(x, dtype=float)).ravel()
+        xs = np.bincount(self.slots.ravel(), weights=signed, minlength=self.t * self.k)
+        estimates = np.einsum("tki,tk->it", self.row_sketches, xs.reshape(self.t, self.k))
         return np.median(estimates, axis=1)
 
 

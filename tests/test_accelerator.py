@@ -331,6 +331,29 @@ class TestCounters:
         for rec in single:
             assert rec.oracle_queries == rec.planned_steps
 
+    def test_bisection_rounds_reported_per_round(self):
+        counts = iter([0, 3, 1, 0, 5, 2] * 100)
+        handed_out = []
+
+        def bisecting_oracle(grad_est, setup, y, rho, gamma_bound):
+            k = next(counts)
+            handed_out.append(k)
+            return BallOracleResult(y.copy(), y.copy(), 1.0), OracleStats(bisection_rounds=k)
+
+        rep = run_accel(bisecting_oracle, r=0.5, e0=1.0, eps=0.25, gamma=0.25)
+        assert rep.outer_iterations > 6
+        assert rep.counters_dict()["oracle_bisection_rounds"] == handed_out
+
+    def test_game_rounds_do_not_bisect(self):
+        from maxmin.apps import solve_matrix_game
+        from maxmin.problems import MatrixGameInstance
+
+        cols = np.random.default_rng(20240501).standard_normal((20, 25))
+        inst = MatrixGameInstance(cols / np.linalg.norm(cols, axis=0), "l2l1")
+        _, rep = solve_matrix_game(inst, 0.1, seed=0)
+        assert rep.outer_iterations > 1
+        assert rep.counters_dict()["oracle_bisection_rounds"] == [0] * rep.outer_iterations
+
     def test_total_sums_each_counter(self):
         names = [f.name for f in fields(EstimatorCounters)]
         parts = [

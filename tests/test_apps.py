@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linprog
 from stat_checks import chi_square_pvalue
 
-from maxmin import estimator, refcheck
+from maxmin import apps, estimator, refcheck
 from maxmin.accelerator import auto_gamma
 from maxmin.apps import (
     MEB_MAX_LEVELS,
@@ -228,6 +228,33 @@ class TestMatrixGames:
             # v* sits at a vertex the truncated simplex excludes, so that
             # bound falls below the true error
             assert truncated_under > 0
+
+    @pytest.mark.parametrize("game", ["l2l1", "l1l1", "l1l1-planted"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_posthoc_certificate_brackets_true_error(self, game, seed, monkeypatch):
+        """The reported gap is a weak-duality bound from the softmax dual
+        at x and its polish: never below the true error, never above the
+        unpolished softmax dual's gap, and drawn without the sampler."""
+        rng = np.random.default_rng([44, seed])
+        if game == "l2l1":
+            a = rng.standard_normal((5, 30))
+            inst = MatrixGameInstance(a / np.linalg.norm(a, axis=0), "l2l1")
+        elif game == "l1l1":
+            inst = MatrixGameInstance(rng.uniform(-1.0, 1.0, size=(6, 15)), "l1l1")
+        else:
+            inst = planted_l1l1(0.3, 6, 15, [3, seed])
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the certificate drew samples")
+
+        monkeypatch.setattr(apps, "dual_from_samples", no_sampling)
+        eps = 0.1
+        x, rep = solve_matrix_game(inst, eps, seed=seed)
+        gap = rep.extras["gap"]
+        assert "gap_sampled" not in rep.extras
+        assert gap >= float(np.max(inst.matrix.T @ x)) - game_value(inst) - 1e-9
+        softmax = refcheck.exact_softmax_dist(inst.problem(), x, smoothing_level(eps, inst.n))
+        assert gap <= refcheck.duality_gap(inst, x, softmax) + 1e-12
 
     def test_dual_sampler_matches_softmax(self):
         rng = np.random.default_rng(4)

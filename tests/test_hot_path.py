@@ -36,6 +36,7 @@ HOT_PATH = [
     MatVecMaintainer.__init__,
     EstimatorCounters.add,
     # per solve
+    apps.solve_matrix_game,
     apps.dual_from_samples,
     apps.polish_dual,
 ]

@@ -95,6 +95,24 @@ class TestQueries:
             m.sketch_vector(x) + m.sketch_vector(y), m.sketch_vector(x + y)
         )
 
+    @pytest.mark.parametrize("n, d, eps", [(4, 4, 0.01), (6, 9, 0.3), (30, 80, 0.5), (50, 200, 0.9)])
+    def test_sparse_rows_match_dense_sketch(self, n, d, eps):
+        # the textbook CountSketch: repetition rep's b x d signed hash
+        # matrix S estimates row i's product as <S a_i, S x>
+        rng = np.random.default_rng(n * d)
+        a = 0.5 * np.eye(4) if n == d == 4 else unit_rows(rng, n, d, 2)
+        m = CountSketchMve(a, eps, 0.01, 7)
+        xs = rng.standard_normal((3, d))
+        estimates = np.zeros((3, n, m.t))
+        for rep in range(m.t):
+            hash_matrix = np.zeros((m.b, d))
+            hash_matrix[m.buckets[rep], np.arange(d)] = m.signs[rep]
+            estimates[:, :, rep] = (hash_matrix @ xs.T).T @ (hash_matrix @ a.T)
+        for x, dense in zip(xs, estimates):
+            np.testing.assert_allclose(m.query(x), np.median(dense, axis=1), rtol=0, atol=1e-12)
+        # only occupied buckets are stored, at most d per repetition
+        assert m.row_sketches.size <= n * m.t * d
+
     def test_exact_fallback(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((5, 4))
