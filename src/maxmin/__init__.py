@@ -3,7 +3,7 @@ functions over a Euclidean ball or truncated simplex."""
 
 from .accelerator import SolverReport, accelerate, stopping_threshold
 from .apps import solve_matrix_game, solve_meb, solve_smooth_max, subgradient_baseline
-from .ball_oracle import BallOracleResult, lambda_bisection, li_md, restricted_oracle
+from .ball_oracle import OracleResult, li_md, restricted_oracle
 from .estimator import SoftmaxGradientEstimator
 from .geometry import (
     GeometrySetup,

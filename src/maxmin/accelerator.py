@@ -188,9 +188,9 @@ def accelerate(
     ``estimator_factory(anchor, seed)`` builds the per-round gradient
     estimator, where ``seed`` is round t's (entropy, spawn_key) pair:
     ``seed``'s spawn key extended by (t,).  ``oracle`` is called as
-    ``oracle(grad_est, setup, y, rho, gamma_bound)``.  A fresh estimator is
-    anchored at Phi_t(v_t) each round, and its gradient is scaled by the
-    round weight a_{t+1}.  The report's x is projected onto the domain.
+    ``oracle(grad_est, setup, y, rho, gamma_bound)`` and returns an
+    ``OracleResult``.  A fresh estimator is anchored at Phi_t(v_t) each
+    round, and its gradient is scaled by the round weight a_{t+1}.  The report's x is projected onto the domain.
     """
     start = time.perf_counter()
     x = setup.center()
@@ -258,7 +258,7 @@ def accelerate(
             return a_inc * grad
 
         t_oracle = time.perf_counter()
-        result, stats = oracle(grad_h, setup, v, rho, gamma_bound)
+        result = oracle(grad_h, setup, v, rho, gamma_bound)
         oracle_wall = time.perf_counter() - t_oracle
 
         c = result.c
@@ -267,10 +267,8 @@ def accelerate(
         a_weight = a_weight + a_inc / c
         v = result.w
 
-        records.append(
-            IterationRecord(c, a_weight, stats.total_queries, stats.total_movement,
-                            stats.bisection_rounds, stats.planned_steps)
-        )
+        records.append(IterationRecord(c, a_weight, result.queries, result.movement,
+                                       result.rounds, result.planned_steps))
         if record_trace:
             trace.append({"x": x.copy(), "v": v.copy(), "A": a_weight, "c": c,
                           "rho": rho, "a_inc": a_inc})

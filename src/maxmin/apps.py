@@ -16,6 +16,7 @@ from .geometry import (
     Kind,
     ball_setup,
     domain_radius_bound,
+    model_min,
     project,
     prox_step,
     simplex_setup,
@@ -26,7 +27,6 @@ from .problems import (
     MebInstance,
     QuadraticMaxProblem,
 )
-from . import refcheck
 from .sumtree import SumTree
 
 
@@ -123,24 +123,33 @@ POLISH_STEP = 0.5
 POLISH_PATIENCE = 10
 
 
-def polish_dual(inst: MatrixGameInstance, y0: np.ndarray, steps: int):
-    """Exponentiated-gradient ascent on the best-response lower bound.
+def game_domain(inst: MatrixGameInstance) -> GeometrySetup:
+    """The game's untruncated primal domain: the unit ball or the simplex."""
+    return ball_setup(inst.d) if inst.is_ball else simplex_setup(inst.d, 0.0)
+
+
+def polish_dual(inst: MatrixGameInstance, y0: np.ndarray,
+                steps: int) -> tuple[np.ndarray, float]:
+    """Exponentiated-gradient ascent on the best-response lower bound
+    min_x <x, A y> over ``game_domain``, taken by ``model_min``.
 
     Starts from ``y0`` (``solve_matrix_game`` passes softmax(f(x)/eps')
-    at its final point) and keeps the best feasible dual seen; every
-    iterate is a valid certificate, so this only tightens the reported
-    gap.  Runs at most ``steps`` steps, and stops after
+    at its final point) and returns the best feasible dual seen and its
+    bound; every iterate is a valid certificate, so this only tightens
+    the reported gap.  Runs at most ``steps`` steps, and stops after
     ``POLISH_PATIENCE`` steps in a row that do not beat the best bound.
     Each iterate's product A y serves both its lower bound and the next
     step's gradient.
     """
     a = inst.matrix
+    setup = game_domain(inst)
+    x0 = setup.center()
     y = np.maximum(y0, 1e-12)
     y = y / y.sum()
     log_y = np.log(y)
     best = y.copy()
     ay = a @ y
-    best_val = refcheck.best_response_value(ay, inst.is_ball)
+    best_val = model_min(setup, ay, x0, 0.0)
     stalled = 0
     for _ in range(steps):
         if inst.is_ball:
@@ -152,7 +161,7 @@ def polish_dual(inst: MatrixGameInstance, y0: np.ndarray, steps: int):
         y = np.exp(log_y)
         y /= y.sum()
         ay = a @ y
-        val = refcheck.best_response_value(ay, inst.is_ball)
+        val = model_min(setup, ay, x0, 0.0)
         if val > best_val:
             best_val = val
             best = y.copy()
@@ -161,7 +170,7 @@ def polish_dual(inst: MatrixGameInstance, y0: np.ndarray, steps: int):
             stalled += 1
             if stalled == POLISH_PATIENCE:
                 break
-    return best
+    return best, best_val
 
 
 def dual_from_samples(
@@ -218,9 +227,8 @@ def solve_matrix_game(
     f_max = float(values.max())
     y_softmax = np.exp((values - f_max) / smoothing_level(eps, inst.n))
     y_softmax /= y_softmax.sum()
-    y_polished = polish_dual(inst, y_softmax, CERTIFICATE_POLISH_STEPS)
-    lower = max(refcheck.best_response_value(inst.matrix @ y, inst.is_ball)
-                for y in (y_softmax, y_polished))
+    _, polished = polish_dual(inst, y_softmax, CERTIFICATE_POLISH_STEPS)
+    lower = max(model_min(game_domain(inst), inst.matrix @ y_softmax, x, 0.0), polished)
     report.extras["gap"] = f_max - lower
     return x, report
 
@@ -364,8 +372,7 @@ def subgradient_control(inst, eps: float, seed: int = 0) -> SolverReport:
     """The subgradient run ``maxmin bench`` sets beside each solve:
     max(1000, 4 / eps^2) steps on the instance's own family and domain."""
     if isinstance(inst, MatrixGameInstance):
-        problem = inst.problem()
-        setup = ball_setup(inst.d) if inst.is_ball else simplex_setup(inst.d, 0.0)
+        problem, setup = inst.problem(), game_domain(inst)
     elif isinstance(inst, MebInstance):
         problem, setup = QuadraticMaxProblem(inst.points), ball_setup(inst.d)
     elif isinstance(inst, QuadraticMaxProblem):

@@ -3,11 +3,10 @@
 ``li_md`` runs last-iterate proximal mirror descent: gradients are
 queried at the running average of the iterates, which keeps every query
 within the working radius and bounds the total query movement by
-O(rho log T).  ``lambda_bisection`` probes LI-MD runs in search of a
+O(rho log T).  ``restricted_oracle`` probes LI-MD runs in search of a
 regularization weight whose prox point sits at divergence Theta(rho^2)
-from the center, and ``restricted_oracle`` returns the run it accepts as
-the (z, w, c) output whose in-expectation inequality the accelerator
-consumes.
+from the center, and returns the run it accepts as the (z, w, c) output
+whose in-expectation inequality the accelerator consumes.
 
 LI-MD runs with step size eta = rho^2 lam / (C Gamma^2), C = 64, and
 T = 4 tau / (eta lam) steps.  The published analysis takes
@@ -63,19 +62,19 @@ class LimdResult:
 
 
 @dataclass
-class BallOracleResult:
+class OracleResult:
+    """One oracle call: the output run's points z, w, its multiplier c and
+    lam, the bisection rounds run, the queries and movement summed over
+    every probe, and the output run's T."""
+
     z: np.ndarray
     w: np.ndarray
     c: float
-
-
-@dataclass
-class OracleStats:
-    lam: float = 1.0
-    bisection_rounds: int = 0
-    total_queries: int = 0
-    total_movement: float = 0.0
-    planned_steps: int = 0  # T of the output run
+    lam: float
+    rounds: int
+    queries: int
+    movement: float
+    planned_steps: int
 
 
 def step_plan(rho: float, lam: float, tau_val: float, gamma_bound: float) -> tuple[float, int]:
@@ -171,26 +170,29 @@ def bisection_round_limit(tau_val: float, gamma_bound: float, rho: float) -> int
     return max(1, math.ceil(math.log2(max(arg, 2.0))))
 
 
-def lambda_bisection(
+def restricted_oracle(
     grad_est: GradEst,
     setup: GeometrySetup,
     y: np.ndarray,
     rho: float,
     gamma_bound: float,
-    stats: OracleStats | None = None,
-) -> tuple[float, LimdResult, float]:
-    """Find lam with the prox point at divergence ~rho^2 scale from y.
+) -> OracleResult:
+    """(rho, gamma, c_max) restricted proximal oracle around y.
 
-    Runs the mirror-descent probe at lam = 1 first and accepts it if it
-    already stays close.  Otherwise halves the bracket
+    Bisects for lam with the prox point at divergence ~rho^2 scale from
+    y.  Runs the mirror-descent probe at lam = 1 first and accepts it if
+    it already stays close.  Otherwise halves the bracket
     [1, 16 tau Gamma / rho], raising the floor when the probe escapes and
-    lowering the ceiling when it collapses onto the center.  Returns the
-    accepted lam (the last probed one when the rounds run out), that
-    probe's LI-MD run and its multiplier c = lam + 1/(eta T); each probe's
-    queries, movement and planned T are tallied in ``stats``.
+    lowering the ceiling when it collapses onto the center.  The accepted
+    probe (the last one when the rounds run out) is the output: its points
+    z, w and its multiplier c = lam (1 + 1/(4 tau)), which lies in
+    [1, 32 tau Gamma / rho].
     """
-    stats = stats if stats is not None else OracleStats()
+    if rho <= 0.0:
+        raise InvalidParams("rho must be positive")
     tau_val = tau(setup)
+    if not tau_val >= 4.0:
+        raise PreconditionViolated("setup must satisfy a finite tau >= 4 triangle inequality")
     if gamma_bound <= 0.0:
         raise InvalidParams("gradient bound must be positive")
     # the bracket floor is 1; tiny gradient bounds would otherwise invert it
@@ -198,25 +200,27 @@ def lambda_bisection(
     lam_min = 1.0
     upper = rho**2 / (UPPER_DIV * tau_val)
     lower = rho**2 / (LOWER_DIV * tau_val**3)
+    queries = 0
+    movement = 0.0
 
-    def probe(lam: float) -> tuple[LimdResult, float, float]:
-        """The LI-MD run at lam under ``step_plan``, its multiplier
-        lam + 1/(eta T) and V_y(z), inf when the run left the ball."""
+    def probe(lam: float) -> tuple[LimdResult, float, int, float]:
+        """The LI-MD run at lam under ``step_plan``, its eta and T, and
+        V_y(z), inf when the run left the ball."""
+        nonlocal queries, movement
         eta, steps = step_plan(rho, lam, tau_val, gamma_bound)
         res = li_md(grad_est, setup, y, rho, lam, eta, steps)
-        stats.total_queries += res.queries
-        stats.total_movement += res.movement
-        stats.planned_steps = steps
+        queries += res.queries
+        movement += res.movement
         div = math.inf if res.out_of_bound else bregman(setup, y, res.z)
-        return res, lam + 1.0 / (eta * steps), div
+        return res, eta, steps, div
 
     lam = lam_min
-    res, c, div = probe(lam)
+    rounds = 0
+    res, eta, steps, div = probe(lam)
     if div >= upper:
-        for k in range(1, bisection_round_limit(tau_val, gamma_bound, rho) + 1):
+        for rounds in range(1, bisection_round_limit(tau_val, gamma_bound, rho) + 1):
             lam = 0.5 * (lam_max + lam_min)
-            res, c, div = probe(lam)
-            stats.bisection_rounds = k
+            res, eta, steps, div = probe(lam)
             if div > upper:
                 lam_min = lam
             elif div < lower:
@@ -225,29 +229,8 @@ def lambda_bisection(
                 break
         # running out of rounds is the low-probability bad event; the last
         # probe stands
-    return lam, res, c
-
-
-def restricted_oracle(
-    grad_est: GradEst,
-    setup: GeometrySetup,
-    y: np.ndarray,
-    rho: float,
-    gamma_bound: float,
-) -> tuple[BallOracleResult, OracleStats]:
-    """(rho, gamma, c_max) restricted proximal oracle around y.
-
-    Returns the points z, w of the LI-MD run that ``lambda_bisection``
-    accepted and its multiplier c = lam (1 + 1/(4 tau)), which lies in
-    [1, 32 tau Gamma / rho].
-    """
-    if rho <= 0.0:
-        raise InvalidParams("rho must be positive")
-    if not tau(setup) >= 4.0:
-        raise PreconditionViolated("setup must satisfy a finite tau >= 4 triangle inequality")
-    stats = OracleStats()
-    stats.lam, res, c = lambda_bisection(grad_est, setup, y, rho, gamma_bound, stats)
-    return BallOracleResult(res.z, res.w, c), stats
+    return OracleResult(res.z, res.w, lam + 1.0 / (eta * steps), lam, rounds, queries,
+                        movement, steps)
 
 
 def movement_bound(rho: float, tau_val: float, gamma_bound: float) -> float:

@@ -7,8 +7,10 @@ CSV, one cell at a time; ``--r-sweep`` sets the query radius of games
 and quadratics, is rejected on MEB instances, and leaves the radius-free
 subgradient control at one row per seed).  Human logs go to
 stderr; ``solve`` prints nothing on stdout except the report path.  Exit
-codes: 0 success, 2 validation error, 3 solver failure or a non-finite
-result (the failing seed is recorded in the report).
+codes: 0 success, 1 a failed ``selftest`` check, 2 validation error,
+3 solver failure or a non-finite result (``solve`` records the failing
+seed in its report; ``bench`` logs the failing cell's method, r and seed
+and writes no CSV).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .selftests import run_selftests
 log = logging.getLogger("maxmin")
 
 _SOLVER_FAILURES = (RejectionStall, IterationCapExceeded, GradientCallbackFailed)
+_NON_FINITE = "NonFinite: the result has a non-finite entry"
 
 
 def _gen_payload(
@@ -101,7 +104,7 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     try:
         report, result = solve_instance(inst, args.eps, seed=args.seed)
-        error = "" if _finite(result) else "NonFinite: the result has a non-finite entry"
+        error = "" if _finite(result) else _NON_FINITE
     except _SOLVER_FAILURES as exc:
         error = f"{type(exc).__name__}: {exc}"
     if error:
@@ -146,11 +149,13 @@ _BENCH_METHODS = ("proposed", "subgradient")
 
 
 def _bench_cell(inst, method, eps, seed, r_value):
+    """One CSV row, and whether the cell's result is finite."""
     t0 = time.perf_counter()
     if method == "proposed":
-        rep, _ = solve_instance(inst, eps, seed=seed, r=r_value)
+        rep, result = solve_instance(inst, eps, seed=seed, r=r_value)
     else:
         rep = subgradient_control(inst, eps, seed=seed)
+        result = {"value": rep.f_max_value, "point": rep.x}
     wall = time.perf_counter() - t0
     return {
         "method": method,
@@ -161,7 +166,7 @@ def _bench_cell(inst, method, eps, seed, r_value):
         "evaluations": rep.evaluations,
         "iterations": rep.outer_iterations,
         "wall_time": wall,
-    }
+    }, _finite(result)
 
 
 def cmd_bench(args) -> int:
@@ -184,12 +189,20 @@ def cmd_bench(args) -> int:
             raise InvalidParams(f"--r-sweep radii must be finite and > 0, got {args.r_sweep!r}")
     seeds = [args.seed + i for i in range(args.repeats)]
     # the subgradient control has no query radius: one row per seed
-    results = [
-        _bench_cell(inst, m, args.eps, s, r)
-        for m in methods
-        for r in (sweep if m == "proposed" else [None])
-        for s in seeds
-    ]
+    cells = [(m, r, s) for m in methods
+             for r in (sweep if m == "proposed" else [None]) for s in seeds]
+    results = []
+    for m, r, s in cells:
+        try:
+            row, finite = _bench_cell(inst, m, args.eps, s, r)
+            error = "" if finite else _NON_FINITE
+        except _SOLVER_FAILURES as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        if error:
+            log.error("solver failed (method %s, r %s, seed %d): %s",
+                      m, "default" if r is None else r, s, error)
+            return 3
+        results.append(row)
     fields = ["instance", "method", "r", "seed", "value", "gap", "evaluations",
               "iterations", "wall_time"]
     with open(args.out, "w", newline="") as fh:

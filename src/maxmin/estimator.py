@@ -174,17 +174,14 @@ class SoftmaxGradientEstimator:
                  + model_min(setup, g, self.x0, self.problem.mu))
         return float(self.f0.max()) - lower
 
-    def _refresh_logits(self, changed: np.ndarray) -> None:
-        """Recompute the logits at ``changed`` (non-empty) and pass their weights to
-        the sampler: all weights are rebased when the max logit drifts past the
-        stored offset, otherwise only the changed weights are written."""
-        self.logits[changed] = (self.f0[changed] + self.y[changed]) / self.eps_prime
+    def _refresh_logits(self) -> None:
+        """Recompute the logits from y and rebuild the sampler's weights,
+        rebasing the offset when the max logit drifts past the stored one."""
+        self.logits = (self.f0 + self.y) / self.eps_prime
         top = float(self.logits.max())
         if abs(top - self._offset) > _OFFSET_DRIFT:
             self._offset = top
-            self.tree.rebuild(np.exp(self.logits - self._offset))
-        else:
-            self.tree.update(changed, np.exp(self.logits[changed] - self._offset))
+        self.tree.rebuild(np.exp(self.logits - self._offset))
 
     def estimate(self, x_t: np.ndarray) -> tuple[int, np.ndarray, EstimateStats]:
         """Sample i ~ softmax(f(x_t)/eps') and return (i, grad f_i(x_t), stats)."""
@@ -195,7 +192,7 @@ class SoftmaxGradientEstimator:
 
         delta = x_t - self.x_prev
         try:
-            raw, changed = self.mvm.query(delta)
+            raw, refreshed = self.mvm.query(delta)
         except BudgetExceeded:
             # a single step longer than the whole budget r' fails a rebuild too
             step = pnorm(delta, self.p)
@@ -207,12 +204,12 @@ class SoftmaxGradientEstimator:
             # untouched
             self.counters.mvm_rebuilds += 1
             self.mvm = self._mvm_factory(self._a, self.x_prev - self.x0)
-            raw, changed = self.mvm.query(delta)
-            changed = np.arange(self.problem.n)
+            raw, _ = self.mvm.query(delta)
+            refreshed = True
 
-        if changed.size:
+        if refreshed:
             self.y = self.lip * raw
-            self._refresh_logits(changed)
+            self._refresh_logits()
         self.x_prev = x_t.copy()
 
         counters = self.counters

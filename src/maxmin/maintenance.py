@@ -17,8 +17,6 @@ from .errors import BudgetExceeded, InvalidParams
 from .geometry import pnorm
 from .sketches import ExactMve, mve_init
 
-_EMPTY = np.empty(0, dtype=np.intp)
-
 
 def _check_params(eps: float, p: int) -> None:
     if p not in (1, 2):
@@ -45,15 +43,14 @@ class MatVecMaintainer:
         self.x = self.x_bar.copy()
         self.y = self.product.query(self.x_bar) if self.x_bar.any() else np.zeros(self.product.n)
 
-    def query(self, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Apply x <- x + delta and return (y, changed_coordinates)."""
+    def query(self, delta: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Apply x <- x + delta and return (y, whether y was refreshed)."""
         self.x += delta
         if pnorm(self.x - self.x_bar, self.p) <= self.error_bound:
-            return self.y, _EMPTY
+            return self.y, False
         self.x_bar = self.x.copy()
-        prev = self.y
         self.y = self.product.query(self.x_bar)
-        return self.y, (self.y != prev).nonzero()[0]
+        return self.y, True
 
 
 def level_accuracies(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,8 +122,8 @@ class DyadicMaintainer:
     def level_budget(self, i: int) -> float:
         return self.r_budget / (self.eps * 2.0 ** (i - 2))
 
-    def query(self, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Apply x <- x + delta and return (y, changed_coordinates).
+    def query(self, delta: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Apply x <- x + delta and return (y, whether y was refreshed).
 
         Raises BudgetExceeded (leaving the state untouched) once the
         cumulative movement would pass R; callers rebuild at that point.
@@ -147,7 +144,6 @@ class DyadicMaintainer:
                 break
         self.last_j = j
 
-        prev_y1 = self.ref_y[1]
         for i in range(j - 1, 0, -1):
             self.ref_x[i] = self.x.copy()
             self.query_counts[i] += 1
@@ -157,8 +153,7 @@ class DyadicMaintainer:
             self.ref_y[i] = est + self.ref_y[i + 1]
 
         self._check_chain()
-        changed = (self.ref_y[1] != prev_y1).nonzero()[0] if j > 1 else _EMPTY
-        return self.ref_y[1], changed
+        return self.ref_y[1], j > 1
 
     def _check_chain(self) -> None:
         # the top reference stays at x0; the movement budget R bounds its gap

@@ -11,7 +11,7 @@ class SumTree:
     The cumulative sum of the weights is computed on the first draw after
     a ``rebuild`` or ``update`` and cached until the next one, so each
     batch of draws is one ``searchsorted``.  A refresh costs O(n) at the
-    next draw; the solver refreshes nearly all weights at once anyway.
+    next draw; the solver refreshes all weights at once with ``rebuild``.
     """
 
     def __init__(self, weights: np.ndarray):

@@ -15,11 +15,7 @@ from maxmin.accelerator import (
     expected_iteration_bound,
     stopping_threshold,
 )
-from maxmin.ball_oracle import (
-    BallOracleResult,
-    OracleStats,
-    restricted_oracle,
-)
+from maxmin.ball_oracle import OracleResult, restricted_oracle
 from maxmin.errors import InvalidParams, IterationCapExceeded
 from maxmin.estimator import EstimatorCounters, SoftmaxGradientEstimator
 from maxmin.geometry import Kind, ball_setup
@@ -49,6 +45,11 @@ class TestStoppingThreshold:
             stopping_threshold(-1.0, 1.0, 0.1)
 
 
+def stub_answer(z, c, rounds=0):
+    """An oracle answer with points z, z, multiplier c and empty tallies."""
+    return OracleResult(z.copy(), z.copy(), c, 1.0, rounds, 0, 0.0, 0)
+
+
 def stub_oracle_factory(c_value, pull=0.5):
     """Oracle stub: moves z, w halfway toward a fixed target, returns fixed c."""
 
@@ -56,7 +57,7 @@ def stub_oracle_factory(c_value, pull=0.5):
 
     def oracle(grad_est, setup, y, rho, gamma_bound):
         z = y if target is None else y + pull * (target - y)
-        return BallOracleResult(z.copy(), z.copy(), c_value), OracleStats()
+        return stub_answer(z, c_value)
 
     return oracle
 
@@ -338,7 +339,7 @@ class TestCounters:
         def bisecting_oracle(grad_est, setup, y, rho, gamma_bound):
             k = next(counts)
             handed_out.append(k)
-            return BallOracleResult(y.copy(), y.copy(), 1.0), OracleStats(bisection_rounds=k)
+            return stub_answer(y, 1.0, rounds=k)
 
         rep = run_accel(bisecting_oracle, r=0.5, e0=1.0, eps=0.25, gamma=0.25)
         assert rep.outer_iterations > 6

@@ -201,9 +201,9 @@ def oracle_inequality_bounds(grad, gam_bound, runs):
     bisected = 0
     residuals = {"y": [], "prox": [], "u1": [], "u2": [], "u3": []}
     for _ in range(runs):
-        res, stats = restricted_oracle(grad, setup, y, rho, gam_bound)
-        lam = stats.lam
-        bisected += stats.bisection_rounds > 0
+        res = restricted_oracle(grad, setup, y, rho, gam_bound)
+        lam = res.lam
+        bisected += res.rounds > 0
         if lam not in prox_cache:
             prox_cache[lam] = refcheck.exact_prox(
                 setup, quad_val, quad_grad, y, lam, refcheck.ReferenceBudget(tolerance=1e-11)
@@ -274,12 +274,12 @@ def test_criterion_07_bisection_band():
     for seed in range(20):
         q = rng.standard_normal(3)
         q /= np.linalg.norm(q)
-        res, stats = restricted_oracle(lambda x: gam * q, setup, np.zeros(3), rho, gam)
-        lam = stats.lam
+        res = restricted_oracle(lambda x: gam * q, setup, np.zeros(3), rho, gam)
+        lam = res.lam
         v_exact = 0.5 * min(gam / lam, 1.0) ** 2
         in_band = rho**2 / (1024.0 * tau_v**4) <= v_exact <= rho**2 / 16.0
-        hits += in_band or (lam == 1.0 and stats.bisection_rounds == 0)
-        rounds_ok = rounds_ok and stats.bisection_rounds <= k_cap
+        hits += in_band or (lam == 1.0 and res.rounds == 0)
+        rounds_ok = rounds_ok and res.rounds <= k_cap
     ok = hits >= 18 and rounds_ok
     report(
         7,
@@ -332,23 +332,23 @@ def test_criterion_09_oracle_movement_bound():
         seen.append(np.linalg.norm(x))
         return gam * u
 
-    res, stats = restricted_oracle(grad, setup, np.zeros(2), rho, gam)
+    res = restricted_oracle(grad, setup, np.zeros(2), rho, gam)
     move_cap = movement_bound(rho, tau_v, gam)
     query_cap = query_budget_bound(rho, tau_v, gam)
     ok = (
-        stats.bisection_rounds >= 1
-        and stats.total_movement <= move_cap
+        res.rounds >= 1
+        and res.movement <= move_cap
         and max(seen) <= rho
-        and stats.total_queries <= query_cap
+        and res.queries <= query_cap
     )
     report(
         9,
         "oracle movement and query bounds",
         ok,
-        f"{stats.bisection_rounds} bisection rounds >= 1, "
-        f"movement {stats.total_movement:.3e} <= {move_cap:.3e}, "
+        f"{res.rounds} bisection rounds >= 1, "
+        f"movement {res.movement:.3e} <= {move_cap:.3e}, "
         f"max query radius {max(seen):.3f} <= rho={rho}, "
-        f"queries {stats.total_queries} <= {query_cap:.3g}",
+        f"queries {res.queries} <= {query_cap:.3g}",
     )
 
 

@@ -343,7 +343,10 @@ class TestMatrixGames:
                 stalled += 1
                 if stalled == POLISH_PATIENCE:
                     break
-        assert np.array_equal(polish_dual(inst, y0, steps=60), best)
+        y, bound = polish_dual(inst, y0, steps=60)
+        assert np.array_equal(y, best)
+        # model_min's bound, bit for bit the reference's best response
+        assert bound == best_val
 
     def test_polish_only_improves(self):
         rng = np.random.default_rng(5)
@@ -351,9 +354,10 @@ class TestMatrixGames:
         a /= np.linalg.norm(a, axis=0).max()
         inst = MatrixGameInstance(a, "l2l1")
         y0 = np.full(7, 1.0 / 7.0)
-        y = polish_dual(inst, y0, steps=100)
+        y, bound = polish_dual(inst, y0, steps=100)
         lb0 = refcheck.best_response_value(a @ y0, True)
         lb1 = refcheck.best_response_value(a @ y, True)
+        assert bound == lb1
         assert lb1 >= lb0 - 1e-12
         assert y.min() >= 0 and y.sum() == pytest.approx(1.0)
 

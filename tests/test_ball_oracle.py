@@ -5,9 +5,7 @@ import pytest
 
 from maxmin import ball_oracle, refcheck
 from maxmin.ball_oracle import (
-    OracleStats,
     bisection_round_limit,
-    lambda_bisection,
     li_md,
     movement_bound,
     restricted_oracle,
@@ -107,11 +105,9 @@ class TestLiMd:
 class TestLambdaBisection:
     def test_flat_objective_returns_floor(self):
         setup = ball_setup(2)
-        lam, _, c = lambda_bisection(
-            lambda x: np.zeros(2), setup, np.zeros(2), 0.5, 1.0
-        )
-        assert lam == 1.0
-        assert c == pytest.approx(1.0 + 1.0 / (4.0 * tau(setup)), rel=1e-12)
+        res = restricted_oracle(lambda x: np.zeros(2), setup, np.zeros(2), 0.5, 1.0)
+        assert res.lam == 1.0
+        assert res.c == pytest.approx(1.0 + 1.0 / (4.0 * tau(setup)), rel=1e-12)
 
     def test_linear_objective_lands_in_band(self):
         # h(x) = Gam <u, x>: exact prox point at -(Gam/lam) u, so
@@ -127,9 +123,7 @@ class TestLambdaBisection:
             rng = np.random.default_rng(seed)
             q = rng.standard_normal(3)
             q /= np.linalg.norm(q)
-            lam, _, _ = lambda_bisection(
-                lambda x: gam * q, setup, y, rho, gam
-            )
+            lam = restricted_oracle(lambda x: gam * q, setup, y, rho, gam).lam
             v_exact = 0.5 * min(gam / lam, 1.0) ** 2
             if lam == 1.0 or rho**2 / (1024 * tau_v**4) <= v_exact <= rho**2 / 16.0:
                 hits += 1
@@ -137,9 +131,8 @@ class TestLambdaBisection:
 
     def test_round_limit_respected(self):
         setup = ball_setup(2)
-        stats = OracleStats()
-        lambda_bisection(lambda x: np.array([5.0, 0.0]), setup, np.zeros(2), 0.2, 5.0, stats)
-        assert stats.bisection_rounds <= bisection_round_limit(4.0, 5.0, 0.2)
+        res = restricted_oracle(lambda x: np.array([5.0, 0.0]), setup, np.zeros(2), 0.2, 5.0)
+        assert res.rounds <= bisection_round_limit(4.0, 5.0, 0.2)
 
     def test_lipschitz_prox_divergence_bound(self):
         # V_y(prox_lam) <= Gam^2 / (2 lam^2) for a Gam-Lipschitz objective
@@ -160,15 +153,13 @@ class TestRestrictedOracle:
     def test_flat_objective_output(self):
         setup = ball_setup(2)
         y = np.array([0.2, 0.1])
-        res, stats = restricted_oracle(
-            lambda x: np.zeros(2), setup, y, 0.5, 1.0
-        )
+        res = restricted_oracle(lambda x: np.zeros(2), setup, y, 0.5, 1.0)
         np.testing.assert_allclose(res.z, y, atol=1e-12)
         np.testing.assert_allclose(res.w, y, atol=1e-12)
         assert res.c == pytest.approx(1.0 + 1.0 / (4.0 * tau(setup)), rel=1e-12)
         # the accepted lam = 1 probe is the only run: its T queries in all
         _, steps = step_plan(0.5, 1.0, tau(setup), 1.0)
-        assert stats.total_queries == stats.planned_steps == steps
+        assert res.queries == res.planned_steps == steps
 
     def test_output_is_the_accepted_probe(self, monkeypatch):
         # a gradient large enough to enter bisection: no LI-MD run beyond
@@ -182,17 +173,18 @@ class TestRestrictedOracle:
         monkeypatch.setattr(ball_oracle, "li_md", recording_li_md)
         setup = ball_setup(2)
         rho, gam = 0.3, 1.0
-        res, stats = restricted_oracle(
+        res = restricted_oracle(
             lambda x: gam * np.array([0.6, 0.8]), setup, np.zeros(2), rho, gam
         )
-        assert stats.bisection_rounds >= 1
-        assert len(runs) == 1 + stats.bisection_rounds
-        assert stats.total_queries == sum(run.queries for run in runs)
+        assert res.rounds >= 1
+        assert len(runs) == 1 + res.rounds
+        assert res.queries == sum(run.queries for run in runs)
+        assert res.movement == sum(run.movement for run in runs)
         np.testing.assert_array_equal(res.z, runs[-1].z)
         np.testing.assert_array_equal(res.w, runs[-1].w)
-        eta, steps = step_plan(rho, stats.lam, tau(setup), gam)
-        assert stats.planned_steps == steps
-        assert res.c == stats.lam + 1.0 / (eta * steps)
+        eta, steps = step_plan(rho, res.lam, tau(setup), gam)
+        assert res.planned_steps == steps
+        assert res.c == res.lam + 1.0 / (eta * steps)
 
     def test_c_relation_and_cap(self):
         setup = ball_setup(3)
@@ -202,10 +194,8 @@ class TestRestrictedOracle:
             u = rng.standard_normal(3)
             u /= np.linalg.norm(u)
             rho = 0.25
-            res, stats = restricted_oracle(
-                lambda x: gam * u, setup, np.zeros(3), rho, gam
-            )
-            assert res.c == pytest.approx(stats.lam * (1.0 + 1.0 / (4.0 * tau_v)), rel=1e-12)
+            res = restricted_oracle(lambda x: gam * u, setup, np.zeros(3), rho, gam)
+            assert res.c == pytest.approx(res.lam * (1.0 + 1.0 / (4.0 * tau_v)), rel=1e-12)
             assert 1.0 <= res.c <= 32.0 * tau_v * gam / rho
 
     def test_iterate_containment_against_exact_prox(self):
@@ -239,6 +229,6 @@ class TestRestrictedOracle:
         rng = np.random.default_rng(3)
         u = rng.standard_normal(2)
         u /= np.linalg.norm(u)
-        _, stats = restricted_oracle(lambda x: gam * u, setup, np.zeros(2), rho, gam)
+        res = restricted_oracle(lambda x: gam * u, setup, np.zeros(2), rho, gam)
         bound = movement_bound(rho, 4.0, gam)
-        assert stats.total_movement <= 2.0 * bound
+        assert res.movement <= 2.0 * bound

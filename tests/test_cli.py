@@ -454,6 +454,43 @@ class TestFailurePath:
         assert doc["seed"] == 17
         assert "RejectionStall" in doc["error"]
 
+    def test_bench_solver_failure_exit_three_with_cell(self, tmp_path, monkeypatch, caplog):
+        import maxmin.cli as cli_mod
+        from maxmin.errors import RejectionStall
+
+        def exploding(*args, **kwargs):
+            raise RejectionStall("good event failed")
+
+        monkeypatch.setattr(cli_mod, "solve_instance", exploding)
+        inst = tmp_path / "g.txt"
+        mio.save_instance_text(inst, "game_l1l1", np.eye(2))
+        out = tmp_path / "bench.csv"
+        code = run_cli(["bench", "--in", str(inst), "--eps", "0.1", "--seed", "17",
+                        "--method", "proposed", "--r-sweep", "0.25", "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert "RejectionStall" in caplog.text
+        assert "method proposed, r 0.25, seed 17" in caplog.text
+
+    def test_bench_non_finite_cell_exit_three(self, tmp_path, monkeypatch, caplog):
+        import maxmin.cli as cli_mod
+
+        def nan_solve(inst, eps, seed=0, r=None):
+            rep = SimpleNamespace(f_max_value=float("nan"), extras={"gap": float("nan")},
+                                  evaluations=0, outer_iterations=0)
+            return rep, {"value": float("nan"), "gap": float("nan"), "point": [0.0, 0.0]}
+
+        monkeypatch.setattr(cli_mod, "solve_instance", nan_solve)
+        inst = tmp_path / "g.txt"
+        mio.save_instance_text(inst, "game_l1l1", np.eye(2))
+        out = tmp_path / "bench.csv"
+        code = run_cli(["bench", "--in", str(inst), "--eps", "0.1", "--seed", "4",
+                        "--repeats", "2", "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert "NonFinite" in caplog.text
+        assert "method proposed, r default, seed 4" in caplog.text
+
     def test_non_finite_result_exit_three(self, tmp_path, monkeypatch):
         import maxmin.apps as apps_mod
 

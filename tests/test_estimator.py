@@ -313,8 +313,8 @@ class TestEstimate:
         assert est.counters.mvm_rebuilds == 0
 
     def test_y_tracks_maintained_product(self):
-        # y is rescaled only when the maintainer's product changes, so it
-        # must equal lip times that product after every query: on steps
+        # y is rescaled only when the maintainer refreshes its product, so
+        # it must equal lip times that product after every query: on steps
         # that refresh it, on steps that leave it alone, and after rebuilds
         rng = np.random.default_rng(20)
         prob = QuadraticMaxProblem(rng.standard_normal((10, 3)) * 0.4)
@@ -335,6 +335,9 @@ class TestEstimate:
             est.estimate(x_t)
             refreshed.add(est.mvm.last_j > 1)
             assert np.array_equal(est.y, est.lip * est.mvm.ref_y[1])
+            # the logits and the sampler's weights follow y, bit for bit
+            assert np.array_equal(est.logits, (est.f0 + est.y) / est.eps_prime)
+            assert np.array_equal(est.tree.weights, np.exp(est.logits - est._offset))
         assert refreshed == {True, False}
         assert est.counters.mvm_rebuilds >= 1
 

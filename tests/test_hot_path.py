@@ -3,10 +3,10 @@ and ufuncs, not numpy's module-level wrappers such as ``np.sum``: on the
 short vectors of a gradient query, and on the thousands of per-round
 estimator and maintainer constructions of a solve, the wrapper's
 Python-level dispatch costs more than the arithmetic.  This test reads the
-source of every function on those paths (each LI-MD query, each round's
-estimator and maintainer construction, and the game certificate run once
-per solve) and fails on a wrapper call, so a regression shows up here
-rather than in a benchmark."""
+source of every function on those paths (each LI-MD query; each round's
+oracle call with its bisection loop, and its estimator and maintainer
+construction; and the game certificate run once per solve) and fails on a
+wrapper call, so a regression shows up here rather than in a benchmark."""
 
 import inspect
 import re
@@ -32,6 +32,7 @@ HOT_PATH = [
     SumTree.sample_batch,
     SumTree._cumsum,
     # per round
+    ball_oracle.restricted_oracle,
     SoftmaxGradientEstimator.__init__,
     MatVecMaintainer.__init__,
     EstimatorCounters.add,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from maxmin.errors import BudgetExceeded, InvalidParams
+from maxmin.geometry import pnorm
 from maxmin.maintenance import DyadicMaintainer, MatVecMaintainer
 from maxmin.selftests import mvm_walk_check
 from maxmin.sketches import ExactMve
@@ -61,16 +62,16 @@ class TestQuery:
         m = MatVecMaintainer(a, np.zeros(4), 0.1, p=2)
         m.query(rng.standard_normal(4) * 0.05)
         before = m.y.copy()
-        y, changed = m.query(np.zeros(4))
-        assert changed.size == 0
+        y, refreshed = m.query(np.zeros(4))
+        assert not refreshed
         np.testing.assert_array_equal(y, before)
         # p = 1 levels keep A alone, not the large sketches of p = 2 ones
         m = DyadicMaintainer(unit_rows(rng, 5, 4, p=1), np.zeros(4), 1.0, 0.1, 0.1, p=1)
         m.query(rng.standard_normal(4) * 0.05)
         before = m.ref_y[1].copy()
-        y, changed = m.query(np.zeros(4))
+        y, refreshed = m.query(np.zeros(4))
         assert m.last_j == 1
-        assert changed.size == 0
+        assert not refreshed
         np.testing.assert_array_equal(y, before)
 
     def test_budget_exceeded_raises_and_preserves_state(self):
@@ -120,10 +121,10 @@ class TestQuery:
         m = MatVecMaintainer(a, np.zeros(5), 0.01, p=2)
         x = rng.standard_normal(5)
         x *= 0.9 / np.linalg.norm(x)
-        y, changed = m.query(x)
+        y, refreshed = m.query(x)
         assert len(calls) == 1
         np.testing.assert_allclose(y, a @ x, rtol=0, atol=1e-12)
-        assert changed.size == 7
+        assert refreshed
 
     def test_top_reference_never_moves(self):
         rng = np.random.default_rng(5)
@@ -149,22 +150,30 @@ class TestQuery:
         for i in range(1, m.k + 1):
             assert m.query_counts[i] <= m.level_budget(i) + 1e-9
 
-    def test_changed_coordinates_reported(self):
+    def test_refresh_flag_reported(self):
+        # the flag is set exactly when x has moved past eps/2 from the last
+        # refresh point; y is then the product at x, and otherwise the
+        # previous y, bit for bit
         rng = np.random.default_rng(7)
         a = unit_rows(rng, 8, 4)
         m = MatVecMaintainer(a, np.zeros(4), 0.2, p=2)
-        seen_change = False
+        x, x_bar = np.zeros(4), np.zeros(4)
         prev = m.y.copy()
+        flags = set()
         for _ in range(60):
             step = rng.standard_normal(4)
             step *= 0.015 / np.linalg.norm(step)
-            y, changed = m.query(step)
-            if changed.size:
-                seen_change = True
-                diff = np.nonzero(y != prev)[0]
-                np.testing.assert_array_equal(changed, diff)
+            x += step
+            y, refreshed = m.query(step)
+            flags.add(refreshed)
+            assert refreshed == (pnorm(x - x_bar, 2) > 0.1)
+            if refreshed:
+                x_bar = x.copy()
+                np.testing.assert_array_equal(y, a @ x)
+            else:
+                np.testing.assert_array_equal(y, prev)
             prev = y.copy()
-        assert seen_change
+        assert flags == {True, False}
 
 
 class TestStatistical:
