@@ -10,10 +10,12 @@ first anchor from round 2 on whose weak-duality gap
 (``SoftmaxGradientEstimator.anchor_gap``) is at most that level.  The gap
 reuses the round's anchor evaluation (n values, n gradients and the
 sampler's softmax weights) and adds one n x d product and O(n) work per
-round.  It uses the family's strong-convexity modulus, so it is exact
-for linear families (games) and for the quadratic family (MEB levels);
-its minimization runs over the ball or the full simplex, not the
-truncated one the loop walks on.  ``auto_gamma`` sizes the oracle
+round, plus at most ``CERTIFICATE_FW_STEPS`` = 3 more products for the
+Frank-Wolfe polish of a strongly convex family's dual; it evaluates no f
+or gradient.  It uses the family's strong-convexity modulus, so it is
+exact for linear families (games) and for the quadratic family (MEB
+levels); its minimization runs over the ball or the full simplex, not
+the truncated one the loop walks on.  ``auto_gamma`` sizes the oracle
 quality for the weight the run is planned to reach: the threshold, or,
 with a positive certificate level c, the smaller weight
 ``CERTIFICATE_PLAN_FACTOR`` R^2 / c by which the certificate can fire.
@@ -174,8 +176,9 @@ def accelerate(
 
     ``e0`` bounds the start's suboptimality; the run stops once the weight
     passes ``stopping_scale`` times the worst-case threshold (1.0 is the
-    published stopping rule; the MEB recursion caps its uncertified
-    levels lower).  With
+    published stopping rule; the MEB recursion caps its levels lower, a
+    fallback for the rare level the polished certificate does not end).
+    With
     ``certificate_eps`` set, the run also stops, with ``stop_reason``
     "certificate", at the first anchor from round 2 on whose
     ``anchor_gap`` is at most it, and returns that anchor; its n values

@@ -261,11 +261,13 @@ def solve_meb(
     Level k solves the smooth-max problem restricted to the ball of
     radius 2^{-(k-1)/2} around the previous center, rescaled to the unit
     ball, at accuracy 2^{-(k+1)}.  Each sub-solve stops at the first
-    anchor whose strong-convexity duality gap (``anchor_gap``) certifies
-    the level's accuracy, or else at ``MEB_STOPPING_SCALE`` of the weight
-    threshold.  A certified sub-solve ends its level; an uncertified one
-    is repeated, up to ``MEB_REPEATS`` sub-solves, and the level keeps
-    the best under the exact objective.  The previous level's accuracy
+    anchor whose strong-convexity duality gap (``anchor_gap``, its
+    softmax-weighted centroid dual polished by Frank-Wolfe steps)
+    certifies the level's accuracy, or else at ``MEB_STOPPING_SCALE`` of
+    the weight threshold.  A certified sub-solve ends its level; an
+    uncertified one, now the rare fallback, is repeated, up to
+    ``MEB_REPEATS`` sub-solves, and the level keeps the best under the
+    exact objective.  The previous level's accuracy
     guarantee seeds the next level's suboptimality bound: a level error
     of at most 2^{-(k+1)} puts the center within 2^{-k/2} of the optimum
     by strong convexity, so when every level is certified the radius is
@@ -318,11 +320,11 @@ def solve_meb(
                 break
         x = best_x
         prev_err = eps_k
-    radius = math.sqrt(2.0 * base.f_max(x))
-    center_in, radius_in = inst.to_input_coords(x, radius)
+    f_max_value = base.f_max(x)
+    center_in, radius_in = inst.to_input_coords(x, math.sqrt(2.0 * f_max_value))
 
     report = SolverReport.total(
-        parts, x=x, f_max_value=base.f_max(x), seed=seed,
+        parts, x=x, f_max_value=f_max_value, seed=seed,
         wall_time=time.perf_counter() - start,
         stop_reason="certificate" if certified_levels == levels else "threshold",
     )

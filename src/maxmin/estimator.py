@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import BudgetExceeded, PreconditionViolated, RejectionStall
-from .geometry import GeometrySetup, model_min, pnorm
+from .geometry import GeometrySetup, Kind, ball_model_min, model_min, pnorm
 from .maintenance import MatVecMaintainer
 from .problems import MaxProblem
 from .sumtree import SumTree
@@ -42,6 +42,8 @@ from .sumtree import SumTree
 # from the stored offset; prevents exp underflow from skewing the weights.
 _OFFSET_DRIFT = 30.0
 _BATCH = 8
+# most Frank-Wolfe steps anchor_gap takes on a strongly convex family's dual
+CERTIFICATE_FW_STEPS = 3
 
 
 @dataclass
@@ -157,21 +159,49 @@ class SoftmaxGradientEstimator:
         own evaluations, valid for any convex family and exact for linear
         and quadratic ones.
 
-        With the sampler's softmax weights y (proportional to
-        exp(f0 / eps')), g = sum_i y_i grad f_i(x0) and the family's
-        strong-convexity modulus mu, f_max(x) >= sum_i y_i f_i(x) >=
-        y.f0 + <g, x - x0> + (mu/2) ||x - x0||^2 for every x, so
-        min_X f_max >= y.f0 - <g, x0> + min_X [<g, x> + (mu/2) ||x - x0||^2],
-        where the last minimum is ``model_min``'s, over the ball or the
-        full simplex.  For the MEB family (mu = 1) the bound's dual is the
+        For weights y in the simplex, with g = sum_i y_i grad f_i(x0) and
+        the family's strong-convexity modulus mu, f_max(x) >= sum_i y_i
+        f_i(x) >= y.f0 + <g, x - x0> + (mu/2) ||x - x0||^2 for every x, so
+        min_X f_max >= D(y) = y.f0 - <g, x0> + min_X [<g, x> + (mu/2)
+        ||x - x0||^2], where the last minimum is ``model_min``'s, over the
+        ball or the full simplex.  The bound starts from the sampler's
+        softmax weights (proportional to exp(f0 / eps')).  Games (mu = 0)
+        keep that dual: their D is non-smooth in g.  For a strongly convex
+        family on the ball (the MEB levels, mu = 1) D's dual is a
         weighted centroid of the points, the core-set certificate of
-        Badoiu and Clarkson.  Costs one n x d product and O(n) work; no f
-        or grad evaluation.
+        Badoiu and Clarkson, and at small eps' the softmax puts it on one
+        or two far points.  There up to ``CERTIFICATE_FW_STEPS``
+        Frank-Wolfe steps with exact line search polish it: at D's best
+        response x*, take the vertex j maximizing the lower model
+        f0_j + <grad f_j(x0), x* - x0>, move y toward e_j by the step
+        gamma that maximizes D without the ball constraint, and keep the
+        step only if the exact D rises.  Costs one n x d product, one
+        more per polish step, and O(n) work; no f or grad evaluation.
         """
         y = self.tree.weights / self.tree.total
         g = self.lip * (y @ self._a)
-        lower = (float(y @ self.f0) - float(g @ self.x0)
-                 + model_min(setup, g, self.x0, self.problem.mu))
+        yf = float(y @ self.f0)
+        mu = self.problem.mu
+        if mu == 0.0 or setup.kind is not Kind.BALL:
+            lower = yf - float(g @ self.x0) + model_min(setup, g, self.x0, mu)
+            return float(self.f0.max()) - lower
+        value, x_star = ball_model_min(g, self.x0, mu)
+        lower = yf - float(g @ self.x0) + value
+        for _ in range(CERTIFICATE_FW_STEPS):
+            j = int((self.f0 + self.lip * (self._a @ (x_star - self.x0))).argmax())
+            h = self.lip * self._a[j] - g
+            hh = float(h @ h)
+            if hh == 0.0:
+                break
+            rise = float(self.f0[j]) - yf
+            gamma = min(max((mu * rise - float(g @ h)) / hh, 0.0), 1.0)
+            g_next = g + gamma * h
+            yf_next = yf + gamma * rise
+            value, x_next = ball_model_min(g_next, self.x0, mu)
+            lower_next = yf_next - float(g_next @ self.x0) + value
+            if not lower_next > lower:
+                break
+            g, yf, lower, x_star = g_next, yf_next, lower_next, x_next
         return float(self.f0.max()) - lower
 
     def _refresh_logits(self) -> None:

@@ -274,20 +274,26 @@ def model_min(setup: GeometrySetup, g: np.ndarray, x0: np.ndarray, mu: float) ->
     """min <g, x> + (mu/2) ||x - x0||^2 over the unit ball, or over the full
     simplex for the simplex setup.
 
-    On the ball the minimizer is the projection of x0 - g/mu onto the
-    ball, and with mu = 0 the minimum is -||g||_2.  On the simplex the
-    quadratic term is dropped, which leaves a valid but weaker bound, and
-    the minimum is min_j g_j.  The truncated simplex's minimum is larger
-    by up to ``nu * d * (mean(g) - min(g))``: a lower bound taken there
-    would hold only for the truncated problem, not for the simplex one it
-    stands in for."""
+    On the ball with mu > 0 the minimum is ``ball_model_min``'s, and with
+    mu = 0 it is -||g||_2.  On the simplex the quadratic term is dropped,
+    which leaves a valid but weaker bound, and the minimum is min_j g_j.
+    The truncated simplex's minimum is larger by up to
+    ``nu * d * (mean(g) - min(g))``: a lower bound taken there would hold
+    only for the truncated problem, not for the simplex one it stands in
+    for."""
     if setup.kind is not Kind.BALL:
         return float(g.min())
     if mu == 0.0:
         return -math.sqrt(float(g @ g))
+    return ball_model_min(g, x0, mu)[0]
+
+
+def ball_model_min(g: np.ndarray, x0: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
+    """The minimum of <g, x> + (mu/2) ||x - x0||^2 over the unit ball, for
+    mu > 0, and its minimizer: the projection of x0 - g/mu onto the ball."""
     c = x0 - g / mu
     nrm = math.sqrt(float(c @ c))
     if nrm > 1.0:
         c = c / nrm
     step = c - x0
-    return float(g @ c) + 0.5 * mu * float(step @ step)
+    return float(g @ c) + 0.5 * mu * float(step @ step), c

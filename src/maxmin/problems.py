@@ -34,7 +34,7 @@ class MaxProblem:
     mu: float
 
     def f_max(self, x: np.ndarray) -> float:
-        return float(np.max(self.values_all(x)))
+        return float(self.values_all(x).max())
 
     def f_smax(self, x: np.ndarray, eps_prime: float) -> float:
         z = self.values_all(x) / eps_prime
@@ -97,7 +97,7 @@ class QuadraticMaxProblem(MaxProblem):
 
     def values_all(self, x):
         diff = x[None, :] - self.centers
-        return 0.5 * np.sum(diff * diff, axis=1) + self.offsets
+        return 0.5 * (diff * diff).sum(axis=1) + self.offsets
 
     def grad(self, i, x):
         return x - self.centers[i]

@@ -392,6 +392,21 @@ class TestMeb:
         assert rep.extras["sub_solves"] < rep.extras["levels"] * MEB_REPEATS
         assert r / inst.scale <= (1.0 + eps) * wr
 
+    def test_polished_certificate_ends_every_level(self):
+        """The benchmark's meb pool, seed 1, instance 0 at its solve seed.
+        The raw softmax centroid left two of its nine levels uncertified,
+        each run to the weight cap twice; the Frank-Wolfe-polished anchor
+        dual certifies every level on its first sub-solve."""
+        inst = MebInstance(np.random.default_rng([1, 0]).standard_normal((200, 3)))
+        eps = 0.01
+        _, r, rep = solve_meb(inst, eps, seed=1000)
+        levels = rep.extras["levels"]
+        assert rep.stop_reason == "certificate"
+        assert rep.extras["certified_levels"] == levels
+        assert rep.extras["sub_solves"] == levels
+        _, wr = refcheck.welzl_meb(inst.points)
+        assert r / inst.scale <= (1.0 + 0.5 * eps) * wr
+
     def test_two_points(self):
         inst = MebInstance(np.array([[0.0, 0.0], [1.0, 0.0]]))
         c, r, _ = solve_meb(inst, 0.05, seed=0)

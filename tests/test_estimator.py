@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from stat_checks import chi_square_pvalue
 
 from maxmin import refcheck
 from maxmin.errors import InvalidParams, PreconditionViolated, RejectionStall
 from maxmin.estimator import SoftmaxGradientEstimator
-from maxmin.geometry import ball_setup, pnorm
+from maxmin.geometry import ball_setup, model_min, pnorm, simplex_setup
 from maxmin.maintenance import DyadicMaintainer
 from maxmin.problems import LinearMaxProblem, MebInstance, QuadraticMaxProblem
 from maxmin.selftests import dyadic_factory
@@ -465,6 +465,10 @@ class TestAnchorGap:
         eps_prime=st.floats(1e-3, 1.0),
         level=st.integers(0, 9),
     )
+    # a fine level where the unconstrained line-search step lowers the
+    # exact bound, so the polish must refuse it to stay below the softmax gap
+    @example(seed=3714618804, n=7, d=2, anchor_norm=0.4844288007906945,
+             eps_prime=0.07195409189828712, level=9)
     def test_quadratic_bound_never_below_the_true_error(
         self, seed, n, d, anchor_norm, eps_prime, level
     ):
@@ -490,3 +494,29 @@ class TestAnchorGap:
         est = SoftmaxGradientEstimator(prob, x0, eps_prime, r, delta=0.05, rng_seed=seed)
         gap = est.anchor_gap(ball_setup(d))
         assert gap >= prob.f_max(x0) - 0.5 * w_radius**2 - 1e-9
+        # the Frank-Wolfe polish only keeps steps that raise the bound
+        assert gap <= softmax_gap(prob, x0, eps_prime, ball_setup(d), 1.0) + 1e-9
+
+    @pytest.mark.parametrize("setup", [ball_setup(4), simplex_setup(4, 0.0)],
+                             ids=["ball", "simplex"])
+    def test_linear_gap_is_the_softmax_dual_bit_for_bit(self, setup):
+        """Games keep the raw softmax dual: no polish step runs at mu = 0."""
+        rng = np.random.default_rng(41)
+        for seed in range(20):
+            prob = linear_problem(rng, 30, 4)
+            x0 = setup.center() + 0.1 * rng.standard_normal(4)
+            est = SoftmaxGradientEstimator(prob, x0, 0.02, 0.1, delta=0.05, rng_seed=seed)
+            y = est.tree.weights / est.tree.total
+            g = y @ prob.rows
+            lower = float(y @ est.f0) - float(g @ x0) + model_min(setup, g, x0, 0.0)
+            assert est.anchor_gap(setup) == float(est.f0.max()) - lower
+
+
+def softmax_gap(prob, x0, eps_prime, setup, mu):
+    """The anchor bound with the softmax weights softmax(f(x0) / eps') as
+    its dual, computed from the family directly."""
+    f0 = prob.values_all(x0)
+    y = np.exp((f0 - f0.max()) / eps_prime)
+    y /= y.sum()
+    g = y @ prob.grad_matrix(x0)
+    return float(f0.max()) - (float(y @ f0) - float(g @ x0) + model_min(setup, g, x0, mu))

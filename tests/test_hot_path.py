@@ -3,10 +3,12 @@ and ufuncs, not numpy's module-level wrappers such as ``np.sum``: on the
 short vectors of a gradient query, and on the thousands of per-round
 estimator and maintainer constructions of a solve, the wrapper's
 Python-level dispatch costs more than the arithmetic.  This test reads the
-source of every function on those paths (each LI-MD query; each round's
-oracle call with its bisection loop, and its estimator and maintainer
-construction; and the game certificate run once per solve) and fails on a
-wrapper call, so a regression shows up here rather than in a benchmark."""
+source of every function on those paths (each LI-MD query with its MEB
+value; each round's oracle call with its bisection loop, its estimator and
+maintainer construction with the MEB anchor evaluation, and its anchor
+certificate; and the game certificate and each MEB level's exact
+objective, run once per solve or level) and fails on a wrapper call, so a
+regression shows up here rather than in a benchmark."""
 
 import inspect
 import re
@@ -16,6 +18,7 @@ import pytest
 from maxmin import apps, ball_oracle, geometry
 from maxmin.estimator import EstimatorCounters, SoftmaxGradientEstimator
 from maxmin.maintenance import MatVecMaintainer
+from maxmin.problems import MaxProblem, QuadraticMaxProblem
 from maxmin.sumtree import SumTree
 
 HOT_PATH = [
@@ -31,15 +34,20 @@ HOT_PATH = [
     MatVecMaintainer.query,
     SumTree.sample_batch,
     SumTree._cumsum,
+    QuadraticMaxProblem.value,
     # per round
     ball_oracle.restricted_oracle,
     SoftmaxGradientEstimator.__init__,
     MatVecMaintainer.__init__,
     EstimatorCounters.add,
+    SoftmaxGradientEstimator.anchor_gap,
+    geometry.ball_model_min,
+    QuadraticMaxProblem.values_all,
     # per solve
     apps.solve_matrix_game,
     apps.dual_from_samples,
     apps.polish_dual,
+    MaxProblem.f_max,
 ]
 
 WRAPPERS = re.compile(

@@ -31,10 +31,11 @@ def evals(report):
 def test_tracer_binds_fires_and_restores(monkeypatch):
     spans = load_spans(monkeypatch)
     inst = MebInstance(np.random.default_rng(5).standard_normal((20, 3)))
-    # at the benchmark's eps the later levels run long enough to refresh
-    # the maintainer's product; at eps 0.25 the certificate stops every
-    # level before the query point leaves the refresh radius
-    eps = 0.01
+    # at eps 0.001 the finest levels run long enough to refresh the
+    # maintainer's product; at the benchmark's eps 0.01 the polished
+    # certificate stops every level before the query point leaves the
+    # refresh radius
+    eps = 0.001
     _, _, plain = apps.solve_meb(inst, eps, seed=0)
 
     tracer = spans.Tracer()
