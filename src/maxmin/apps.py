@@ -116,11 +116,11 @@ def solve_smooth_max(
 
 
 CERTIFICATE_POLISH_STEPS = 200
-# exponentiated-gradient step size of polish_dual
+# first exponentiated-gradient step size of polish_dual
 POLISH_STEP = 0.5
-# polish_dual stops after this many steps in a row that do not improve
-# its best bound
-POLISH_PATIENCE = 10
+# polish_dual halves its step at each try that does not raise its bound
+# and stops at this many such tries
+POLISH_HALVINGS = 2
 
 
 def game_domain(inst: MatrixGameInstance) -> GeometrySetup:
@@ -128,49 +128,55 @@ def game_domain(inst: MatrixGameInstance) -> GeometrySetup:
     return ball_setup(inst.d) if inst.is_ball else simplex_setup(inst.d, 0.0)
 
 
-def polish_dual(inst: MatrixGameInstance, y0: np.ndarray,
+def polish_dual(inst: MatrixGameInstance, logits: np.ndarray,
                 steps: int) -> tuple[np.ndarray, float]:
-    """Exponentiated-gradient ascent on the best-response lower bound
-    min_x <x, A y> over ``game_domain``, taken by ``model_min``.
+    """Backtracking exponentiated-gradient ascent on the best-response
+    lower bound min_x <x, A y> over ``game_domain``, taken by
+    ``model_min``.
 
-    Starts from ``y0`` (``solve_matrix_game`` passes softmax(f(x)/eps')
-    at its final point) and returns the best feasible dual seen and its
+    Starts from y = softmax(``logits``) (``solve_matrix_game`` passes
+    (f(x) - f_max) / eps' at its final point, so the start's bound is the
+    raw softmax dual's) and returns the best feasible dual seen and its
     bound; every iterate is a valid certificate, so this only tightens
-    the reported gap.  Runs at most ``steps`` steps, and stops after
-    ``POLISH_PATIENCE`` steps in a row that do not beat the best bound.
-    Each iterate's product A y serves both its lower bound and the next
-    step's gradient.
+    the start's gap.  Each try steps from the best dual so far and costs
+    one product A y.  A try that does not raise the bound halves the
+    step, and the polish stops at ``POLISH_HALVINGS`` such tries or after
+    ``steps`` tries in all.  The supergradient is formed once per
+    accepted dual: on the ball it is A^T (A y) / -||A y||, where -||A y||
+    is that dual's bound; on the simplex, the row of A at argmin A y.
     """
     a = inst.matrix
     setup = game_domain(inst)
     x0 = setup.center()
-    y = np.maximum(y0, 1e-12)
-    y = y / y.sum()
-    log_y = np.log(y)
-    best = y.copy()
+    log_y = logits - logits.max()
+    y = np.exp(log_y)
+    y /= y.sum()
     ay = a @ y
     best_val = model_min(setup, ay, x0, 0.0)
-    stalled = 0
+    step = POLISH_STEP
+    rejected = 0
+    accepted = True
     for _ in range(steps):
-        if inst.is_ball:
-            grad = -(a.T @ ay) / max(float(np.linalg.norm(ay)), 1e-15)
+        if accepted:
+            if inst.is_ball:
+                grad = (a.T @ ay) / min(best_val, -1e-15)
+            else:
+                grad = a[int(ay.argmin())]
+        trial = log_y + step * grad
+        trial -= trial.max()
+        y_try = np.exp(trial)
+        y_try /= y_try.sum()
+        ay_try = a @ y_try
+        val = model_min(setup, ay_try, x0, 0.0)
+        accepted = val > best_val
+        if accepted:
+            log_y, y, ay, best_val = trial, y_try, ay_try, val
         else:
-            grad = a[int(ay.argmin())]
-        log_y = log_y + POLISH_STEP * grad
-        log_y -= log_y.max()
-        y = np.exp(log_y)
-        y /= y.sum()
-        ay = a @ y
-        val = model_min(setup, ay, x0, 0.0)
-        if val > best_val:
-            best_val = val
-            best = y.copy()
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled == POLISH_PATIENCE:
+            rejected += 1
+            if rejected == POLISH_HALVINGS:
                 break
-    return best, best_val
+            step *= 0.5
+    return y, best_val
 
 
 def dual_from_samples(
@@ -207,12 +213,13 @@ def solve_matrix_game(
 
     The query radius is ``r`` when given, else min(1, sqrt(d) eps).  The
     outer loop stops early at the first anchor whose weak-duality gap is
-    at most eps.  At the final point x, with f(x) evaluated once, two
-    dual vectors are tried: softmax(f(x)/eps'), the dual of the loop's
-    stop certificate, and that vector polished (``polish_dual``).  The
-    reported gap is f_max(x) minus the larger of their best-response
-    lower bounds, so a solve stopped on a certificate reports a gap of
-    at most eps.
+    at most eps.  At the final point x, with f(x) evaluated once,
+    ``polish_dual`` starts from softmax(f(x)/eps'), the dual of the
+    loop's stop certificate, and raises its best-response lower bound.
+    The reported gap is f_max(x) minus the polished bound, which is never
+    below the softmax dual's, so a solve stopped on a certificate reports
+    a gap of at most eps.  ``extras["t_certificate"]`` is the wall time
+    of this certificate: f(x), the softmax and the polish.
     """
     if not (0.0 < eps < 1.0):
         raise InvalidParams("eps must lie in (0, 1)")
@@ -223,13 +230,13 @@ def solve_matrix_game(
         problem, eps, seed=seed, kind=kind, r=radius, certificate_eps=eps
     )
     x = report.x
+    start = time.perf_counter()
     values = problem.values_all(x)
     f_max = float(values.max())
-    y_softmax = np.exp((values - f_max) / smoothing_level(eps, inst.n))
-    y_softmax /= y_softmax.sum()
-    _, polished = polish_dual(inst, y_softmax, CERTIFICATE_POLISH_STEPS)
-    lower = max(model_min(game_domain(inst), inst.matrix @ y_softmax, x, 0.0), polished)
+    logits = (values - f_max) / smoothing_level(eps, inst.n)
+    _, lower = polish_dual(inst, logits, CERTIFICATE_POLISH_STEPS)
     report.extras["gap"] = f_max - lower
+    report.extras["t_certificate"] = time.perf_counter() - start
     return x, report
 
 

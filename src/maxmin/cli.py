@@ -123,6 +123,8 @@ def cmd_solve(args) -> int:
     doc["wall_time"] = time.perf_counter() - t0
     doc["t_eval"] = report.t_eval
     doc["t_md"] = report.t_md
+    if "t_certificate" in report.extras:  # games: the post-hoc gap certificate
+        doc["t_certificate"] = report.extras["t_certificate"]
     mio.write_report(args.out, doc)
     print(args.out)
     return 0

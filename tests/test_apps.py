@@ -10,7 +10,7 @@ from maxmin.accelerator import auto_gamma
 from maxmin.apps import (
     MEB_MAX_LEVELS,
     MEB_REPEATS,
-    POLISH_PATIENCE,
+    POLISH_HALVINGS,
     dual_from_samples,
     meb_level_count,
     polish_dual,
@@ -306,44 +306,50 @@ class TestMatrixGames:
 
     @pytest.mark.parametrize("kind", ["l2l1", "l1l1"])
     def test_polish_matches_the_two_product_loop(self, kind):
-        """One product A y per iterate gives the bits of the loop that
-        recomputed it for the lower bound and again for the gradient."""
-        rng = np.random.default_rng(42)
-        a = rng.standard_normal((6, 9))
+        """One product A y per try, with the gradient formed only at an
+        accepted dual from that dual's bound, gives the bits of a loop
+        that recomputes A y for each lower bound and again for each
+        gradient."""
+        # seeds at which a halved step is accepted before the loop ends
+        rng = np.random.default_rng({"l2l1": 42, "l1l1": 44}[kind])
+        a = rng.standard_normal((6, 20))
         a /= np.linalg.norm(a, axis=0).max() if kind == "l2l1" else np.abs(a).max()
         inst = MatrixGameInstance(a, kind)
-        y0 = rng.random(9)
-        y0[2] = 0.0
-        y0 /= y0.sum()
+        logits = rng.standard_normal(20)
 
         def lower(y):
             return refcheck.best_response_value(a @ y, inst.is_ball)
 
-        y = np.maximum(y0, 1e-12)
-        y = y / y.sum()
-        log_y = np.log(y)
-        best, best_val = y.copy(), lower(y)
-        stalled = 0
-        for _ in range(60):
+        def gradient(y):
             ay = a @ y
             if inst.is_ball:
-                grad = -(a.T @ ay) / max(float(np.linalg.norm(ay)), 1e-15)
-            else:
-                grad = a[int(np.argmin(ay))]
-            log_y = log_y + 0.5 * grad
-            log_y -= log_y.max()
-            y = np.exp(log_y)
-            y /= y.sum()
+                return -(a.T @ ay) / max(float(np.linalg.norm(ay)), 1e-15)
+            return a[int(np.argmin(ay))]
+
+        log_y = logits - logits.max()
+        best = np.exp(log_y) / np.exp(log_y).sum()
+        best_val = lower(best)
+        step, rejected, tries = 0.5, 0, 0
+        accepted_steps = []
+        while tries < 60:
+            tries += 1
+            # every try steps from the best dual seen so far
+            trial = log_y + step * gradient(best)
+            trial -= trial.max()
+            y = np.exp(trial) / np.exp(trial).sum()
             if lower(y) > best_val:
-                best_val, best = lower(y), y.copy()
-                stalled = 0
+                log_y, best, best_val = trial, y, lower(y)
+                accepted_steps.append(step)
             else:
-                # the loop ends after POLISH_PATIENCE steps in a row
-                # that do not improve the best bound
-                stalled += 1
-                if stalled == POLISH_PATIENCE:
+                # a try that does not raise the bound halves the step;
+                # the loop ends at POLISH_HALVINGS of them
+                rejected += 1
+                if rejected == POLISH_HALVINGS:
                     break
-        y, bound = polish_dual(inst, y0, steps=60)
+                step *= 0.5
+        assert rejected == POLISH_HALVINGS and tries < 60
+        assert min(accepted_steps) == 0.25
+        y, bound = polish_dual(inst, logits, steps=60)
         assert np.array_equal(y, best)
         # model_min's bound, bit for bit the reference's best response
         assert bound == best_val
@@ -360,6 +366,95 @@ class TestMatrixGames:
         assert bound == lb1
         assert lb1 >= lb0 - 1e-12
         assert y.min() >= 0 and y.sum() == pytest.approx(1.0)
+
+
+def patience_polish(inst, y0, steps, patience=10):
+    """The fixed-step polish the backtracking one replaced: steps of 0.5
+    from a floored y0, each with two products, ending after ``patience``
+    steps in a row that do not raise the best bound; returns that bound."""
+    a = inst.matrix
+    y = np.maximum(y0, 1e-12)
+    y = y / y.sum()
+    log_y = np.log(y)
+    ay = a @ y
+    best_val = refcheck.best_response_value(ay, inst.is_ball)
+    stalled = 0
+    for _ in range(steps):
+        if inst.is_ball:
+            grad = -(a.T @ ay) / max(float(np.linalg.norm(ay)), 1e-15)
+        else:
+            grad = a[int(ay.argmin())]
+        log_y = log_y + 0.5 * grad
+        log_y -= log_y.max()
+        y = np.exp(log_y)
+        y /= y.sum()
+        ay = a @ y
+        val = refcheck.best_response_value(ay, inst.is_ball)
+        if val > best_val:
+            best_val, stalled = val, 0
+        else:
+            stalled += 1
+            if stalled == patience:
+                break
+    return best_val
+
+
+def unit_column_game(d, n, seed):
+    a = np.random.default_rng(seed).standard_normal((d, n))
+    return MatrixGameInstance(a / np.linalg.norm(a, axis=0), "l2l1")
+
+
+class TestCertificatePolish:
+    @pytest.mark.parametrize("game,eps", [("20x25", 0.1), ("wide", 0.5), ("planted", 0.2)])
+    def test_no_looser_than_the_patience_loop_on_solver_duals(self, game, eps):
+        """On the softmax dual at the solver's own final point the halving
+        stop gives up nothing against ten idle steps.  Far-from-optimal
+        starts are not posed: there the patience loop can go further."""
+        if game == "20x25":
+            inst = unit_column_game(20, 25, 20240501)
+        elif game == "wide":
+            inst = unit_column_game(20, 2000, [22, 1])
+        else:
+            inst = planted_l1l1(0.5, 50, 100, [22, 2])
+        x, rep = solve_matrix_game(inst, eps, seed=3)
+        softmax = refcheck.exact_softmax_dist(inst.problem(), x, smoothing_level(eps, inst.n))
+        f_max = float(np.max(inst.matrix.T @ x))
+        reference_gap = f_max - patience_polish(inst, softmax, apps.CERTIFICATE_POLISH_STEPS)
+        assert rep.extras["gap"] <= reference_gap + 1e-12
+
+    def test_certificate_cost(self, monkeypatch):
+        """Wall-free cost guard on an n = 10^4, d = 20 ball game: the polish
+        stops at its POLISH_HALVINGS-th rejected try, and the certificate
+        makes one n x d product for the start, one gradient per accepted
+        dual and one product per try."""
+        inst = unit_column_game(20, 10_000, [22, 3])
+        bounds = []
+        model_min = apps.model_min
+
+        def recording(*args):
+            bounds.append(model_min(*args))
+            return bounds[-1]
+
+        products = []
+
+        class CountedMatrix(np.ndarray):
+            def __matmul__(self, other):
+                products.append(self.shape)
+                return np.asarray(self) @ other
+
+        # the solver's own products go through inst.problem(), whose
+        # rows are a plain array; only the certificate's are counted
+        inst.matrix = inst.matrix.view(CountedMatrix)
+        monkeypatch.setattr(apps, "model_min", recording)
+        solve_matrix_game(inst, 0.5, seed=1)
+        # bounds[0] is the start's; each later bound is one try's
+        raised = [val > max(bounds[:k]) for k, val in enumerate(bounds) if k > 0]
+        accepted = sum(raised)
+        assert raised.count(False) == POLISH_HALVINGS and not raised[-1]
+        assert len(raised) < apps.CERTIFICATE_POLISH_STEPS
+        assert accepted >= 1
+        assert all(10_000 in shape for shape in products)
+        assert len(products) <= 2 + 2 * accepted + POLISH_HALVINGS
 
 
 class TestMeb:

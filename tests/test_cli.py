@@ -206,6 +206,9 @@ class TestSolve:
         doc = mio.read_report(tmp_path / "r1.json")
         for key in ("schema", "config", "result", "counters", "seed", "status"):
             assert key in doc
+        # a game report times its post-hoc certificate beside t_eval and t_md
+        assert doc["t_certificate"] > 0.0
+        assert "t_certificate" not in outs[0]
         assert all(q > 0 for q in [doc["counters"]["func_evals"]])
 
     @pytest.mark.parametrize("kind,eps", [("game", "0.2"), ("meb", "0.25")])
