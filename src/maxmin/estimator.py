@@ -32,15 +32,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import BudgetExceeded, PreconditionViolated, RejectionStall
+from .errors import PreconditionViolated, RejectionStall
 from .geometry import GeometrySetup, Kind, ball_model_min, model_min, pnorm
 from .maintenance import MatVecMaintainer
 from .problems import MaxProblem
 from .sumtree import SumTree
 
-# Rebuild the sampler's weights when the running max logit drifts this far
-# from the stored offset; prevents exp underflow from skewing the weights.
-_OFFSET_DRIFT = 30.0
 _BATCH = 8
 # most Frank-Wolfe steps anchor_gap takes on a strongly convex family's dual
 CERTIFICATE_FW_STEPS = 3
@@ -62,7 +59,7 @@ class EstimatorCounters:
     grad_evals: int = 0
     draws: int = 0  # sampler proposals; accepted / draws is the acceptance rate
     accepted: int = 0
-    mvm_rebuilds: int = 0
+    mvm_rebuilds: int = 0  # never written: kept because the benchmark harness reads it
     t_eval: float = 0.0  # seconds in the anchor evaluation and the rejection loop
 
     @property
@@ -92,13 +89,14 @@ class SoftmaxGradientEstimator:
 
     Queries must stay within distance r of the anchor and be chosen as a
     deterministic function of previous outputs (the maintainer's
-    obliviousness contract).  The maintainer of y is the exact
-    ``MatVecMaintainer`` unless ``mvm_factory(a, v0)`` is given, which
-    builds one over the rows a = grad f_i(x0) / L_f started at v0 (for the
-    selftests' ``DyadicMaintainer``).  A maintainer that raises
-    ``BudgetExceeded`` is rebuilt by the factory at the current point.
-    ``rng_seed`` is an int, a SeedSequence, or the (entropy, spawn_key)
-    pair of one; the sampler's stream is keyed by spawn_key + (202,).
+    obliviousness contract).  Each query asks the maintainer for y at its
+    offset x_t - x0.  The maintainer is the exact ``MatVecMaintainer``
+    unless ``mvm_factory(a)`` is given, which builds one over the rows
+    a = grad f_i(x0) / L_f started at offset 0 (for the selftests'
+    ``DyadicMaintainer``).  A sketch maintainer's ``BudgetExceeded``
+    propagates to the caller.  ``rng_seed`` is an int, a SeedSequence, or
+    the (entropy, spawn_key) pair of one; the sampler's stream is keyed by
+    spawn_key + (202,).
     """
 
     def __init__(
@@ -139,20 +137,16 @@ class SoftmaxGradientEstimator:
 
         self.lip = problem.lip
         self._a = grads if self.lip == 1.0 else grads / self.lip
-        self.x_prev = self.x0.copy()
-        self._mvm_factory = mvm_factory
-        v0 = np.zeros(problem.d)
         if mvm_factory is None:
-            self.mvm = MatVecMaintainer(self._a, v0, self.eps_prime / self.lip, self.p)
+            self.mvm = MatVecMaintainer(self._a, self.eps_prime / self.lip, self.p)
         else:
-            self.mvm = mvm_factory(self._a, v0)
+            self.mvm = mvm_factory(self._a)
         # the rejection envelope s of the module docstring
         self.envelope = (half_smooth + self.lip * self.mvm.error_bound) / self.eps_prime
         # at the anchor y = 0, so the logits are f0 / eps' alone
         self.y = np.zeros(problem.n)
         self.logits = self.f0 / self.eps_prime
-        self._offset = float(self.logits.max())
-        self.tree = SumTree(np.exp(self.logits - self._offset))
+        self.tree = SumTree(np.exp(self.logits - self.logits.max()))
 
     def anchor_gap(self, setup: GeometrySetup) -> float:
         """Weak-duality bound on f_max(x0) - min_X f_max from the anchor's
@@ -206,41 +200,22 @@ class SoftmaxGradientEstimator:
 
     def _refresh_logits(self) -> None:
         """Recompute the logits from y and rebuild the sampler's weights,
-        rebasing the offset when the max logit drifts past the stored one."""
+        offset by the max logit so the largest weight is 1."""
         self.logits = (self.f0 + self.y) / self.eps_prime
-        top = float(self.logits.max())
-        if abs(top - self._offset) > _OFFSET_DRIFT:
-            self._offset = top
-        self.tree.rebuild(np.exp(self.logits - self._offset))
+        self.tree.rebuild(np.exp(self.logits - self.logits.max()))
 
     def estimate(self, x_t: np.ndarray) -> tuple[int, np.ndarray, EstimateStats]:
         """Sample i ~ softmax(f(x_t)/eps') and return (i, grad f_i(x_t), stats)."""
         x_t = np.asarray(x_t, dtype=float)
-        dist = pnorm(x_t - self.x0, self.p)
+        u = x_t - self.x0
+        dist = pnorm(u, self.p)
         if dist > self.r * (1.0 + 1e-9) + 1e-12:
             raise PreconditionViolated(f"query at distance {dist:.6g} > r = {self.r:.6g}")
 
-        delta = x_t - self.x_prev
-        try:
-            raw, refreshed = self.mvm.query(delta)
-        except BudgetExceeded:
-            # a single step longer than the whole budget r' fails a rebuild too
-            step = pnorm(delta, self.p)
-            budget = self.mvm.r_budget
-            if step > budget * (1.0 + 1e-12):
-                raise PreconditionViolated(f"query step {step:.6g} > r' = {budget:.6g}")
-            # fresh maintainer at the same anchor: budget resets, the new
-            # reference products are exact, and the radius precondition is
-            # untouched
-            self.counters.mvm_rebuilds += 1
-            self.mvm = self._mvm_factory(self._a, self.x_prev - self.x0)
-            raw, _ = self.mvm.query(delta)
-            refreshed = True
-
+        raw, refreshed = self.mvm.query(u)
         if refreshed:
             self.y = self.lip * raw
             self._refresh_logits()
-        self.x_prev = x_t.copy()
 
         counters = self.counters
         f0 = self.f0

@@ -1,5 +1,7 @@
-"""Matrix-vector maintenance: y ~= A x across a sequence of moves of x.
+"""Matrix-vector maintenance: y ~= A x across a sequence of query points x.
 
+Both maintainers answer ``query(x)`` with ``(y, refreshed)`` at the query
+point itself; the estimator passes the offset x_t - x0 from its anchor.
 ``MatVecMaintainer``, the solver's, is a lazily refreshed exact product.
 ``DyadicMaintainer`` is the paper's dynamic sketch structure, which only
 the selftests build: a sketch beats the exact product only when its t b
@@ -26,29 +28,29 @@ def _check_params(eps: float, p: int) -> None:
 
 
 class MatVecMaintainer:
-    """The solver's maintainer: y = A xbar, with xbar reset to the
-    accumulated x once it is more than eps/2 away in the p-norm.
+    """The solver's maintainer: y = A xbar for queries x, offsets from
+    the anchor, with xbar reset to x once x is more than eps/2 away from
+    it in the p-norm.  It starts at x = xbar = 0, y = 0.
 
     ``error_bound`` = eps/2 is the deterministic l-infinity bound on
     y - A x for unit-norm rows.  There is no movement budget: a refresh
     costs one exact product, whatever the distance moved.
     """
 
-    def __init__(self, a: np.ndarray, x0: np.ndarray, eps: float, p: int):
+    def __init__(self, a: np.ndarray, eps: float, p: int):
         _check_params(eps, p)
         self.p = p
         self.error_bound = 0.5 * float(eps)
         self.product = ExactMve(a)
-        self.x_bar = np.array(x0, dtype=float)
-        self.x = self.x_bar.copy()
-        self.y = self.product.query(self.x_bar) if self.x_bar.any() else np.zeros(self.product.n)
+        self.x_bar = np.zeros(self.product.d)
+        self.y = np.zeros(self.product.n)
 
-    def query(self, delta: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Apply x <- x + delta and return (y, whether y was refreshed)."""
-        self.x += delta
-        if pnorm(self.x - self.x_bar, self.p) <= self.error_bound:
+    def query(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Return (y at the offset x, whether y was refreshed)."""
+        if pnorm(x - self.x_bar, self.p) <= self.error_bound:
             return self.y, False
-        self.x_bar = self.x.copy()
+        # callers may reuse the array they pass
+        self.x_bar = x.copy()
         self.y = self.product.query(self.x_bar)
         return self.y, True
 
@@ -122,20 +124,19 @@ class DyadicMaintainer:
     def level_budget(self, i: int) -> float:
         return self.r_budget / (self.eps * 2.0 ** (i - 2))
 
-    def query(self, delta: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Apply x <- x + delta and return (y, whether y was refreshed).
+    def query(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Move to x and return (y, whether y was refreshed).
 
         Raises BudgetExceeded (leaving the state untouched) once the
-        cumulative movement would pass R; callers rebuild at that point.
+        cumulative movement would pass R.
         """
-        delta = np.asarray(delta, dtype=float)
-        step = pnorm(delta, self.p)
+        step = pnorm(x - self.x, self.p)
         if self.moved + step > self.r_budget * (1.0 + 1e-12):
             raise BudgetExceeded(
                 f"movement {self.moved + step:.6g} exceeds budget {self.r_budget:.6g}"
             )
         self.moved += step
-        self.x += delta
+        self.x[:] = x  # in place: ref_x[0] aliases it
 
         j = self.k + 1
         for i in range(1, self.k + 2):

@@ -83,8 +83,8 @@ def mvm_walk_check(
         worst = 0.0
         cur = x.copy()
         for step_vec in deltas:
-            y, _ = mvm.query(step_vec)
             cur += step_vec
+            y, _ = mvm.query(cur)
             worst = max(worst, float(np.max(np.abs(y - a @ cur))))
         if worst > eps:
             failures += 1
@@ -94,14 +94,14 @@ def mvm_walk_check(
 
 
 def dyadic_factory(rng_seed, r_budget: float, eps: float, delta: float, p: int):
-    """An estimator's ``mvm_factory`` of ``DyadicMaintainer``s with budget R:
-    the k-th one built draws its sketches from the k-th child of
-    ``rng_seed``'s spawn_key + (101,)."""
+    """An estimator's ``mvm_factory``: a ``DyadicMaintainer`` with budget R
+    started at offset 0, whose sketches draw from ``rng_seed``'s
+    spawn_key + (101, 0)."""
     entropy, key = seed_parts(rng_seed)
-    seeds = np.random.SeedSequence(entropy=entropy, spawn_key=key + (101,))
 
-    def build(a: np.ndarray, v0: np.ndarray) -> DyadicMaintainer:
-        return DyadicMaintainer(a, v0, r_budget, eps, delta, p, seeds.spawn(1)[0])
+    def build(a: np.ndarray) -> DyadicMaintainer:
+        seed = np.random.SeedSequence(entropy=entropy, spawn_key=key + (101, 0))
+        return DyadicMaintainer(a, np.zeros(a.shape[1]), r_budget, eps, delta, p, seed)
 
     return build
 

@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import references
 from stat_checks import one_sided_upper_confidence
 
 import maxmin.accelerator as accelerator
@@ -224,8 +225,8 @@ class TestPotentialDecrease:
             p = refcheck.exact_softmax_dist(prob, x, eps_prime)
             return p @ prob.rows
 
-        x_star = refcheck.brute_minimize(
-            setup, smax_val, smax_grad, np.zeros(3), refcheck.ReferenceBudget(tolerance=1e-11)
+        x_star = references.brute_minimize(
+            setup, smax_val, smax_grad, np.zeros(3), references.ReferenceBudget(tolerance=1e-11)
         )
         f_star = smax_val(x_star)
 

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+import references
 from stat_checks import one_sided_upper_confidence
 
 from maxmin import refcheck
@@ -205,8 +206,8 @@ def oracle_inequality_bounds(grad, gam_bound, runs):
         lam = res.lam
         bisected += res.rounds > 0
         if lam not in prox_cache:
-            prox_cache[lam] = refcheck.exact_prox(
-                setup, quad_val, quad_grad, y, lam, refcheck.ReferenceBudget(tolerance=1e-11)
+            prox_cache[lam] = references.exact_prox(
+                setup, quad_val, quad_grad, y, lam, references.ReferenceBudget(tolerance=1e-11)
             )
         u_points = {
             "y": y,

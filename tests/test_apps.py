@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import references
 from scipy.optimize import linprog
 from stat_checks import chi_square_pvalue
 
@@ -254,7 +255,7 @@ class TestMatrixGames:
         assert "gap_sampled" not in rep.extras
         assert gap >= float(np.max(inst.matrix.T @ x)) - game_value(inst) - 1e-9
         softmax = refcheck.exact_softmax_dist(inst.problem(), x, smoothing_level(eps, inst.n))
-        assert gap <= refcheck.duality_gap(inst, x, softmax) + 1e-12
+        assert gap <= references.duality_gap(inst, x, softmax) + 1e-12
 
     def test_dual_sampler_matches_softmax(self):
         rng = np.random.default_rng(4)
@@ -318,7 +319,7 @@ class TestMatrixGames:
         logits = rng.standard_normal(20)
 
         def lower(y):
-            return refcheck.best_response_value(a @ y, inst.is_ball)
+            return references.best_response_value(a @ y, inst.is_ball)
 
         def gradient(y):
             ay = a @ y
@@ -361,8 +362,8 @@ class TestMatrixGames:
         inst = MatrixGameInstance(a, "l2l1")
         y0 = np.full(7, 1.0 / 7.0)
         y, bound = polish_dual(inst, y0, steps=100)
-        lb0 = refcheck.best_response_value(a @ y0, True)
-        lb1 = refcheck.best_response_value(a @ y, True)
+        lb0 = references.best_response_value(a @ y0, True)
+        lb1 = references.best_response_value(a @ y, True)
         assert bound == lb1
         assert lb1 >= lb0 - 1e-12
         assert y.min() >= 0 and y.sum() == pytest.approx(1.0)
@@ -377,7 +378,7 @@ def patience_polish(inst, y0, steps, patience=10):
     y = y / y.sum()
     log_y = np.log(y)
     ay = a @ y
-    best_val = refcheck.best_response_value(ay, inst.is_ball)
+    best_val = references.best_response_value(ay, inst.is_ball)
     stalled = 0
     for _ in range(steps):
         if inst.is_ball:
@@ -389,7 +390,7 @@ def patience_polish(inst, y0, steps, patience=10):
         y = np.exp(log_y)
         y /= y.sum()
         ay = a @ y
-        val = refcheck.best_response_value(ay, inst.is_ball)
+        val = references.best_response_value(ay, inst.is_ball)
         if val > best_val:
             best_val, stalled = val, 0
         else:
@@ -455,6 +456,40 @@ class TestCertificatePolish:
         assert accepted >= 1
         assert all(10_000 in shape for shape in products)
         assert len(products) <= 2 + 2 * accepted + POLISH_HALVINGS
+
+
+def criterion1_game0():
+    a = np.random.default_rng(20240501).standard_normal((80, 100))
+    return MatrixGameInstance(a / np.linalg.norm(a, axis=0), "l2l1")
+
+
+class TestGoldenCounters:
+    """Per-seed counters of one solve per front end, pinned so that a
+    refactor claimed to keep reports bit-identical per seed is checked:
+    (outer_iterations, func_evals, grad_evals, draws, accepted, total
+    oracle queries)."""
+
+    PINNED = {
+        "wide": (1, 4001, 4001, 1, 1, 1),
+        "planted": (129, 13206, 13133, 206, 133, 133),
+        "meb": (192, 41122, 40392, 922, 192, 192),
+        "criterion1-game0": (188, 29201, 25222, 10301, 6322, 6322),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_counters_pinned_per_seed(self, case):
+        if case == "wide":
+            _, rep = solve_matrix_game(unit_column_game(20, 2000, [22, 1]), 0.5, seed=3)
+        elif case == "planted":
+            _, rep = solve_matrix_game(planted_l1l1(0.5, 50, 100, [22, 2]), 0.2, seed=3)
+        elif case == "meb":
+            inst = MebInstance(np.random.default_rng(78).standard_normal((200, 3)))
+            _, _, rep = solve_meb(inst, 0.01, seed=0)
+        else:
+            _, rep = solve_matrix_game(criterion1_game0(), 0.05, seed=0)
+        got = (rep.outer_iterations, rep.func_evals, rep.grad_evals, rep.draws, rep.accepted,
+               sum(rec.oracle_queries for rec in rep.iterations))
+        assert got == self.PINNED[case]
 
 
 class TestMeb:

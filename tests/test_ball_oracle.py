@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import references
 
-from maxmin import ball_oracle, refcheck
+from maxmin import ball_oracle
 from maxmin.ball_oracle import (
     bisection_round_limit,
     li_md,
@@ -143,7 +144,7 @@ class TestLambdaBisection:
         gam = 1.5
         y = np.zeros(3)
         for lam in (1.0, 2.0, 8.0):
-            ref = refcheck.exact_prox(
+            ref = references.exact_prox(
                 setup, lambda x: gam * float(u @ x), lambda x: gam * u, y, lam
             )
             assert bregman(setup, y, ref) <= gam**2 / (2 * lam**2) + 1e-9
@@ -208,7 +209,7 @@ class TestRestrictedOracle:
         delta = 1e-3
         lam = 2.0
         eta, steps = step_plan(0.4, lam, 4.0, gam)
-        ref = refcheck.exact_prox(setup, lambda x: 0.5 * float(np.sum((x - b) ** 2)),
+        ref = references.exact_prox(setup, lambda x: 0.5 * float(np.sum((x - b) ** 2)),
                                   lambda x: x - b, y, lam)
         iterates = []
 

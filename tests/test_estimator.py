@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from stat_checks import chi_square_pvalue
 
 from maxmin import refcheck
-from maxmin.errors import InvalidParams, PreconditionViolated, RejectionStall
+from maxmin.ball_oracle import li_md
+from maxmin.errors import (
+    BudgetExceeded,
+    GradientCallbackFailed,
+    InvalidParams,
+    PreconditionViolated,
+    RejectionStall,
+)
 from maxmin.estimator import SoftmaxGradientEstimator
 from maxmin.geometry import ball_setup, model_min, pnorm, simplex_setup
 from maxmin.maintenance import DyadicMaintainer
@@ -141,9 +148,8 @@ class TestInit:
     @pytest.mark.parametrize("form", ["seed_sequence", "pair"])
     def test_seed_forms_give_the_same_streams(self, monkeypatch, form):
         """A SeedSequence and its (entropy, spawn_key) pair key the same
-        sampler stream, and the selftests' dyadic factory gives the
-        maintainers it builds the children of spawn_key + (101,) in build
-        order, as their pinned seeds expect."""
+        sampler stream, and the selftests' dyadic factory builds its one
+        maintainer from spawn_key + (101, 0), as its pinned seeds expect."""
         seeds = []
         init = DyadicMaintainer.__init__
 
@@ -159,12 +165,8 @@ class TestInit:
         sampler = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=91, spawn_key=(3, 7, 202))))
         assert est.sampler_rng.random() == sampler.random()
-        # out to the radius and back: twice the budget of 0.2, one rebuild
-        est.estimate(np.array([0.2, 0.0, 0.0]))
-        est.estimate(np.zeros(3))
-        assert est.counters.mvm_rebuilds == 1
         keys = [(s.entropy, s.spawn_key) for s in seeds]
-        assert keys == [(91, (3, 7, 101, 0)), (91, (3, 7, 101, 1))]
+        assert keys == [(91, (3, 7, 101, 0))]
 
     def test_single_function_degenerate(self):
         prob = linear_problem(np.random.default_rng(2), 1, 3)
@@ -286,7 +288,10 @@ class TestEstimate:
         with pytest.raises(RejectionStall):
             est.estimate(np.zeros(3))
 
-    def test_movement_budget_rebuild(self):
+    def test_movement_budget_overrun_propagates(self):
+        # a sketch maintainer is never rebuilt: the query that would move
+        # it past its budget raises, leaving the maintainer and y as they
+        # were, and LI-MD reports the failed gradient callback
         rng = np.random.default_rng(17)
         prob = linear_problem(rng, 5, 4)
         eps_prime = 0.05
@@ -294,35 +299,34 @@ class TestEstimate:
             prob, np.zeros(4), eps_prime, r=1.0, delta=0.05, rng_seed=18, p=2,
             mvm_factory=dyadic(18, eps_prime, 2.0 * eps_prime / prob.lip * 1.05),
         )
-        # zig-zag between two in-ball points until the budget runs out
-        a = np.zeros(4)
+        # out to b and back: 0.2 of movement against a budget of 0.117
         b = np.full(4, 0.05)
-        for step in range(20):
-            est.estimate(b if step % 2 else a)
-        assert est.counters.mvm_rebuilds >= 1
-
-    def test_step_longer_than_budget_names_r_prime(self):
-        # a budget r' < r is allowed, but no maintainer, fresh or not, can
-        # absorb a single step longer than r'
-        prob = linear_problem(np.random.default_rng(19), 5, 3)
-        est = SoftmaxGradientEstimator(
-            prob, np.zeros(3), 0.05, r=0.3, delta=0.05, p=2, mvm_factory=dyadic(0, 0.05, 0.105),
-        )
-        with pytest.raises(PreconditionViolated, match="r' = 0.105"):
-            est.estimate(np.array([0.3, 0.0, 0.0]))
-        assert est.counters.mvm_rebuilds == 0
+        est.estimate(b)
+        mvm, y = est.mvm, est.y
+        x, moved, counts, refs = mvm.x.copy(), mvm.moved, mvm.query_counts.copy(), list(mvm.ref_x)
+        with pytest.raises(BudgetExceeded):
+            est.estimate(np.zeros(4))
+        assert est.mvm is mvm and est.y is y
+        np.testing.assert_array_equal(mvm.x, x)
+        assert mvm.moved == moved
+        np.testing.assert_array_equal(mvm.query_counts, counts)
+        assert all(now is then for now, then in zip(mvm.ref_x, refs))
+        with pytest.raises(GradientCallbackFailed, match="budget"):
+            li_md(lambda x: est.estimate(x)[1], ball_setup(4), np.zeros(4), 1.0, 1.0, 0.05, 10)
 
     def test_y_tracks_maintained_product(self):
         # y is rescaled only when the maintainer refreshes its product, so
         # it must equal lip times that product after every query: on steps
-        # that refresh it, on steps that leave it alone, and after rebuilds
+        # that refresh it and on steps that leave it alone
         rng = np.random.default_rng(20)
         prob = QuadraticMaxProblem(rng.standard_normal((10, 3)) * 0.4)
         assert prob.lip != 1.0
         eps_prime = 0.05
+        # the budget covers the whole walk: 20 steps of 0.03, 40 of 0.002
+        walk_length = 20 * 0.03 + 40 * 0.002
         est = SoftmaxGradientEstimator(
             prob, np.zeros(3), eps_prime, r=0.3, delta=0.05, rng_seed=21, p=2,
-            mvm_factory=dyadic(21, eps_prime, 4.0 * eps_prime / prob.lip, prob.lip),
+            mvm_factory=dyadic(21, eps_prime, 1.05 * walk_length, prob.lip),
         )
         refreshed = set()
         x_t = est.x0.copy()
@@ -337,9 +341,8 @@ class TestEstimate:
             assert np.array_equal(est.y, est.lip * est.mvm.ref_y[1])
             # the logits and the sampler's weights follow y, bit for bit
             assert np.array_equal(est.logits, (est.f0 + est.y) / est.eps_prime)
-            assert np.array_equal(est.tree.weights, np.exp(est.logits - est._offset))
+            assert np.array_equal(est.tree.weights, np.exp(est.logits - est.logits.max()))
         assert refreshed == {True, False}
-        assert est.counters.mvm_rebuilds >= 1
 
     def test_exact_maintainer_walks_without_a_budget(self):
         # the default maintainer has no movement budget: a walk longer than
@@ -365,6 +368,28 @@ class TestEstimate:
             assert np.max(np.abs(est.y - grads @ (x_t - x0))) <= 0.5 * eps_prime + 1e-12
             assert np.array_equal(est.y, est.lip * est.mvm.y)
         assert est.counters.mvm_rebuilds == 0
+
+    def test_largest_weight_is_one_after_every_refresh(self):
+        # every refresh rebuilds all weights offset by the max logit, also
+        # when the max logit has moved by far less than any fixed drift
+        rng = np.random.default_rng(42)
+        prob = QuadraticMaxProblem(rng.standard_normal((50, 3)) * 0.4)
+        eps_prime, r = 0.01, 0.1
+        est = SoftmaxGradientEstimator(prob, np.zeros(3), eps_prime, r, delta=0.05, rng_seed=43)
+        tops = set()
+        x_t = est.x0.copy()
+        for _ in range(100):
+            move = rng.standard_normal(3)
+            x_t = x_t + move * (0.02 / pnorm(move, 2))
+            dist = pnorm(x_t - est.x0, 2)
+            if dist > r:
+                x_t = est.x0 + (x_t - est.x0) * (r / dist)
+            y_before = est.y
+            est.estimate(x_t)
+            if est.y is not y_before:
+                tops.add(float(est.logits.max()))
+                assert est.tree.weights.max() == 1.0
+        assert len(tops) > 10
 
 
 class TestEnvelope:
@@ -421,13 +446,13 @@ class TestEnvelope:
 class TestObliviousness:
     def test_query_log_identical_across_maintainer_seeds(self, monkeypatch):
         # fixed sampler stream, two maintainer seeds, deterministic query
-        # policy: the maintainer must see the same delta sequence
+        # policy: the maintainer must see the same query sequence
         query = DyadicMaintainer.query
         log = []
 
-        def logged_query(self, delta):
-            log.append(np.array(delta, dtype=float))
-            return query(self, delta)
+        def logged_query(self, x):
+            log.append(np.array(x, dtype=float))
+            return query(self, x)
 
         monkeypatch.setattr(DyadicMaintainer, "query", logged_query)
         rng = np.random.default_rng(21)

@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import references
 
-from maxmin import refcheck
 from maxmin.errors import InfeasibleInput, NonFinite
 from maxmin.geometry import (
     GeometrySetup,
@@ -135,7 +135,7 @@ class TestProxStep:
         def grad(w):
             return g + np.log(np.maximum(w, 1e-300)) - lu + 1.0
 
-        ref = refcheck.brute_minimize(s, value, grad, u, refcheck.ReferenceBudget(tolerance=1e-11))
+        ref = references.brute_minimize(s, value, grad, u, references.ReferenceBudget(tolerance=1e-11))
         np.testing.assert_allclose(out, ref, atol=1e-7)
 
     def test_ball_closed_form_with_anchor(self):
@@ -189,8 +189,8 @@ class TestProxStep:
                         lw = np.log(np.maximum(w, 1e-300))
                         return eta * (g + lam * (lw - ly + 1.0)) + (lw - lx + 1.0)
 
-                ref = refcheck.brute_minimize(
-                    setup, value, grad, x, refcheck.ReferenceBudget(tolerance=1e-11)
+                ref = references.brute_minimize(
+                    setup, value, grad, x, references.ReferenceBudget(tolerance=1e-11)
                 )
                 assert value(out) <= value(ref) + 1e-7
 

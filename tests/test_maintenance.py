@@ -45,7 +45,7 @@ class TestInit:
         with pytest.raises(InvalidParams):
             DyadicMaintainer(np.zeros((2, 2)), np.zeros(2), 1.0, 0.1, 0.1, p=3)
         with pytest.raises(InvalidParams):
-            MatVecMaintainer(np.zeros((2, 2)), np.zeros(2), 0.1, p=3)
+            MatVecMaintainer(np.zeros((2, 2)), 0.1, p=3)
 
     def test_zero_matrix_stays_zero(self):
         rng = np.random.default_rng(0)
@@ -57,19 +57,22 @@ class TestInit:
 
 class TestQuery:
     def test_zero_step_changes_nothing(self):
+        # a repeated query point is a zero step
         rng = np.random.default_rng(1)
         a = unit_rows(rng, 5, 4)
-        m = MatVecMaintainer(a, np.zeros(4), 0.1, p=2)
-        m.query(rng.standard_normal(4) * 0.05)
+        m = MatVecMaintainer(a, 0.1, p=2)
+        x = rng.standard_normal(4) * 0.05
+        m.query(x)
         before = m.y.copy()
-        y, refreshed = m.query(np.zeros(4))
+        y, refreshed = m.query(x)
         assert not refreshed
         np.testing.assert_array_equal(y, before)
         # p = 1 levels keep A alone, not the large sketches of p = 2 ones
         m = DyadicMaintainer(unit_rows(rng, 5, 4, p=1), np.zeros(4), 1.0, 0.1, 0.1, p=1)
-        m.query(rng.standard_normal(4) * 0.05)
+        x = rng.standard_normal(4) * 0.05
+        m.query(x)
         before = m.ref_y[1].copy()
-        y, refreshed = m.query(np.zeros(4))
+        y, refreshed = m.query(x)
         assert m.last_j == 1
         assert not refreshed
         np.testing.assert_array_equal(y, before)
@@ -102,13 +105,13 @@ class TestQuery:
         rng = np.random.default_rng(4)
         a = unit_rows(rng, 6, 5)
         eps = 0.05
-        m = MatVecMaintainer(a, np.zeros(5), eps, p=2)
+        m = MatVecMaintainer(a, eps, p=2)
         cur = np.zeros(5)
         for _ in range(300):
             step = rng.standard_normal(5)
             step *= (eps / 3.0) / np.linalg.norm(step)
-            y, _ = m.query(step)
             cur += step
+            y, _ = m.query(cur)
             assert np.max(np.abs(y - a @ cur)) <= eps / 2 + 1e-12
 
     def test_exact_mode_pays_one_product_per_refresh(self, monkeypatch):
@@ -118,7 +121,7 @@ class TestQuery:
         monkeypatch.setattr(ExactMve, "query", lambda mve, x: calls.append(1) or real(mve, x))
         rng = np.random.default_rng(8)
         a = unit_rows(rng, 7, 5)
-        m = MatVecMaintainer(a, np.zeros(5), 0.01, p=2)
+        m = MatVecMaintainer(a, 0.01, p=2)
         x = rng.standard_normal(5)
         x *= 0.9 / np.linalg.norm(x)
         y, refreshed = m.query(x)
@@ -131,10 +134,12 @@ class TestQuery:
         a = unit_rows(rng, 4, 4, p=1)
         m = DyadicMaintainer(a, np.zeros(4), 1.0, 0.1, 0.1, p=1)
         top_before = m.ref_x[m.k + 1].copy()
+        cur = np.zeros(4)
         for _ in range(200):
             step = rng.standard_normal(4)
             step *= (1.0 / 210) / np.linalg.norm(step, ord=1)
-            m.query(step)
+            cur += step
+            m.query(cur)
         np.testing.assert_array_equal(m.ref_x[m.k + 1], top_before)
 
     def test_level_budgets_respected(self):
@@ -142,11 +147,13 @@ class TestQuery:
         a = unit_rows(rng, 5, 6)
         m = DyadicMaintainer(a, np.zeros(6), 1.0, 0.125, 0.1, p=2)
         total = 0.0
+        cur = np.zeros(6)
         while total < 0.99:
             step = rng.standard_normal(6)
             step *= min(0.013, 0.99 - total) / np.linalg.norm(step)
             total += np.linalg.norm(step)
-            m.query(step)
+            cur += step
+            m.query(cur)
         for i in range(1, m.k + 1):
             assert m.query_counts[i] <= m.level_budget(i) + 1e-9
 
@@ -156,7 +163,7 @@ class TestQuery:
         # previous y, bit for bit
         rng = np.random.default_rng(7)
         a = unit_rows(rng, 8, 4)
-        m = MatVecMaintainer(a, np.zeros(4), 0.2, p=2)
+        m = MatVecMaintainer(a, 0.2, p=2)
         x, x_bar = np.zeros(4), np.zeros(4)
         prev = m.y.copy()
         flags = set()
@@ -164,7 +171,7 @@ class TestQuery:
             step = rng.standard_normal(4)
             step *= 0.015 / np.linalg.norm(step)
             x += step
-            y, refreshed = m.query(step)
+            y, refreshed = m.query(x)
             flags.add(refreshed)
             assert refreshed == (pnorm(x - x_bar, 2) > 0.1)
             if refreshed:
@@ -174,6 +181,21 @@ class TestQuery:
                 np.testing.assert_array_equal(y, prev)
             prev = y.copy()
         assert flags == {True, False}
+
+    def test_refresh_does_not_alias_the_query(self):
+        # callers may reuse the array they query with: writing to it after
+        # a refresh moves neither the reference point nor y
+        rng = np.random.default_rng(9)
+        a = unit_rows(rng, 6, 3)
+        m = MatVecMaintainer(a, 0.1, p=2)
+        x = np.array([0.3, -0.2, 0.1])
+        y, refreshed = m.query(x)
+        assert refreshed
+        x_bar, y_before = m.x_bar.copy(), y.copy()
+        x += 0.5
+        np.testing.assert_array_equal(m.x_bar, x_bar)
+        np.testing.assert_array_equal(m.y, y_before)
+        np.testing.assert_array_equal(y, y_before)
 
 
 class TestStatistical:

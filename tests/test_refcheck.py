@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import references
 from stat_checks import chi_square_pvalue, one_sided_upper_confidence
 
 from maxmin import refcheck
@@ -53,7 +54,7 @@ class TestSoftmaxDist:
 class TestExactProx:
     def test_zero_objective_returns_center(self):
         y = np.array([0.2, -0.1])
-        out = refcheck.exact_prox(ball_setup(2), lambda x: 0.0, lambda x: np.zeros(2), y, 1.0)
+        out = references.exact_prox(ball_setup(2), lambda x: 0.0, lambda x: np.zeros(2), y, 1.0)
         np.testing.assert_allclose(out, y, atol=1e-8)
 
     def test_euclidean_quadratic_closed_form(self):
@@ -61,13 +62,13 @@ class TestExactProx:
         b = np.array([0.3, -0.4, 0.1])
         y = np.array([-0.2, 0.1, 0.0])
         lam = 1.7
-        out = refcheck.exact_prox(
+        out = references.exact_prox(
             ball_setup(3),
             lambda x: 0.5 * float(np.sum((x - b) ** 2)),
             lambda x: x - b,
             y,
             lam,
-            refcheck.ReferenceBudget(tolerance=1e-11),
+            references.ReferenceBudget(tolerance=1e-11),
         )
         np.testing.assert_allclose(out, (b + lam * y) / (1 + lam), atol=1e-6)
 
@@ -83,9 +84,9 @@ class TestExactProx:
         # eta(g.w + lam' V_y) + V_y with lam' = (lam - 1/eta)... use direct
         # equivalence: argmin h + lam V_y == prox_step(g/..., eta=1/lam, 0, y, y)
         out = prox_step(s, g / lam, 1.0, 0.0, y, y)
-        ref = refcheck.exact_prox(
+        ref = references.exact_prox(
             s, lambda x: float(g @ x), lambda x: g, y, lam,
-            refcheck.ReferenceBudget(tolerance=1e-11),
+            references.ReferenceBudget(tolerance=1e-11),
         )
         np.testing.assert_allclose(out, ref, atol=1e-6)
 
@@ -95,11 +96,11 @@ class TestDualityGap:
         inst = MatrixGameInstance(np.eye(2), "l1l1")
         x = np.full(2, 0.5)
         y = np.full(2, 0.5)
-        assert refcheck.duality_gap(inst, x, y) == pytest.approx(0.0, abs=1e-12)
+        assert references.duality_gap(inst, x, y) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_matrix(self):
         inst = MatrixGameInstance(np.zeros((3, 4)), "l2l1")
-        assert refcheck.duality_gap(inst, np.zeros(3), np.full(4, 0.25)) == 0.0
+        assert references.duality_gap(inst, np.zeros(3), np.full(4, 0.25)) == 0.0
 
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(1)
@@ -110,7 +111,7 @@ class TestDualityGap:
             x = rng.standard_normal(6)
             x /= max(1.0, np.linalg.norm(x))
             y = rng.dirichlet(np.ones(8))
-            assert refcheck.duality_gap(inst, x, y) >= -1e-12
+            assert references.duality_gap(inst, x, y) >= -1e-12
 
 
 class TestWelzl:
@@ -171,12 +172,12 @@ class TestStatsHelpers:
     def test_projection_onto_truncated_simplex(self):
         rng = np.random.default_rng(3)
         p = rng.standard_normal(6)
-        out = refcheck.project_truncated_simplex(p, 0.05)
+        out = references.project_truncated_simplex(p, 0.05)
         assert np.all(out >= 0.05 - 1e-12)
         assert out.sum() == pytest.approx(1.0)
         # projection is the closest feasible point: compare against a fine
         # random search around it
         base = float(np.sum((out - p) ** 2))
         for _ in range(200):
-            cand = refcheck.project_truncated_simplex(out + rng.standard_normal(6) * 0.05, 0.05)
+            cand = references.project_truncated_simplex(out + rng.standard_normal(6) * 0.05, 0.05)
             assert float(np.sum((cand - p) ** 2)) >= base - 1e-9
