@@ -67,7 +67,6 @@ class SolverReport(EstimatorCounters):
     outer_iterations: int
     iterations: list[IterationRecord]
     wall_time: float
-    seed: int
     t_md: float = 0.0  # oracle wall time less the evaluations inside it
     stop_reason: str = "threshold"  # or "certificate"; the iteration cap raises
     trace: list[dict] = field(default_factory=list)
@@ -76,7 +75,7 @@ class SolverReport(EstimatorCounters):
     @classmethod
     def total(cls, parts: list["SolverReport"], **fields) -> "SolverReport":
         """One report whose counters, timers and round records are the sums
-        over ``parts``; ``fields`` sets x, f_max_value, seed and wall_time."""
+        over ``parts``; ``fields`` sets x, f_max_value, wall_time and stop_reason."""
         report = cls(
             outer_iterations=sum(p.outer_iterations for p in parts),
             iterations=[rec for p in parts for rec in p.iterations],
@@ -197,7 +196,7 @@ def accelerate(
     """
     start = time.perf_counter()
     x = setup.center()
-    r_bound = domain_radius_bound(setup, x)
+    r_bound = domain_radius_bound(setup)
     if gamma is not None and not (0.0 < gamma < 0.5):
         raise InvalidParams("gamma must lie in (0, 1/2)")
     if not (0.0 < r <= r_bound):
@@ -288,7 +287,6 @@ def accelerate(
         t_md=t_md,
         stop_reason=stop_reason,
         wall_time=wall,
-        seed=seed,
         trace=trace,
         extras={"gamma": gamma},
         **asdict(counters),

@@ -89,7 +89,7 @@ def solve_smooth_max(
     else:
         setup = simplex_setup(d, min(eps / (4.0 * d * problem.lip), 0.5 / d))
 
-    r_bound = domain_radius_bound(setup, setup.center())
+    r_bound = domain_radius_bound(setup)
     eps_prime = smoothing_level(eps, n)
     radius = default_radius(problem, eps, r_bound) if r is None else min(r, r_bound)
     if e0 is None:
@@ -147,12 +147,11 @@ def polish_dual(inst: MatrixGameInstance, logits: np.ndarray,
     """
     a = inst.matrix
     setup = game_domain(inst)
-    x0 = setup.center()
     log_y = logits - logits.max()
     y = np.exp(log_y)
     y /= y.sum()
     ay = a @ y
-    best_val = model_min(setup, ay, x0, 0.0)
+    best_val = model_min(setup, ay)
     step = POLISH_STEP
     rejected = 0
     accepted = True
@@ -167,7 +166,7 @@ def polish_dual(inst: MatrixGameInstance, logits: np.ndarray,
         y_try = np.exp(trial)
         y_try /= y_try.sum()
         ay_try = a @ y_try
-        val = model_min(setup, ay_try, x0, 0.0)
+        val = model_min(setup, ay_try)
         accepted = val > best_val
         if accepted:
             log_y, y, ay, best_val = trial, y_try, ay_try, val
@@ -331,12 +330,12 @@ def solve_meb(
     center_in, radius_in = inst.to_input_coords(x, math.sqrt(2.0 * f_max_value))
 
     report = SolverReport.total(
-        parts, x=x, f_max_value=f_max_value, seed=seed,
+        parts, x=x, f_max_value=f_max_value,
         wall_time=time.perf_counter() - start,
         stop_reason="certificate" if certified_levels == levels else "threshold",
     )
-    report.extras.update({"levels": levels, "repeats": MEB_REPEATS,
-                          "certified_levels": certified_levels, "sub_solves": len(parts)})
+    report.extras.update({"levels": levels, "certified_levels": certified_levels,
+                          "sub_solves": len(parts)})
     return center_in, radius_in, report
 
 
@@ -344,20 +343,19 @@ def subgradient_baseline(
     problem: MaxProblem,
     setup: GeometrySetup,
     steps: int,
-    seed: int = 0,
 ) -> SolverReport:
     """Plain mirror descent on f_max with a max-achieving subgradient.
 
     Step size R / (L_f sqrt(t)) at step t; averaged-iterate output.
     Serves as the long-run reference oracle and the comparison row in
-    benchmarks.
+    benchmarks.  It draws no random numbers, so it takes no seed.
     """
     if steps < 1:
         raise InvalidParams("steps must be >= 1")
     start = time.perf_counter()
     x = setup.center()
     avg = np.zeros_like(x)
-    r_bound = domain_radius_bound(setup, x)
+    r_bound = domain_radius_bound(setup)
     scale = r_bound / max(problem.lip, 1e-12)
     for t in range(1, steps + 1):
         eta = scale / math.sqrt(t)
@@ -373,13 +371,13 @@ def subgradient_baseline(
         func_evals=steps * problem.n,
         grad_evals=steps,
         wall_time=time.perf_counter() - start,
-        seed=seed,
     )
 
 
-def subgradient_control(inst, eps: float, seed: int = 0) -> SolverReport:
+def subgradient_control(inst, eps: float) -> SolverReport:
     """The subgradient run ``maxmin bench`` sets beside each solve:
-    max(1000, 4 / eps^2) steps on the instance's own family and domain."""
+    max(1000, 4 / eps^2) steps on the instance's own family and domain.
+    Deterministic: every seed's row of a bench sweep is the same run."""
     if isinstance(inst, MatrixGameInstance):
         problem, setup = inst.problem(), game_domain(inst)
     elif isinstance(inst, MebInstance):
@@ -394,7 +392,7 @@ def subgradient_control(inst, eps: float, seed: int = 0) -> SolverReport:
         steps = max(1000, int(4.0 / eps**2))
     except (ZeroDivisionError, OverflowError):
         raise InvalidParams(f"eps = {eps:g} is too small: 4 / eps^2 steps overflow") from None
-    return subgradient_baseline(problem, setup, steps, seed=seed)
+    return subgradient_baseline(problem, setup, steps)
 
 
 def solve_instance(
@@ -404,8 +402,10 @@ def solve_instance(
     with its front end.
 
     Returns the solver report and the ``result`` block of the ``maxmin
-    solve`` report.  ``r`` fixes the query radius of games and quadratics;
-    the MEB recursion sets its own radius per level and rejects one.
+    solve`` report.  Games and quadratics stop at the first anchor whose
+    weak-duality gap is at most eps.  ``r`` fixes the query radius of
+    games and quadratics; the MEB recursion sets its own radius per level
+    and rejects one.
     """
     if isinstance(inst, MatrixGameInstance):
         x, report = solve_matrix_game(inst, eps, seed=seed, r=r)
@@ -417,6 +417,7 @@ def solve_instance(
         center, radius, report = solve_meb(inst, eps, seed=seed)
         return report, {"center": center.tolist(), "radius": radius}
     if isinstance(inst, QuadraticMaxProblem):
-        report = solve_smooth_max(inst, eps, seed=seed, kind=Kind.BALL, r=r)
+        report = solve_smooth_max(inst, eps, seed=seed, kind=Kind.BALL, r=r,
+                                  certificate_eps=eps)
         return report, {"value": report.f_max_value, "point": report.x.tolist()}
     raise InvalidParams(f"no front end for {type(inst).__name__}")

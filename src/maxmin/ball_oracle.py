@@ -232,19 +232,3 @@ def restricted_oracle(
     return OracleResult(res.z, res.w, lam + 1.0 / (eta * steps), lam, rounds, queries,
                         movement, steps)
 
-
-def movement_bound(rho: float, tau_val: float, gamma_bound: float) -> float:
-    """Worst-case total query movement of one oracle call (the inner
-    logarithm is twice the largest per-call iteration budget)."""
-    k_max = bisection_round_limit(tau_val, gamma_bound, rho)
-    inner = 8.0 * STEP_CONSTANT * tau_val * gamma_bound**2 / rho**2
-    return rho * 2.0 * k_max * math.log(max(inner, math.e))
-
-
-def query_budget_bound(rho: float, tau_val: float, gamma_bound: float) -> float:
-    """Upper bound on the total gradient calls of one oracle call: the
-    per-run budget at lam = 1 summed over the initial probe and every
-    possible bisection round (the accepted probe is the output)."""
-    k_max = bisection_round_limit(tau_val, gamma_bound, rho)
-    t_max = 4.0 * STEP_CONSTANT * tau_val * (gamma_bound / rho) ** 2
-    return (k_max + 1.0) * (t_max + 1.0)

@@ -156,7 +156,7 @@ def _bench_cell(inst, method, eps, seed, r_value):
     if method == "proposed":
         rep, result = solve_instance(inst, eps, seed=seed, r=r_value)
     else:
-        rep = subgradient_control(inst, eps, seed=seed)
+        rep = subgradient_control(inst, eps)
         result = {"value": rep.f_max_value, "point": rep.x}
     wall = time.perf_counter() - t0
     return {

@@ -107,7 +107,7 @@ class SoftmaxGradientEstimator:
         r: float,
         delta: float,
         rng_seed=0,
-        p: int | None = None,
+        p: int = 2,
         mvm_factory=None,
     ):
         half_smooth = 0.5 * problem.smooth * r * r
@@ -120,7 +120,7 @@ class SoftmaxGradientEstimator:
         self.x0 = np.asarray(x0, dtype=float).copy()
         self.eps_prime = float(eps_prime)
         self.r = float(r)
-        self.p = p if p is not None else 2
+        self.p = p
         self.max_consecutive_rejections = max(8, math.ceil(200.0 * math.log(1.0 / delta)))
         self.counters = EstimatorCounters()
 
@@ -157,8 +157,10 @@ class SoftmaxGradientEstimator:
         the family's strong-convexity modulus mu, f_max(x) >= sum_i y_i
         f_i(x) >= y.f0 + <g, x - x0> + (mu/2) ||x - x0||^2 for every x, so
         min_X f_max >= D(y) = y.f0 - <g, x0> + min_X [<g, x> + (mu/2)
-        ||x - x0||^2], where the last minimum is ``model_min``'s, over the
-        ball or the full simplex.  The bound starts from the sampler's
+        ||x - x0||^2].  That minimum is ``ball_model_min``'s on the ball
+        with mu > 0; otherwise it is ``model_min``'s, over the ball or the
+        full simplex, which drops the quadratic term (a valid but weaker
+        bound).  The bound starts from the sampler's
         softmax weights (proportional to exp(f0 / eps')).  Games (mu = 0)
         keep that dual: their D is non-smooth in g.  For a strongly convex
         family on the ball (the MEB levels, mu = 1) D's dual is a
@@ -177,7 +179,7 @@ class SoftmaxGradientEstimator:
         yf = float(y @ self.f0)
         mu = self.problem.mu
         if mu == 0.0 or setup.kind is not Kind.BALL:
-            lower = yf - float(g @ self.x0) + model_min(setup, g, self.x0, mu)
+            lower = yf - float(g @ self.x0) + model_min(setup, g)
             return float(self.f0.max()) - lower
         value, x_star = ball_model_min(g, self.x0, mu)
         lower = yf - float(g @ self.x0) + value

@@ -65,15 +65,6 @@ class GeometrySetup:
             return np.zeros(self.dim)
         return np.full(self.dim, 1.0 / self.dim)
 
-    def contains(self, x: np.ndarray, tol: float = _FEAS_TOL) -> bool:
-        if x.shape != (self.dim,):
-            return False
-        if self.kind is Kind.BALL:
-            return bool(np.dot(x, x) <= (1.0 + tol) ** 2)
-        return bool(
-            np.all(x >= self.nu - tol) and abs(float(np.sum(x)) - 1.0) <= tol * max(1.0, self.dim)
-        )
-
 
 def pnorm(v: np.ndarray, p: int) -> float:
     """||v||_2 for p = 2, else ||v||_1.  It runs several times per gradient query,
@@ -236,19 +227,16 @@ def _prox_simplex(
     return _waterfill(log_xi, nu)
 
 
-def domain_radius_bound(setup: GeometrySetup, x0: np.ndarray) -> float:
-    """Conservative R with V_{x0}(x) <= R^2 for every feasible x.
+def domain_radius_bound(setup: GeometrySetup) -> float:
+    """Conservative R with V_{x0}(x) <= R^2 for every feasible x, from the
+    setup's center x0.
 
-    Ball: ``1 + ||x0||`` (R = 1 from the origin, with slack).  Simplex:
-    ``sqrt(2 log(1 / min_i x0_i))``, i.e. sqrt(2 log d) from uniform.
+    Ball: 1 from the origin.  Simplex: ``sqrt(2 log(1 / min_i x0_i))``
+    with min_i x0_i = 1/d at uniform, i.e. sqrt(2 log d).
     """
-    _check_pair(setup, x0, x0)
     if setup.kind is Kind.BALL:
-        return 1.0 + math.sqrt(float(np.dot(x0, x0)))
-    lo = float(np.min(x0))
-    if lo < _MIN_POSITIVE:
-        raise NonFinite("simplex radius bound needs a strictly positive start")
-    return math.sqrt(2.0 * math.log(1.0 / lo))
+        return 1.0
+    return math.sqrt(2.0 * math.log(1.0 / (1.0 / setup.dim)))
 
 
 def project(setup: GeometrySetup, x: np.ndarray) -> np.ndarray:
@@ -270,22 +258,18 @@ def project(setup: GeometrySetup, x: np.ndarray) -> np.ndarray:
     return w / float(w.sum())
 
 
-def model_min(setup: GeometrySetup, g: np.ndarray, x0: np.ndarray, mu: float) -> float:
-    """min <g, x> + (mu/2) ||x - x0||^2 over the unit ball, or over the full
-    simplex for the simplex setup.
+def model_min(setup: GeometrySetup, g: np.ndarray) -> float:
+    """min <g, x> over the unit ball, -||g||_2, or over the full simplex,
+    min_j g_j, for the simplex setup.
 
-    On the ball with mu > 0 the minimum is ``ball_model_min``'s, and with
-    mu = 0 it is -||g||_2.  On the simplex the quadratic term is dropped,
-    which leaves a valid but weaker bound, and the minimum is min_j g_j.
     The truncated simplex's minimum is larger by up to
     ``nu * d * (mean(g) - min(g))``: a lower bound taken there would hold
     only for the truncated problem, not for the simplex one it stands in
-    for."""
+    for.  With a strong-convexity term on the ball the minimum is
+    ``ball_model_min``'s."""
     if setup.kind is not Kind.BALL:
         return float(g.min())
-    if mu == 0.0:
-        return -math.sqrt(float(g @ g))
-    return ball_model_min(g, x0, mu)[0]
+    return -math.sqrt(float(g @ g))
 
 
 def ball_model_min(g: np.ndarray, x0: np.ndarray, mu: float) -> tuple[float, np.ndarray]:

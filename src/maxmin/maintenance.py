@@ -119,7 +119,6 @@ class DyadicMaintainer:
         self.ref_y = [y0] * (self.k + 2)
         self.moved = 0.0
         self.query_counts = np.zeros(self.k + 2, dtype=np.int64)
-        self.last_j = 0
 
     def level_budget(self, i: int) -> float:
         return self.r_budget / (self.eps * 2.0 ** (i - 2))
@@ -143,7 +142,6 @@ class DyadicMaintainer:
             if pnorm(self.x - self.ref_x[i], self.p) <= self.eps * 2.0 ** (i - 2):
                 j = i
                 break
-        self.last_j = j
 
         for i in range(j - 1, 0, -1):
             self.ref_x[i] = self.x.copy()

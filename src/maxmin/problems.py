@@ -2,19 +2,30 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, NormBoundViolated
-from .sketches import _check_norm
+
+_NORM_TOL = 1e-9
 
 
 def _check_finite(name: str, a: np.ndarray) -> None:
     # a NaN passes every norm-bound comparison, so it is caught here
     if not np.all(np.isfinite(a)):
         raise NonFinite(f"{name} has non-finite entries")
+
+
+def check_norm(a: np.ndarray, p: int) -> None:
+    """Raise NormBoundViolated unless every row of ``a`` has l2 norm
+    (p = 2) or largest entry magnitude (p = 1) at most 1: the unit bound
+    ||A||_{p->inf} <= 1 on the map x -> A x."""
+    if a.size == 0:
+        return
+    nrm = float(np.max(np.linalg.norm(a, axis=1))) if p == 2 else float(np.max(np.abs(a)))
+    if nrm > 1.0 + _NORM_TOL:
+        raise NormBoundViolated(f"||A||_{{{p}->inf}} = {nrm:.6g} exceeds 1")
 
 
 class MaxProblem:
@@ -36,26 +47,23 @@ class MaxProblem:
     def f_max(self, x: np.ndarray) -> float:
         return float(self.values_all(x).max())
 
-    def f_smax(self, x: np.ndarray, eps_prime: float) -> float:
-        z = self.values_all(x) / eps_prime
-        m = float(z.max())
-        return eps_prime * (m + math.log(float(np.sum(np.exp(z - m)))))
-
     def max_subgradient(self, x: np.ndarray) -> np.ndarray:
         """Gradient of a maximizing component (subgradient of f_max)."""
         return self.grad(int(np.argmax(self.values_all(x))), x)
 
 
 class LinearMaxProblem(MaxProblem):
-    """f_i(x) = <a_i, x> for the rows of an (n, d) matrix."""
+    """f_i(x) = <a_i, x> for the rows of an (n, d) matrix, whose rows are
+    taken to meet the unit bound in the domain's dual norm (games check
+    it), so L_f = 1."""
 
-    def __init__(self, rows: np.ndarray, lip: float = 1.0):
+    def __init__(self, rows: np.ndarray):
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2:
             raise DimensionMismatch("rows must be an (n, d) matrix")
         self.rows = rows
         self.n, self.d = rows.shape
-        self.lip = lip
+        self.lip = 1.0
         self.smooth = 0.0
         self.mu = 0.0
 
@@ -129,7 +137,7 @@ class MatrixGameInstance:
             raise NormBoundViolated(f"unknown game kind {self.kind!r}")
         _check_finite("payoff matrix", self.matrix)
         # each column's dual norm: l2 for the ball, linf for the simplex
-        _check_norm(self.matrix.T, 2 if self.is_ball else 1)
+        check_norm(self.matrix.T, 2 if self.is_ball else 1)
 
     @property
     def is_ball(self) -> bool:
@@ -144,7 +152,7 @@ class MatrixGameInstance:
         return self.matrix.shape[1]
 
     def problem(self) -> LinearMaxProblem:
-        return LinearMaxProblem(self.matrix.T, lip=1.0)
+        return LinearMaxProblem(self.matrix.T)
 
 
 @dataclass

@@ -15,9 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import NormBoundViolated
-
-_NORM_TOL = 1e-9
+from .problems import check_norm
 
 # Repetition / bucket constants for CountSketch: the per-repetition
 # variance is at most ||a||^2 ||x||^2 / b, so b = ceil(6 / eps^2) makes a
@@ -26,14 +24,6 @@ _NORM_TOL = 1e-9
 # delta/n per entry.
 C_REP = 8.0
 C_BUCKET = 6.0
-
-
-def _check_norm(a: np.ndarray, p: int) -> None:
-    if a.size == 0:
-        return
-    nrm = float(np.max(np.linalg.norm(a, axis=1))) if p == 2 else float(np.max(np.abs(a)))
-    if nrm > 1.0 + _NORM_TOL:
-        raise NormBoundViolated(f"||A||_{{{p}->inf}} = {nrm:.6g} exceeds 1")
 
 
 class CountSketchMve:
@@ -48,7 +38,7 @@ class CountSketchMve:
 
     def __init__(self, a: np.ndarray, eps: float, delta: float, seed):
         a = np.asarray(a, dtype=float)
-        _check_norm(a, 2)
+        check_norm(a, 2)
         self.n, self.d = a.shape
         self.t = max(1, math.ceil(C_REP * math.log(self.n / delta)))
         self.b = max(1, math.ceil(C_BUCKET / eps**2))
@@ -64,19 +54,6 @@ class CountSketchMve:
         for rep in range(self.t):
             np.add.at(acc, self.slots[rep], (a * self.signs[rep]).T)
         self.row_sketches = acc.reshape(self.t, self.k, self.n)
-
-    @property
-    def s(self) -> int:
-        return self.t * self.b
-
-    def sketch_vector(self, x: np.ndarray) -> np.ndarray:
-        """Apply the sketch to a d-vector; exactly linear in x."""
-        out = np.empty((self.t, self.b))
-        for rep in range(self.t):
-            out[rep] = np.bincount(
-                self.buckets[rep], weights=self.signs[rep] * x, minlength=self.b
-            )
-        return out
 
     def query(self, x: np.ndarray) -> np.ndarray:
         # x's sketch on the occupied buckets; the others meet only zero
@@ -98,7 +75,7 @@ class SampleMve:
 
     def __init__(self, a: np.ndarray, eps: float, delta: float, seed):
         a = np.asarray(a, dtype=float)
-        _check_norm(a, 1)
+        check_norm(a, 1)
         self.a = a  # shared reference; callers may reuse one copy across levels
         self.n, self.d = a.shape
         # Hoeffding with sample range 2 ||x||_1 ||a||_inf

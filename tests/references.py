@@ -3,20 +3,27 @@
 Each is deliberately independent of the solver code path it validates:
 prox subproblems are solved by projected gradient descent with
 Euclidean projections, and a game's dual bound is its best-response
-value computed directly from A y.  They live beside the tests rather
-than in the library, with ``stat_checks``; ``maxmin.refcheck`` keeps the
-references the selftests and the benchmark use.
+value computed directly from A y.  The worst-case oracle bounds, the
+exact smoothed max and the domain membership test are formulas the tests
+check the solver against.  They live beside the tests rather than in the
+library, with ``stat_checks``; ``maxmin.refcheck`` keeps the references
+the selftests and the benchmark use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from maxmin.ball_oracle import STEP_CONSTANT, bisection_round_limit
 from maxmin.errors import InvalidParams
 from maxmin.geometry import GeometrySetup, Kind
+from maxmin.problems import MaxProblem
+
+_FEAS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -140,3 +147,41 @@ def duality_gap(inst, x: np.ndarray, y: np.ndarray) -> float:
     fmax = float(np.max(inst.matrix.T @ x))
     lower = best_response_value(inst.matrix @ y, inst.is_ball)
     return fmax - lower
+
+
+# Formulas the solver is checked against
+
+
+def contains(setup: GeometrySetup, x: np.ndarray, tol: float = _FEAS_TOL) -> bool:
+    """Whether x lies in the setup's domain, up to tol."""
+    if x.shape != (setup.dim,):
+        return False
+    if setup.kind is Kind.BALL:
+        return bool(np.dot(x, x) <= (1.0 + tol) ** 2)
+    return bool(
+        np.all(x >= setup.nu - tol) and abs(float(np.sum(x)) - 1.0) <= tol * max(1.0, setup.dim)
+    )
+
+
+def f_smax(problem: MaxProblem, x: np.ndarray, eps_prime: float) -> float:
+    """The smoothed max eps' log sum_i exp(f_i(x) / eps')."""
+    z = problem.values_all(x) / eps_prime
+    m = float(z.max())
+    return eps_prime * (m + math.log(float(np.sum(np.exp(z - m)))))
+
+
+def movement_bound(rho: float, tau_val: float, gamma_bound: float) -> float:
+    """Worst-case total query movement of one oracle call (the inner
+    logarithm is twice the largest per-call iteration budget)."""
+    k_max = bisection_round_limit(tau_val, gamma_bound, rho)
+    inner = 8.0 * STEP_CONSTANT * tau_val * gamma_bound**2 / rho**2
+    return rho * 2.0 * k_max * math.log(max(inner, math.e))
+
+
+def query_budget_bound(rho: float, tau_val: float, gamma_bound: float) -> float:
+    """Upper bound on the total gradient calls of one oracle call: the
+    per-run budget at lam = 1 summed over the initial probe and every
+    possible bisection round (the accepted probe is the output)."""
+    k_max = bisection_round_limit(tau_val, gamma_bound, rho)
+    t_max = 4.0 * STEP_CONSTANT * tau_val * (gamma_bound / rho) ** 2
+    return (k_max + 1.0) * (t_max + 1.0)

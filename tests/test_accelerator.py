@@ -219,7 +219,7 @@ class TestPotentialDecrease:
         setup = ball_setup(3)
 
         def smax_val(x):
-            return prob.f_smax(x, eps_prime)
+            return references.f_smax(prob, x, eps_prime)
 
         def smax_grad(x):
             p = refcheck.exact_softmax_dist(prob, x, eps_prime)
@@ -361,14 +361,14 @@ class TestCounters:
         parts = [
             SolverReport(
                 x=np.zeros(2), f_max_value=0.0, outer_iterations=k, iterations=[],
-                t_md=0.25 * k, wall_time=1.0, seed=0,
+                t_md=0.25 * k, wall_time=1.0,
                 **{name: (j + 1) * 10**k for j, name in enumerate(names)},
             )
             for k in (1, 2)
         ]
-        total = SolverReport.total(parts, x=np.ones(2), f_max_value=1.0, seed=7, wall_time=3.0)
+        total = SolverReport.total(parts, x=np.ones(2), f_max_value=1.0, wall_time=3.0)
         for name in names:
             assert getattr(total, name) == getattr(parts[0], name) + getattr(parts[1], name), name
         assert total.outer_iterations == 3
         assert total.t_md == 0.75
-        assert (total.seed, total.wall_time) == (7, 3.0)
+        assert total.wall_time == 3.0

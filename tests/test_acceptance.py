@@ -16,12 +16,7 @@ from stat_checks import one_sided_upper_confidence
 
 from maxmin import refcheck
 from maxmin.apps import smoothing_level, solve_matrix_game, solve_meb
-from maxmin.ball_oracle import (
-    bisection_round_limit,
-    movement_bound,
-    query_budget_bound,
-    restricted_oracle,
-)
+from maxmin.ball_oracle import bisection_round_limit, restricted_oracle
 from maxmin.estimator import SoftmaxGradientEstimator
 from maxmin.geometry import (
     Kind,
@@ -334,8 +329,8 @@ def test_criterion_09_oracle_movement_bound():
         return gam * u
 
     res = restricted_oracle(grad, setup, np.zeros(2), rho, gam)
-    move_cap = movement_bound(rho, tau_v, gam)
-    query_cap = query_budget_bound(rho, tau_v, gam)
+    move_cap = references.movement_bound(rho, tau_v, gam)
+    query_cap = references.query_budget_bound(rho, tau_v, gam)
     ok = (
         res.rounds >= 1
         and res.movement <= move_cap

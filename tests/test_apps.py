@@ -6,7 +6,7 @@ import references
 from scipy.optimize import linprog
 from stat_checks import chi_square_pvalue
 
-from maxmin import apps, estimator, refcheck
+from maxmin import apps, estimator, io, refcheck
 from maxmin.accelerator import auto_gamma
 from maxmin.apps import (
     MEB_MAX_LEVELS,
@@ -18,9 +18,11 @@ from maxmin.apps import (
     smoothing_level,
     solve_matrix_game,
     solve_meb,
+    solve_instance,
     solve_smooth_max,
     subgradient_baseline,
 )
+from maxmin.cli import _gen_payload
 from maxmin.errors import InvalidParams, NonFinite, NormBoundViolated
 from maxmin.geometry import Kind, ball_setup, simplex_setup
 from maxmin.problems import (
@@ -76,7 +78,7 @@ class TestInstances:
         p = LinearMaxProblem(rng.standard_normal((6, 4)))
         x = rng.standard_normal(4)
         eps_prime = 0.05
-        smax = p.f_smax(x, eps_prime)
+        smax = references.f_smax(p, x, eps_prime)
         assert p.f_max(x) <= smax <= p.f_max(x) + eps_prime * math.log(6)
 
 
@@ -113,7 +115,7 @@ class TestSolveSmoothMax:
         eps_prime = smoothing_level(eps, 8)
         for _ in range(50):
             x = rng.standard_normal(3)
-            assert abs(p.f_smax(x, eps_prime) - p.f_max(x)) <= eps / 2 + 1e-12
+            assert abs(references.f_smax(p, x, eps_prime) - p.f_max(x)) <= eps / 2 + 1e-12
 
     def test_one_seed_sequence_per_round(self, monkeypatch):
         """Each round hashes only its sampler's SeedSequence: the outer
@@ -467,13 +469,16 @@ class TestGoldenCounters:
     """Per-seed counters of one solve per front end, pinned so that a
     refactor claimed to keep reports bit-identical per seed is checked:
     (outer_iterations, func_evals, grad_evals, draws, accepted, total
-    oracle queries)."""
+    oracle queries).  The quadratics case is the payload of ``maxmin gen
+    --kind quadratics --n 10 --d 4 --seed 0`` solved as ``maxmin solve``
+    does, which stops on its anchor certificate."""
 
     PINNED = {
         "wide": (1, 4001, 4001, 1, 1, 1),
         "planted": (129, 13206, 13133, 206, 133, 133),
         "meb": (192, 41122, 40392, 922, 192, 192),
         "criterion1-game0": (188, 29201, 25222, 10301, 6322, 6322),
+        "quadratics": (66, 990, 736, 320, 66, 66),
     }
 
     @pytest.mark.parametrize("case", list(PINNED))
@@ -485,6 +490,10 @@ class TestGoldenCounters:
         elif case == "meb":
             inst = MebInstance(np.random.default_rng(78).standard_normal((200, 3)))
             _, _, rep = solve_meb(inst, 0.01, seed=0)
+        elif case == "quadratics":
+            inst = io.instance_from_payload(*_gen_payload("quadratics", 10, 4, None, 0))
+            rep, _ = solve_instance(inst, 0.05, seed=0)
+            assert rep.stop_reason == "certificate"
         else:
             _, rep = solve_matrix_game(criterion1_game0(), 0.05, seed=0)
         got = (rep.outer_iterations, rep.func_evals, rep.grad_evals, rep.draws, rep.accepted,
@@ -504,8 +513,8 @@ class TestMeb:
         inst = MebInstance(np.array([[0.0, 0.0], [1.0, 0.0]]))
         _, _, rep = solve_meb(inst, 0.25, seed=0)
         assert rep.extras["levels"] == meb_level_count(0.25) == 4
-        # the cap on sub-solves per level; a certified one ends its level
-        assert rep.extras["repeats"] == MEB_REPEATS
+        # MEB_REPEATS caps the sub-solves per level; a certified one ends
+        # its level
         levels, certified = rep.extras["levels"], rep.extras["certified_levels"]
         assert 0 <= certified <= levels
         assert levels <= rep.extras["sub_solves"] <= levels * MEB_REPEATS
@@ -566,7 +575,7 @@ class TestCrossMethodAgreement:
         prob = QuadraticMaxProblem(centers, offsets)
         eps = 0.05
         rep = solve_smooth_max(prob, eps, seed=1)
-        base = subgradient_baseline(prob, ball_setup(4), 400_000, seed=0)
+        base = subgradient_baseline(prob, ball_setup(4), 400_000)
         assert rep.f_max_value - base.f_max_value <= eps
 
     def test_game_value_matches_baseline(self):
@@ -576,18 +585,18 @@ class TestCrossMethodAgreement:
         inst = MatrixGameInstance(a, "l2l1")
         eps = 0.1
         _, rep = solve_matrix_game(inst, eps, seed=2)
-        base = subgradient_baseline(inst.problem(), ball_setup(40), 1_000_000, seed=0)
+        base = subgradient_baseline(inst.problem(), ball_setup(40), 1_000_000)
         assert abs(rep.f_max_value - base.f_max_value) <= eps
 
 
 class TestBaseline:
     def test_norm_objective_reaches_origin(self):
         rows = np.vstack([np.eye(3), -np.eye(3)])
-        rep = subgradient_baseline(LinearMaxProblem(rows), ball_setup(3), 30_000, seed=0)
+        rep = subgradient_baseline(LinearMaxProblem(rows), ball_setup(3), 30_000)
         assert rep.f_max_value <= 0.01
 
     def test_identity_game_equalizer(self):
         prob = LinearMaxProblem(np.eye(2))
-        rep = subgradient_baseline(prob, simplex_setup(2, 0.0), 40_000, seed=0)
+        rep = subgradient_baseline(prob, simplex_setup(2, 0.0), 40_000)
         np.testing.assert_allclose(rep.x, [0.5, 0.5], atol=0.01)
         assert rep.f_max_value == pytest.approx(0.5, abs=0.01)

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from maxmin import accelerator
 from maxmin import io as mio
 from maxmin.cli import main
 from maxmin.errors import InvalidParams, MaxminError
+from maxmin.estimator import SoftmaxGradientEstimator
 
 
 def run_cli(args):
@@ -224,8 +226,16 @@ class TestSolve:
         assert counters["draws"] >= counters["accepted"]
 
     @pytest.mark.parametrize("kind,stop_reason", [("game", "certificate"),
-                                                  ("quadratics", "threshold")])
-    def test_report_names_the_stop_reason(self, tmp_path, kind, stop_reason):
+                                                  ("quadratics", "threshold"),
+                                                  ("quadratics", "certificate")])
+    def test_report_names_the_stop_reason(self, tmp_path, monkeypatch, kind, stop_reason):
+        if stop_reason == "threshold":
+            # an anchor that certifies nothing leaves the weight threshold
+            # as the only stop; gamma is planned for that threshold, as for
+            # a solve with no certificate level
+            monkeypatch.setattr(SoftmaxGradientEstimator, "anchor_gap",
+                                lambda self, setup: math.inf)
+            monkeypatch.setattr(accelerator, "CERTIFICATE_PLAN_FACTOR", math.inf)
         inst = tmp_path / "i.txt"
         run_cli(["gen", "--kind", kind, "--n", "40", "--d", "3", "--seed", "3",
                  "--out", str(inst)])
@@ -297,6 +307,11 @@ class TestSelftestAndBench:
             assert float(r["wall_time"]) > 0
         # 1000 steps, each n = 6 values plus one gradient
         assert {int(r["evaluations"]) for r in rows if r["method"] == "subgradient"} == {7000}
+        # the subgradient control draws no random numbers: both seeds'
+        # rows are the same run
+        control = [(r["value"], r["gap"], r["evaluations"]) for r in rows
+                   if r["method"] == "subgradient"]
+        assert len(control) == 2 and control[0] == control[1]
 
     def test_bench_r_sweep(self, tmp_path):
         inst = tmp_path / "g.txt"

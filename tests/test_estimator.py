@@ -16,7 +16,7 @@ from maxmin.errors import (
     RejectionStall,
 )
 from maxmin.estimator import SoftmaxGradientEstimator
-from maxmin.geometry import ball_setup, model_min, pnorm, simplex_setup
+from maxmin.geometry import ball_model_min, ball_setup, model_min, pnorm, simplex_setup
 from maxmin.maintenance import DyadicMaintainer
 from maxmin.problems import LinearMaxProblem, MebInstance, QuadraticMaxProblem
 from maxmin.selftests import dyadic_factory
@@ -329,6 +329,14 @@ class TestEstimate:
             mvm_factory=dyadic(21, eps_prime, 1.05 * walk_length, prob.lip),
         )
         refreshed = set()
+        query = est.mvm.query
+
+        def recording(u):
+            y, flag = query(u)
+            refreshed.add(flag)
+            return y, flag
+
+        est.mvm.query = recording
         x_t = est.x0.copy()
         for step in range(60):
             move = rng.standard_normal(3)
@@ -337,7 +345,6 @@ class TestEstimate:
             if dist > est.r:
                 x_t = est.x0 + (x_t - est.x0) * (est.r / dist)
             est.estimate(x_t)
-            refreshed.add(est.mvm.last_j > 1)
             assert np.array_equal(est.y, est.lip * est.mvm.ref_y[1])
             # the logits and the sampler's weights follow y, bit for bit
             assert np.array_equal(est.logits, (est.f0 + est.y) / est.eps_prime)
@@ -520,7 +527,7 @@ class TestAnchorGap:
         gap = est.anchor_gap(ball_setup(d))
         assert gap >= prob.f_max(x0) - 0.5 * w_radius**2 - 1e-9
         # the Frank-Wolfe polish only keeps steps that raise the bound
-        assert gap <= softmax_gap(prob, x0, eps_prime, ball_setup(d), 1.0) + 1e-9
+        assert gap <= softmax_gap(prob, x0, eps_prime, 1.0) + 1e-9
 
     @pytest.mark.parametrize("setup", [ball_setup(4), simplex_setup(4, 0.0)],
                              ids=["ball", "simplex"])
@@ -533,15 +540,16 @@ class TestAnchorGap:
             est = SoftmaxGradientEstimator(prob, x0, 0.02, 0.1, delta=0.05, rng_seed=seed)
             y = est.tree.weights / est.tree.total
             g = y @ prob.rows
-            lower = float(y @ est.f0) - float(g @ x0) + model_min(setup, g, x0, 0.0)
+            lower = float(y @ est.f0) - float(g @ x0) + model_min(setup, g)
             assert est.anchor_gap(setup) == float(est.f0.max()) - lower
 
 
-def softmax_gap(prob, x0, eps_prime, setup, mu):
-    """The anchor bound with the softmax weights softmax(f(x0) / eps') as
-    its dual, computed from the family directly."""
+def softmax_gap(prob, x0, eps_prime, mu):
+    """The anchor bound on the ball, for a family of modulus mu > 0, with
+    the softmax weights softmax(f(x0) / eps') as its dual, computed from
+    the family directly."""
     f0 = prob.values_all(x0)
     y = np.exp((f0 - f0.max()) / eps_prime)
     y /= y.sum()
     g = y @ prob.grad_matrix(x0)
-    return float(f0.max()) - (float(y @ f0) - float(g @ x0) + model_min(setup, g, x0, mu))
+    return float(f0.max()) - (float(y @ f0) - float(g @ x0) + ball_model_min(g, x0, mu)[0])

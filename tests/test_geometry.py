@@ -8,6 +8,7 @@ from maxmin.errors import InfeasibleInput, NonFinite
 from maxmin.geometry import (
     GeometrySetup,
     Kind,
+    ball_model_min,
     ball_setup,
     bregman,
     domain_radius_bound,
@@ -201,20 +202,20 @@ class TestProxStep:
 
 class TestDomainRadius:
     def test_ball_origin(self):
-        assert domain_radius_bound(ball_setup(5), np.zeros(5)) == 1.0
+        assert domain_radius_bound(ball_setup(5)) == 1.0
 
     def test_simplex_uniform(self):
-        got4 = domain_radius_bound(simplex_setup(4, 0.01), np.full(4, 0.25))
+        got4 = domain_radius_bound(simplex_setup(4, 0.01))
         assert got4 == pytest.approx(math.sqrt(2.0 * math.log(4.0)), rel=1e-12)
         assert got4 == pytest.approx(1.6651092223153954, abs=1e-12)
-        got2 = domain_radius_bound(simplex_setup(2, 0.01), np.full(2, 0.5))
+        got2 = domain_radius_bound(simplex_setup(2, 0.01))
         assert got2 == pytest.approx(1.1774100225154747, abs=1e-12)
 
     def test_covers_divergence(self):
         rng = np.random.default_rng(7)
         s = simplex_setup(5, 0.02)
-        x0 = _sample_simplex(rng, 1, s)[0]
-        r = domain_radius_bound(s, x0)
+        x0 = s.center()
+        r = domain_radius_bound(s)
         pts = _sample_simplex(rng, 500, s)
         vals = [bregman(s, x0, p) for p in pts]
         assert max(vals) <= r * r
@@ -243,9 +244,8 @@ class TestProject:
 class TestModelMin:
     def test_zero_modulus_is_the_linear_minimum(self):
         g = vec(0.3, -0.4, 1.2)
-        x0 = vec(0.1, 0.2, -0.3)
-        assert model_min(ball_setup(3), g, x0, 0.0) == -math.sqrt(float(g @ g))
-        assert model_min(simplex_setup(3, 0.05), g, x0, 1.0) == -0.4
+        assert model_min(ball_setup(3), g) == -math.sqrt(float(g @ g))
+        assert model_min(simplex_setup(3, 0.05), g) == -0.4
 
     @pytest.mark.parametrize("mu", [0.5, 1.0, 4.0])
     def test_ball_minimum_against_samples(self, mu):
@@ -254,7 +254,7 @@ class TestModelMin:
         for _ in range(20):
             g = rng.standard_normal(3) * rng.choice([0.1, 1.0, 5.0])
             x0 = _sample_ball(rng, 1, 3)[0]
-            got = model_min(setup, g, x0, mu)
+            got, _ = ball_model_min(g, x0, mu)
             pts = np.vstack([_sample_ball(rng, 4000, 3), x0])
             vals = pts @ g + 0.5 * mu * np.sum((pts - x0) ** 2, axis=1)
             assert got <= vals.min() + 1e-12

@@ -28,7 +28,6 @@ class TestInit:
         m = CountSketchMve(np.eye(3), eps=0.5, delta=0.1, seed=0)
         assert m.t == math.ceil(8 * math.log(3 / 0.1))
         assert m.b == math.ceil(6 / 0.25)
-        assert m.s == m.t * m.b
 
     def test_zero_matrix_queries_zero(self):
         for p in (1, 2):
@@ -84,16 +83,17 @@ class TestQueries:
         np.testing.assert_array_equal(s1, s2)
 
     def test_sketch_linearity_exact(self):
+        # n / delta < e^{1/8} plans one repetition, whose median is the
+        # estimate <S a, S x> itself, linear in x; a dyadic row and
         # integer-valued inputs keep every partial sum exactly
         # representable, so linearity holds bit-for-bit
         rng = np.random.default_rng(5)
-        a = unit_rows(rng, 4, 7, 2)
-        m = CountSketchMve(a, 0.4, 0.1, 3)
+        a = rng.integers(-2, 3, (1, 7)) / 8.0
+        m = CountSketchMve(a, 0.4, 0.9, 3)
+        assert m.t == 1
         x = rng.integers(-8, 8, 7).astype(float)
         y = rng.integers(-8, 8, 7).astype(float)
-        np.testing.assert_array_equal(
-            m.sketch_vector(x) + m.sketch_vector(y), m.sketch_vector(x + y)
-        )
+        np.testing.assert_array_equal(m.query(x) + m.query(y), m.query(x + y))
 
     @pytest.mark.parametrize("n, d, eps", [(4, 4, 0.01), (6, 9, 0.3), (30, 80, 0.5), (50, 200, 0.9)])
     def test_sparse_rows_match_dense_sketch(self, n, d, eps):
