@@ -180,12 +180,15 @@ def accelerate(
     With
     ``certificate_eps`` set, the run also stops, with ``stop_reason``
     "certificate", at the first anchor from round 2 on whose
-    ``anchor_gap`` is at most it, and returns that anchor; its n values
-    and n gradients are counted, and ``outer_iterations`` counts the
-    oracle rounds before it.  ``gamma`` defaults to ``auto_gamma`` of
-    this run's schedule from A_0 = R^2 / E0 to the plan weight: the
-    threshold, or min(threshold, ``CERTIFICATE_PLAN_FACTOR`` R^2 /
-    ``certificate_eps``) when the level is positive.  A level of 0 checks
+    ``anchor_gap`` is at most it, and returns that anchor with the gap as
+    ``extras["gap"]``; its n values and n gradients are counted, and
+    ``outer_iterations`` counts the oracle rounds before it.  On a
+    one-point domain (R = 0, the simplex at d = 1) it returns the center
+    after no round, with ``stop_reason`` "certificate" and gap 0.
+    ``gamma`` defaults to ``auto_gamma`` of this run's schedule from
+    A_0 = R^2 / E0 to the plan weight: the threshold, or min(threshold,
+    ``CERTIFICATE_PLAN_FACTOR`` R^2 / ``certificate_eps``) when the
+    level is positive.  A level of 0 checks
     every anchor but keeps the threshold's gamma.
     ``estimator_factory(anchor, seed)`` builds the per-round gradient
     estimator, where ``seed`` is round t's (entropy, spawn_key) pair:
@@ -199,6 +202,11 @@ def accelerate(
     r_bound = domain_radius_bound(setup)
     if gamma is not None and not (0.0 < gamma < 0.5):
         raise InvalidParams("gamma must lie in (0, 1/2)")
+    if r_bound == 0.0:
+        # the one-point simplex (d = 1): the center is optimal, with gap 0
+        return SolverReport(x=x, f_max_value=problem.f_max(x), outer_iterations=0,
+                            iterations=[], stop_reason="certificate",
+                            wall_time=time.perf_counter() - start, extras={"gap": 0.0})
     if not (0.0 < r <= r_bound):
         raise InvalidParams("need 0 < r <= R")
     if not (0.0 < stopping_scale <= 1.0):
@@ -228,6 +236,7 @@ def accelerate(
     counters = EstimatorCounters()
     t_md = 0.0
     stop_reason = "threshold"
+    extras = {"gamma": gamma}
     t = 0
 
     while a_weight < threshold:
@@ -243,12 +252,14 @@ def accelerate(
         # the round's (entropy, spawn key); the estimator derives its
         # sampler stream from it, so no SeedSequence is built here
         est = estimator_factory(anchor, (seed_entropy, seed_key + (t,)))
-        if (certificate_eps is not None and t > 1
-                and est.anchor_gap(setup) <= certificate_eps):
-            counters.add(est.counters)
-            x = anchor
-            stop_reason = "certificate"
-            break
+        if certificate_eps is not None and t > 1:
+            gap = est.anchor_gap(setup)
+            if gap <= certificate_eps:
+                counters.add(est.counters)
+                x = anchor
+                stop_reason = "certificate"
+                extras["gap"] = gap
+                break
         # the anchor evaluation runs here, outside the oracle's timer
         anchor_eval = est.counters.t_eval
 
@@ -288,6 +299,6 @@ def accelerate(
         stop_reason=stop_reason,
         wall_time=wall,
         trace=trace,
-        extras={"gamma": gamma},
+        extras=extras,
         **asdict(counters),
     )

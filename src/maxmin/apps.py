@@ -346,7 +346,8 @@ def subgradient_baseline(
 ) -> SolverReport:
     """Plain mirror descent on f_max with a max-achieving subgradient.
 
-    Step size R / (L_f sqrt(t)) at step t; averaged-iterate output.
+    Step size R / (L_f sqrt(t)) at step t; averaged-iterate output.  On
+    a one-point domain (R = 0) it returns the center after no step.
     Serves as the long-run reference oracle and the comparison row in
     benchmarks.  It draws no random numbers, so it takes no seed.
     """
@@ -356,6 +357,9 @@ def subgradient_baseline(
     x = setup.center()
     avg = np.zeros_like(x)
     r_bound = domain_radius_bound(setup)
+    if r_bound == 0.0:
+        # the one-point simplex (d = 1): the center is optimal, so no step
+        steps, avg = 0, x
     scale = r_bound / max(problem.lip, 1e-12)
     for t in range(1, steps + 1):
         eta = scale / math.sqrt(t)
@@ -403,9 +407,11 @@ def solve_instance(
 
     Returns the solver report and the ``result`` block of the ``maxmin
     solve`` report.  Games and quadratics stop at the first anchor whose
-    weak-duality gap is at most eps.  ``r`` fixes the query radius of
-    games and quadratics; the MEB recursion sets its own radius per level
-    and rejects one.
+    weak-duality gap is at most eps; their ``result`` block carries that
+    gap (a game's polished post-hoc one), and a quadratics run that
+    reached its weight threshold instead writes none.  ``r`` fixes the
+    query radius of games and quadratics; the MEB recursion sets its own
+    radius per level and rejects one.
     """
     if isinstance(inst, MatrixGameInstance):
         x, report = solve_matrix_game(inst, eps, seed=seed, r=r)
@@ -419,5 +425,8 @@ def solve_instance(
     if isinstance(inst, QuadraticMaxProblem):
         report = solve_smooth_max(inst, eps, seed=seed, kind=Kind.BALL, r=r,
                                   certificate_eps=eps)
-        return report, {"value": report.f_max_value, "point": report.x.tolist()}
+        result = {"value": report.f_max_value, "point": report.x.tolist()}
+        if "gap" in report.extras:  # a certificate stop's anchor gap
+            result["gap"] = report.extras["gap"]
+        return report, result
     raise InvalidParams(f"no front end for {type(inst).__name__}")

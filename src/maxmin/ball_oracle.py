@@ -102,23 +102,21 @@ def li_md(
     """Last-iterate proximal mirror descent around center y: ``steps``
     steps of size eta on h + lam V_y.
 
-    Aborts with the out-of-bound flag as soon as the running average
-    leaves the rho-ball; on a clean run returns the average iterate and
-    the mirror-averaged point.
+    Returns as soon as the running average leaves the rho-ball, with
+    ``out_of_bound`` set and z = w the exit point; on a clean run returns
+    the average iterate and the mirror-averaged point.
     """
     el = eta * lam
     w = y.copy()
     x = y.copy()
     movement = 0.0
     queries = 0
-    out_of_bound = False
     is_ball = setup.kind is Kind.BALL
     p = setup.p
     log_y = None if is_ball else np.log(y)
     log_w = log_y
 
     mirror_sum = np.zeros_like(y)
-    steps_done = 0
     x_prev_in = y.copy()
 
     for t in range(1, steps + 1):
@@ -128,8 +126,14 @@ def li_md(
             x_prev_in = x
             x = x + step_vec
         if pnorm(x - y, p) >= rho:
-            out_of_bound = True
-            break
+            if is_ball:
+                direction = x - y
+                z = y + rho * direction / pnorm(direction, p)
+            else:
+                # the l1 ray point may leave the truncated simplex; the last
+                # in-domain average (distance < rho from y) serves instead
+                z = x_prev_in
+            return LimdResult(z, z.copy(), True, movement, queries)
         try:
             g = grad_est(x)
         except (RejectionStall, BudgetExceeded, PreconditionViolated) as exc:
@@ -142,25 +146,14 @@ def li_md(
             w = _prox_simplex(g, eta, el, log_y, log_w, setup.nu)
             log_w = np.log(w)
             mirror_sum += log_w
-        steps_done = t
-
-    if out_of_bound:
-        if is_ball:
-            direction = x - y
-            z = y + rho * direction / pnorm(direction, p)
-        else:
-            # the l1 ray point may leave the truncated simplex; the last
-            # in-domain average (distance < rho from y) serves instead
-            z = x_prev_in
-        return LimdResult(z, z.copy(), True, movement, queries)
 
     last_weight = math.inf if lam == 0.0 or eta == 0.0 else 1.0 / (lam * eta)
     if math.isinf(last_weight):
         w_tilde = w.copy()
     elif is_ball:
-        w_tilde = (mirror_sum + last_weight * w) / (steps_done + last_weight)
+        w_tilde = (mirror_sum + last_weight * w) / (queries + last_weight)
     else:
-        log_xi = (mirror_sum + last_weight * log_w) / (steps_done + last_weight)
+        log_xi = (mirror_sum + last_weight * log_w) / (queries + last_weight)
         w_tilde = _waterfill(log_xi, setup.nu)
     return LimdResult(x, w_tilde, False, movement, queries)
 
@@ -191,7 +184,7 @@ def restricted_oracle(
     if rho <= 0.0:
         raise InvalidParams("rho must be positive")
     tau_val = tau(setup)
-    if not tau_val >= 4.0:
+    if not (math.isfinite(tau_val) and tau_val >= 4.0):
         raise PreconditionViolated("setup must satisfy a finite tau >= 4 triangle inequality")
     if gamma_bound <= 0.0:
         raise InvalidParams("gradient bound must be positive")

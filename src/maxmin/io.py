@@ -33,6 +33,9 @@ TIMING_KEYS = ("wall_time", "t_eval", "t_md", "t_certificate")
 
 
 def _payload(kind: str, rows: np.ndarray) -> np.ndarray:
+    """The rows to write as a float array, after checking kind and shape."""
+    if kind not in _KIND_CODES:
+        raise InvalidParams(f"unknown instance kind {kind!r}")
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise InvalidParams("instance payload must be a 2-D array")
@@ -40,8 +43,6 @@ def _payload(kind: str, rows: np.ndarray) -> np.ndarray:
 
 
 def save_instance_text(path, kind: str, rows: np.ndarray) -> None:
-    if kind not in _KIND_CODES:
-        raise InvalidParams(f"unknown instance kind {kind!r}")
     rows = _payload(kind, rows)
     n, d = rows.shape
     lines = [f"MAXMIN v1 {kind} {n} {d}"]
@@ -51,8 +52,6 @@ def save_instance_text(path, kind: str, rows: np.ndarray) -> None:
 
 
 def save_instance_binary(path, kind: str, rows: np.ndarray) -> None:
-    if kind not in _KIND_CODES:
-        raise InvalidParams(f"unknown instance kind {kind!r}")
     rows = _payload(kind, rows)
     n, d = rows.shape
     header = struct.pack("<4sIII", _MAGIC, n, d, _KIND_CODES[kind])

@@ -11,7 +11,7 @@ from maxmin.ball_oracle import (
     restricted_oracle,
     step_plan,
 )
-from maxmin.errors import GradientCallbackFailed, RejectionStall
+from maxmin.errors import GradientCallbackFailed, PreconditionViolated, RejectionStall
 from maxmin.geometry import ball_setup, bregman, pnorm, simplex_setup, tau
 
 
@@ -160,6 +160,12 @@ class TestRestrictedOracle:
         # the accepted lam = 1 probe is the only run: its T queries in all
         _, steps = step_plan(0.5, 1.0, tau(setup), 1.0)
         assert res.queries == res.planned_steps == steps
+
+    def test_untruncated_simplex_rejected(self):
+        # tau is infinite at nu = 0; the step plan would overflow on it
+        setup = simplex_setup(3, 0.0)
+        with pytest.raises(PreconditionViolated, match="finite tau"):
+            restricted_oracle(lambda x: np.ones(3), setup, np.full(3, 1.0 / 3.0), 0.1, 1.0)
 
     def test_output_is_the_accepted_probe(self, monkeypatch):
         # a gradient large enough to enter bisection: no LI-MD run beyond

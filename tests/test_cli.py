@@ -247,7 +247,36 @@ class TestSolve:
             # the start's gap is below eps: one oracle round, then the
             # certified anchor
             assert doc["counters"]["outer_iterations"] == 1
+        if stop_reason == "certificate":
             assert doc["result"]["gap"] <= 0.5
+        else:
+            # a threshold stop certifies nothing
+            assert "gap" not in doc["result"]
+
+    def test_one_point_domain(self, tmp_path):
+        """The simplex at d = 1 is the point [1]: solve and bench return it
+        after no round, with value max_i a_i."""
+        inst = tmp_path / "d1.txt"
+        run_cli(["gen", "--kind", "game", "--setup", "l1l1", "--n", "5", "--d", "1",
+                 "--seed", "1", "--out", str(inst)])
+        _, rows = mio.load_instance(inst)
+        out = tmp_path / "rep.json"
+        assert run_cli(["solve", "--in", str(inst), "--eps", "0.1", "--out", str(out)]) == 0
+        doc = mio.read_report(out)
+        assert doc["stop_reason"] == "certificate"
+        assert doc["counters"]["outer_iterations"] == 0
+        assert doc["result"]["point"] == [1.0]
+        assert doc["result"]["value"] == rows.max()
+        assert 0.0 <= doc["result"]["gap"] <= 0.1
+        csv_out = tmp_path / "bench.csv"
+        assert run_cli(["bench", "--in", str(inst), "--eps", "0.1",
+                        "--method", "proposed,subgradient", "--out", str(csv_out)]) == 0
+        with open(csv_out) as fh:
+            bench_rows = list(csv.DictReader(fh))
+        assert [r["method"] for r in bench_rows] == ["proposed", "subgradient"]
+        for r in bench_rows:
+            assert float(r["value"]) == rows.max()
+            assert int(r["iterations"]) == 0
 
     def test_non_finite_instance_exit_two(self, tmp_path):
         inst = tmp_path / "nan.txt"
@@ -542,6 +571,16 @@ class TestEntryPoint:
         code = (
             "import sys, maxmin, maxmin.io, maxmin.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_package_import_loads_no_module(self):
+        """``import maxmin`` runs no submodule; callers import the module they use."""
+        code = (
+            "import sys, maxmin; "
+            "print(sorted(m for m in sys.modules if m.startswith('maxmin.')))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

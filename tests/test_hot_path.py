@@ -33,7 +33,7 @@ HOT_PATH = [
     SoftmaxGradientEstimator._refresh_logits,
     MatVecMaintainer.query,
     SumTree.sample_batch,
-    SumTree._cumsum,
+    SumTree.rebuild,
     QuadraticMaxProblem.value,
     # per round
     ball_oracle.restricted_oracle,
