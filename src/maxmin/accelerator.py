@@ -177,25 +177,24 @@ def accelerate(
     passes ``stopping_scale`` times the worst-case threshold (1.0 is the
     published stopping rule; the MEB recursion caps its levels lower, a
     fallback for the rare level the polished certificate does not end).
-    With
-    ``certificate_eps`` set, the run also stops, with ``stop_reason``
-    "certificate", at the first anchor from round 2 on whose
-    ``anchor_gap`` is at most it, and returns that anchor with the gap as
-    ``extras["gap"]``; its n values and n gradients are counted, and
-    ``outer_iterations`` counts the oracle rounds before it.  On a
+    With ``certificate_eps`` set, the run also stops, with
+    ``stop_reason`` "certificate", at the first anchor from round 2 on
+    whose ``anchor_gap`` is at most it, and returns that anchor with the
+    gap as ``extras["gap"]``; its n values and n gradients are counted,
+    and ``outer_iterations`` counts the oracle rounds before it.  On a
     one-point domain (R = 0, the simplex at d = 1) it returns the center
     after no round, with ``stop_reason`` "certificate" and gap 0.
     ``gamma`` defaults to ``auto_gamma`` of this run's schedule from
     A_0 = R^2 / E0 to the plan weight: the threshold, or min(threshold,
     ``CERTIFICATE_PLAN_FACTOR`` R^2 / ``certificate_eps``) when the
-    level is positive.  A level of 0 checks
-    every anchor but keeps the threshold's gamma.
-    ``estimator_factory(anchor, seed)`` builds the per-round gradient
-    estimator, where ``seed`` is round t's (entropy, spawn_key) pair:
-    ``seed``'s spawn key extended by (t,).  ``oracle`` is called as
-    ``oracle(grad_est, setup, y, rho, gamma_bound)`` and returns an
-    ``OracleResult``.  A fresh estimator is anchored at Phi_t(v_t) each
-    round, and its gradient is scaled by the round weight a_{t+1}.  The report's x is projected onto the domain.
+    level is positive.  A level of 0 checks every anchor but keeps the
+    threshold's gamma.  ``estimator_factory(anchor, seed)`` builds the
+    per-round gradient estimator, where ``seed`` is round t's
+    (entropy, spawn_key) pair: ``seed``'s spawn key extended by (t,).
+    ``oracle`` is called as ``oracle(grad_est, setup, y, rho,
+    gamma_bound)`` and returns an ``OracleResult``.  A fresh estimator is
+    anchored at Phi_t(v_t) each round, and its gradient is scaled by the
+    round weight a_{t+1}.  The report's x is projected onto the domain.
     """
     start = time.perf_counter()
     x = setup.center()

@@ -104,7 +104,10 @@ def li_md(
 
     Returns as soon as the running average leaves the rho-ball, with
     ``out_of_bound`` set and z = w the exit point; on a clean run returns
-    the average iterate and the mirror-averaged point.
+    the average iterate and the mirror-averaged point, which weights the
+    last iterate by 1 / (lam eta), so a run that completes needs lam > 0
+    and eta > 0 (``restricted_oracle`` probes lam >= 1, and ``step_plan``
+    gives eta > 0).
     """
     el = eta * lam
     w = y.copy()
@@ -147,10 +150,8 @@ def li_md(
             log_w = np.log(w)
             mirror_sum += log_w
 
-    last_weight = math.inf if lam == 0.0 or eta == 0.0 else 1.0 / (lam * eta)
-    if math.isinf(last_weight):
-        w_tilde = w.copy()
-    elif is_ball:
+    last_weight = 1.0 / (lam * eta)
+    if is_ball:
         w_tilde = (mirror_sum + last_weight * w) / (queries + last_weight)
     else:
         log_xi = (mirror_sum + last_weight * log_w) / (queries + last_weight)

@@ -145,8 +145,8 @@ class SoftmaxGradientEstimator:
         self.envelope = (half_smooth + self.lip * self.mvm.error_bound) / self.eps_prime
         # at the anchor y = 0, so the logits are f0 / eps' alone
         self.y = np.zeros(problem.n)
-        self.logits = self.f0 / self.eps_prime
-        self.tree = SumTree(np.exp(self.logits - self.logits.max()))
+        logits = self.f0 / self.eps_prime
+        self.tree = SumTree(np.exp(logits - logits.max()))
 
     def anchor_gap(self, setup: GeometrySetup) -> float:
         """Weak-duality bound on f_max(x0) - min_X f_max from the anchor's
@@ -200,12 +200,6 @@ class SoftmaxGradientEstimator:
             g, yf, lower, x_star = g_next, yf_next, lower_next, x_next
         return float(self.f0.max()) - lower
 
-    def _refresh_logits(self) -> None:
-        """Recompute the logits from y and rebuild the sampler's weights,
-        offset by the max logit so the largest weight is 1."""
-        self.logits = (self.f0 + self.y) / self.eps_prime
-        self.tree.rebuild(np.exp(self.logits - self.logits.max()))
-
     def estimate(self, x_t: np.ndarray) -> tuple[int, np.ndarray, EstimateStats]:
         """Sample i ~ softmax(f(x_t)/eps') and return (i, grad f_i(x_t), stats)."""
         x_t = np.asarray(x_t, dtype=float)
@@ -217,7 +211,9 @@ class SoftmaxGradientEstimator:
         raw, refreshed = self.mvm.query(u)
         if refreshed:
             self.y = self.lip * raw
-            self._refresh_logits()
+            # offset by the max logit, so the largest weight is 1
+            logits = (self.f0 + self.y) / self.eps_prime
+            self.tree.rebuild(np.exp(logits - logits.max()))
 
         counters = self.counters
         f0 = self.f0
@@ -230,27 +226,21 @@ class SoftmaxGradientEstimator:
             batch = self.tree.sample_batch(self.sampler_rng, _BATCH)
             coins = self.sampler_rng.random(_BATCH)
             t0 = time.perf_counter()
-            accepted = -1
-            for pos, i in enumerate(batch.tolist()):
+            for i, coin in zip(batch.tolist(), coins.tolist()):
                 draws += 1
-                f_val = value(i, x_t)
-                expo = (f_val - f0[i] - y[i]) * inv_eps - envelope
+                expo = (value(i, x_t) - f0[i] - y[i]) * inv_eps - envelope
                 prob = math.exp(expo) if expo < 0.0 else 1.0
-                if coins[pos] < prob:
-                    accepted = i
-                    counters.func_evals += pos + 1
-                    break
-            else:
-                counters.func_evals += _BATCH
-            if accepted >= 0:
-                grad = self.problem.grad(accepted, x_t)
-                counters.t_eval += time.perf_counter() - t0
-                counters.draws += draws
-                counters.accepted += 1
-                counters.grad_evals += 1
-                return accepted, grad, EstimateStats(draws, prob)
+                if coin < prob:
+                    grad = self.problem.grad(i, x_t)
+                    counters.t_eval += time.perf_counter() - t0
+                    counters.func_evals += draws
+                    counters.draws += draws
+                    counters.accepted += 1
+                    counters.grad_evals += 1
+                    return i, grad, EstimateStats(draws, prob)
             counters.t_eval += time.perf_counter() - t0
             if draws > self.max_consecutive_rejections:
+                counters.func_evals += draws
                 raise RejectionStall(
                     f"{draws} consecutive rejections (threshold "
                     f"{self.max_consecutive_rejections}); treat this seed as failed"

@@ -119,12 +119,3 @@ def read_report(path) -> dict:
         raise InvalidParams(f"unexpected report schema {doc.get('schema')!r}")
     return doc
 
-
-def strip_timing(doc: dict) -> dict:
-    """Drop wall-time fields (recursively) for determinism comparisons."""
-    out = {}
-    for key, val in doc.items():
-        if key in TIMING_KEYS:
-            continue
-        out[key] = strip_timing(val) if isinstance(val, dict) else val
-    return out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,7 +98,10 @@ class QuadraticMaxProblem(MaxProblem):
         self.smooth = 1.0
         self.mu = 1.0
         # gradient bound over the unit ball: max ||x - p_i||
-        self.lip = float(1.0 + np.max(np.linalg.norm(centers, axis=1)))
+        with np.errstate(over="ignore"):
+            self.lip = float(1.0 + np.max(np.linalg.norm(centers, axis=1)))
+        if not math.isfinite(self.lip):
+            raise NonFinite("centers overflow float64 in the gradient bound")
 
     def value(self, i, x):
         diff = x - self.centers[i]
@@ -170,8 +174,12 @@ class MebInstance:
             raise DimensionMismatch("need an (n, d) array with n >= 1")
         _check_finite("points", pts)
         self.shift = pts[0].copy()
-        pts = pts - self.shift
-        nrm = float(np.max(np.linalg.norm(pts, axis=1)))
+        with np.errstate(over="ignore"):
+            pts = pts - self.shift
+            nrm = float(np.max(np.linalg.norm(pts, axis=1)))
+        # a finite largest norm keeps every normalized point finite
+        if not math.isfinite(nrm):
+            raise NonFinite("points overflow float64 when shifted and scaled")
         self.scale = nrm if nrm > 0.0 else 1.0
         self.points = pts / self.scale
 

@@ -23,6 +23,16 @@ def run_cli(args):
     return main(args)
 
 
+def strip_timing(doc: dict) -> dict:
+    """Drop wall-time fields (recursively) for determinism comparisons."""
+    out = {}
+    for key, val in doc.items():
+        if key in mio.TIMING_KEYS:
+            continue
+        out[key] = strip_timing(val) if isinstance(val, dict) else val
+    return out
+
+
 class TestInstanceFormats:
     def test_text_roundtrip_byte_identical(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -102,7 +112,7 @@ class TestInstanceFormats:
         mio.write_report(path, {"result": {"value": 1.0}, "wall_time": 3.0})
         doc = mio.read_report(path)
         assert doc["schema"] == "maxmin-report/1"
-        assert "wall_time" not in mio.strip_timing(doc)
+        assert "wall_time" not in strip_timing(doc)
 
 
 class TestGen:
@@ -203,7 +213,7 @@ class TestSolve:
             code = run_cli(["solve", "--in", str(inst), "--eps", "0.2",
                             "--seed", "7", "--out", str(out)])
             assert code == 0
-            outs.append(mio.strip_timing(mio.read_report(out)))
+            outs.append(strip_timing(mio.read_report(out)))
         assert json.dumps(outs[0], sort_keys=True) == json.dumps(outs[1], sort_keys=True)
         doc = mio.read_report(tmp_path / "r1.json")
         for key in ("schema", "config", "result", "counters", "seed", "status"):
@@ -278,12 +288,23 @@ class TestSolve:
             assert float(r["value"]) == rows.max()
             assert int(r["iterations"]) == 0
 
-    def test_non_finite_instance_exit_two(self, tmp_path):
-        inst = tmp_path / "nan.txt"
-        mio.save_instance_text(inst, "game_l2l1", np.array([[0.5, np.nan], [0.0, 1.0]]))
+    def test_non_finite_instance_exit_two(self, tmp_path, caplog):
+        # a NaN entry, and finite entries that overflow once the points are
+        # normalized or the centers' gradient bound is taken, each exit 2
+        # with a message that names the field
+        cases = [
+            ("game_l2l1", [[0.5, np.nan], [0.0, 1.0]], "payoff matrix"),
+            ("meb", [[1e308], [-1e308]], "points"),
+            ("quadratics", [[1e300, 0.0]], "centers"),
+        ]
         out = tmp_path / "rep.json"
-        assert run_cli(["solve", "--in", str(inst), "--eps", "0.1", "--out", str(out)]) == 2
-        assert not out.exists()
+        for kind, rows, name in cases:
+            inst = tmp_path / f"{kind}.txt"
+            mio.save_instance_text(inst, kind, np.array(rows))
+            caplog.clear()
+            assert run_cli(["solve", "--in", str(inst), "--eps", "0.1", "--out", str(out)]) == 2
+            assert not out.exists()
+            assert f"invalid input: {name} " in caplog.text
 
     def test_profile_flag_removed(self, tmp_path):
         # the oracle has one set of constants: no flag selects another, and

@@ -30,7 +30,6 @@ HOT_PATH = [
     geometry.bregman,
     geometry.pnorm,
     SoftmaxGradientEstimator.estimate,
-    SoftmaxGradientEstimator._refresh_logits,
     MatVecMaintainer.query,
     SumTree.sample_batch,
     SumTree.rebuild,
