@@ -195,6 +195,10 @@ def accelerate(
     gamma_bound)`` and returns an ``OracleResult``.  A fresh estimator is
     anchored at Phi_t(v_t) each round, and its gradient is scaled by the
     round weight a_{t+1}.  The report's x is projected onto the domain.
+    When a certificate stop's anchor passes that projection unchanged (the
+    ball case), ``f_max_value`` is taken from the round estimator's anchor
+    values, which the report also carries as ``extras["anchor_values"]``
+    for ``solve_matrix_game`` to consume; otherwise f_max is evaluated.
     """
     start = time.perf_counter()
     x = setup.center()
@@ -287,11 +291,18 @@ def accelerate(
         counters.add(est.counters)
         t_md += oracle_wall - (est.counters.t_eval - anchor_eval)
 
-    x = project(setup, x)
+    projected = project(setup, x)
+    if stop_reason == "certificate" and projected is x:
+        # the certifying anchor, unmoved by the cleanup: the last round's
+        # estimator holds its values
+        extras["anchor_values"] = est.f0
+        f_max_value = float(est.f0.max())
+    else:
+        f_max_value = problem.f_max(projected)
     wall = time.perf_counter() - start
     return SolverReport(
-        x=x,
-        f_max_value=problem.f_max(x),
+        x=projected,
+        f_max_value=f_max_value,
         outer_iterations=len(records),
         iterations=records,
         t_md=t_md,

@@ -212,9 +212,11 @@ def solve_matrix_game(
 
     The query radius is ``r`` when given, else min(1, sqrt(d) eps).  The
     outer loop stops early at the first anchor whose weak-duality gap is
-    at most eps.  At the final point x, with f(x) evaluated once,
-    ``polish_dual`` starts from softmax(f(x)/eps'), the dual of the
-    loop's stop certificate, and raises its best-response lower bound.
+    at most eps.  At the final point x, with f(x) evaluated once (or
+    taken, on the ball, from the certifying anchor's values, which the
+    report then no longer holds), ``polish_dual`` starts from
+    softmax(f(x)/eps'), the dual of the loop's stop certificate, and
+    raises its best-response lower bound.
     The reported gap is f_max(x) minus the polished bound, which is never
     below the softmax dual's, so a solve stopped on a certificate reports
     a gap of at most eps.  ``extras["t_certificate"]`` is the wall time
@@ -230,7 +232,10 @@ def solve_matrix_game(
     )
     x = report.x
     start = time.perf_counter()
-    values = problem.values_all(x)
+    # popped, so no returned report holds the n values
+    values = report.extras.pop("anchor_values", None)
+    if values is None:
+        values = problem.values_all(x)
     f_max = float(values.max())
     logits = (values - f_max) / smoothing_level(eps, inst.n)
     _, lower = polish_dual(inst, logits, CERTIFICATE_POLISH_STEPS)

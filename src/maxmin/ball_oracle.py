@@ -99,64 +99,69 @@ def li_md(
     eta: float,
     steps: int,
 ) -> LimdResult:
-    """Last-iterate proximal mirror descent around center y: ``steps``
-    steps of size eta on h + lam V_y.
+    """Last-iterate proximal mirror descent around center y: ``steps`` >= 1
+    steps of size eta on h + lam V_y, for rho > 0.
 
     Returns as soon as the running average leaves the rho-ball, with
     ``out_of_bound`` set and z = w the exit point; on a clean run returns
     the average iterate and the mirror-averaged point, which weights the
     last iterate by 1 / (lam eta), so a run that completes needs lam > 0
     and eta > 0 (``restricted_oracle`` probes lam >= 1, and ``step_plan``
-    gives eta > 0).
+    gives eta > 0).  The first query, and a one-step run's z, is y
+    itself; y is never written.
     """
     el = eta * lam
-    w = y.copy()
-    x = y.copy()
-    movement = 0.0
-    queries = 0
     is_ball = setup.kind is Kind.BALL
     p = setup.p
     log_y = None if is_ball else np.log(y)
     log_w = log_y
-
-    mirror_sum = np.zeros_like(y)
-    x_prev_in = y.copy()
+    # x, w and x_prev_in start as y itself: they are only ever rebound,
+    # never written in place, so y is left as it was passed
+    x = w = x_prev_in = y
+    movement = 0.0
 
     for t in range(1, steps + 1):
+        # the first query is y itself, at distance 0 < rho
         if t > 1:
             step_vec = (w - x) / t
             movement += pnorm(step_vec, p)
             x_prev_in = x
             x = x + step_vec
-        if pnorm(x - y, p) >= rho:
-            if is_ball:
-                direction = x - y
-                z = y + rho * direction / pnorm(direction, p)
-            else:
-                # the l1 ray point may leave the truncated simplex; the last
-                # in-domain average (distance < rho from y) serves instead
-                z = x_prev_in
-            return LimdResult(z, z.copy(), True, movement, queries)
+            direction = x - y
+            dist = pnorm(direction, p)
+            if dist >= rho:
+                if is_ball:
+                    z = y + rho * direction / dist
+                else:
+                    # the l1 ray point may leave the truncated simplex; the
+                    # last in-domain average (distance < rho from y) serves
+                    # instead
+                    z = x_prev_in
+                return LimdResult(z, z.copy(), True, movement, t - 1)
         try:
             g = grad_est(x)
         except (RejectionStall, BudgetExceeded, PreconditionViolated) as exc:
             raise GradientCallbackFailed(str(exc)) from exc
-        queries += 1
         if is_ball:
             w = _prox_ball(g, eta, el, y, w)
-            mirror_sum += w
+            term = w
         else:
             w = _prox_simplex(g, eta, el, log_y, log_w, setup.nu)
-            log_w = np.log(w)
-            mirror_sum += log_w
+            term = log_w = np.log(w)
+        # the sum starts as the first iterate, which nothing else holds
+        # by the time the second is added into it
+        if t > 1:
+            mirror_sum += term
+        else:
+            mirror_sum = term
 
     last_weight = 1.0 / (lam * eta)
     if is_ball:
-        w_tilde = (mirror_sum + last_weight * w) / (queries + last_weight)
+        w_tilde = (mirror_sum + last_weight * w) / (steps + last_weight)
     else:
-        log_xi = (mirror_sum + last_weight * log_w) / (queries + last_weight)
+        log_xi = (mirror_sum + last_weight * log_w) / (steps + last_weight)
         w_tilde = _waterfill(log_xi, setup.nu)
-    return LimdResult(x, w_tilde, False, movement, queries)
+    return LimdResult(x, w_tilde, False, movement, steps)
 
 
 def bisection_round_limit(tau_val: float, gamma_bound: float, rho: float) -> int:
@@ -189,29 +194,36 @@ def restricted_oracle(
         raise PreconditionViolated("setup must satisfy a finite tau >= 4 triangle inequality")
     if gamma_bound <= 0.0:
         raise InvalidParams("gradient bound must be positive")
-    # the bracket floor is 1; tiny gradient bounds would otherwise invert it
-    lam_max = max(16.0 * tau_val * gamma_bound / rho, 1.0)
-    lam_min = 1.0
     upper = rho**2 / (UPPER_DIV * tau_val)
-    lower = rho**2 / (LOWER_DIV * tau_val**3)
     queries = 0
     movement = 0.0
 
     def probe(lam: float) -> tuple[LimdResult, float, int, float]:
         """The LI-MD run at lam under ``step_plan``, its eta and T, and
-        V_y(z), inf when the run left the ball."""
+        V_y(z): inf when the run left the ball, 0 when T = 1."""
         nonlocal queries, movement
         eta, steps = step_plan(rho, lam, tau_val, gamma_bound)
         res = li_md(grad_est, setup, y, rho, lam, eta, steps)
         queries += res.queries
         movement += res.movement
-        div = math.inf if res.out_of_bound else bregman(setup, y, res.z)
+        if res.out_of_bound:
+            div = math.inf
+        elif steps == 1:
+            # a one-step run queries y alone and returns z = y
+            div = 0.0
+        else:
+            div = bregman(setup, y, res.z)
         return res, eta, steps, div
 
-    lam = lam_min
+    lam = 1.0
     rounds = 0
     res, eta, steps, div = probe(lam)
     if div >= upper:
+        # the bracket floor is 1; tiny gradient bounds would otherwise
+        # invert it
+        lam_min = 1.0
+        lam_max = max(16.0 * tau_val * gamma_bound / rho, 1.0)
+        lower = rho**2 / (LOWER_DIV * tau_val**3)
         for rounds in range(1, bisection_round_limit(tau_val, gamma_bound, rho) + 1):
             lam = 0.5 * (lam_max + lam_min)
             res, eta, steps, div = probe(lam)

@@ -75,6 +75,13 @@ class EstimatorCounters:
 COUNTER_FIELDS = tuple(f.name for f in fields(EstimatorCounters))
 
 
+def _softmax_weights(logits: np.ndarray) -> np.ndarray:
+    """exp(logits - max), so the largest weight is 1; overwrites ``logits``.
+    ``np.maximum.reduce`` is what ``.max()`` calls, without its wrapper."""
+    logits -= np.maximum.reduce(logits)
+    return np.exp(logits, out=logits)
+
+
 def seed_parts(rng_seed) -> tuple[object, tuple]:
     """The (entropy, spawn_key) of an int, a SeedSequence, or such a pair."""
     if isinstance(rng_seed, np.random.SeedSequence):
@@ -145,8 +152,7 @@ class SoftmaxGradientEstimator:
         self.envelope = (half_smooth + self.lip * self.mvm.error_bound) / self.eps_prime
         # at the anchor y = 0, so the logits are f0 / eps' alone
         self.y = np.zeros(problem.n)
-        logits = self.f0 / self.eps_prime
-        self.tree = SumTree(np.exp(logits - logits.max()))
+        self.tree = SumTree(_softmax_weights(self.f0 / self.eps_prime))
 
     def anchor_gap(self, setup: GeometrySetup) -> float:
         """Weak-duality bound on f_max(x0) - min_X f_max from the anchor's
@@ -174,31 +180,32 @@ class SoftmaxGradientEstimator:
         step only if the exact D rises.  Costs one n x d product, one
         more per polish step, and O(n) work; no f or grad evaluation.
         """
+        x0, a, f0, lip = self.x0, self._a, self.f0, self.lip
         y = self.tree.weights / self.tree.total
-        g = self.lip * (y @ self._a)
-        yf = float(y @ self.f0)
+        g = lip * (y @ a)
+        yf = float(y.dot(f0))
+        f_max = float(np.maximum.reduce(f0))
         mu = self.problem.mu
         if mu == 0.0 or setup.kind is not Kind.BALL:
-            lower = yf - float(g @ self.x0) + model_min(setup, g)
-            return float(self.f0.max()) - lower
-        value, x_star = ball_model_min(g, self.x0, mu)
-        lower = yf - float(g @ self.x0) + value
+            return f_max - (yf - float(g.dot(x0)) + model_min(setup, g))
+        value, x_star = ball_model_min(g, x0, mu)
+        lower = yf - float(g.dot(x0)) + value
         for _ in range(CERTIFICATE_FW_STEPS):
-            j = int((self.f0 + self.lip * (self._a @ (x_star - self.x0))).argmax())
-            h = self.lip * self._a[j] - g
-            hh = float(h @ h)
+            j = int((f0 + lip * (a @ (x_star - x0))).argmax())
+            h = lip * a[j] - g
+            hh = float(h.dot(h))
             if hh == 0.0:
                 break
-            rise = float(self.f0[j]) - yf
-            gamma = min(max((mu * rise - float(g @ h)) / hh, 0.0), 1.0)
+            rise = float(f0[j]) - yf
+            gamma = min(max((mu * rise - float(g.dot(h))) / hh, 0.0), 1.0)
             g_next = g + gamma * h
             yf_next = yf + gamma * rise
-            value, x_next = ball_model_min(g_next, self.x0, mu)
-            lower_next = yf_next - float(g_next @ self.x0) + value
+            value, x_next = ball_model_min(g_next, x0, mu)
+            lower_next = yf_next - float(g_next.dot(x0)) + value
             if not lower_next > lower:
                 break
             g, yf, lower, x_star = g_next, yf_next, lower_next, x_next
-        return float(self.f0.max()) - lower
+        return f_max - lower
 
     def estimate(self, x_t: np.ndarray) -> tuple[int, np.ndarray, EstimateStats]:
         """Sample i ~ softmax(f(x_t)/eps') and return (i, grad f_i(x_t), stats)."""
@@ -211,9 +218,7 @@ class SoftmaxGradientEstimator:
         raw, refreshed = self.mvm.query(u)
         if refreshed:
             self.y = self.lip * raw
-            # offset by the max logit, so the largest weight is 1
-            logits = (self.f0 + self.y) / self.eps_prime
-            self.tree.rebuild(np.exp(logits - logits.max()))
+            self.tree.rebuild(_softmax_weights((self.f0 + self.y) / self.eps_prime))
 
         counters = self.counters
         f0 = self.f0
@@ -228,7 +233,9 @@ class SoftmaxGradientEstimator:
             t0 = time.perf_counter()
             for i, coin in zip(batch.tolist(), coins.tolist()):
                 draws += 1
-                expo = (value(i, x_t) - f0[i] - y[i]) * inv_eps - envelope
+                # .item returns Python floats: the same arithmetic as on
+                # numpy scalars, without their per-operation overhead
+                expo = (value(i, x_t) - f0.item(i) - y.item(i)) * inv_eps - envelope
                 prob = math.exp(expo) if expo < 0.0 else 1.0
                 if coin < prob:
                     grad = self.problem.grad(i, x_t)

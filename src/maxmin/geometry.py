@@ -143,9 +143,12 @@ def _waterfill(log_xi: np.ndarray, nu: float) -> np.ndarray:
 
     Scale invariant in log_xi, so the max is subtracted before
     exponentiating.  Ties are broken by index (stable sort); tied entries
-    receive identical treatment either way.
+    receive identical treatment either way.  It runs once or twice per
+    gradient query, so its reductions call the ufuncs' ``reduce`` and
+    ``accumulate``, which ``.all()``, ``.max()`` and ``.cumsum()`` reach
+    through a Python-level wrapper; the results are bit-identical.
     """
-    if not np.isfinite(log_xi).all():
+    if not np.logical_and.reduce(np.isfinite(log_xi)):
         raise NonFinite("water-filling weights overflowed")
     d = log_xi.size
     if d == 2:
@@ -159,10 +162,11 @@ def _waterfill(log_xi: np.ndarray, nu: float) -> np.ndarray:
             w0 = 1.0 / (1.0 + math.exp(g))
         w0 = min(max(w0, nu), 1.0 - nu)
         return np.array([w0, 1.0 - w0])
-    xi = np.exp(log_xi - log_xi.max())
+    xi = log_xi - np.maximum.reduce(log_xi)
+    np.exp(xi, out=xi)
     order = (-xi).argsort(kind="stable")
     xs = xi[order]
-    cs = xs.cumsum()
+    cs = np.add.accumulate(xs)
     if nu == 0.0:
         return xi / cs[-1]
     # largest i with xs_i / sum_{j<=i} xs_j >= nu / (1 - nu (d - i))
@@ -269,15 +273,15 @@ def model_min(setup: GeometrySetup, g: np.ndarray) -> float:
     ``ball_model_min``'s."""
     if setup.kind is not Kind.BALL:
         return float(g.min())
-    return -math.sqrt(float(g @ g))
+    return -math.sqrt(g.dot(g))
 
 
 def ball_model_min(g: np.ndarray, x0: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
     """The minimum of <g, x> + (mu/2) ||x - x0||^2 over the unit ball, for
     mu > 0, and its minimizer: the projection of x0 - g/mu onto the ball."""
     c = x0 - g / mu
-    nrm = math.sqrt(float(c @ c))
+    nrm = math.sqrt(c.dot(c))
     if nrm > 1.0:
         c = c / nrm
     step = c - x0
-    return float(g @ c) + 0.5 * mu * float(step @ step), c
+    return float(g.dot(c)) + 0.5 * mu * float(step.dot(step)), c

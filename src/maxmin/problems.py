@@ -69,7 +69,7 @@ class LinearMaxProblem(MaxProblem):
         self.mu = 0.0
 
     def value(self, i, x):
-        return float(self.rows[i] @ x)
+        return float(self.rows[i].dot(x))
 
     def values_all(self, x):
         return self.rows @ x
@@ -105,7 +105,7 @@ class QuadraticMaxProblem(MaxProblem):
 
     def value(self, i, x):
         diff = x - self.centers[i]
-        return 0.5 * float(diff @ diff) + float(self.offsets[i])
+        return 0.5 * float(diff.dot(diff)) + self.offsets.item(i)
 
     def values_all(self, x):
         diff = x[None, :] - self.centers

@@ -17,9 +17,10 @@ class SumTree:
         self.rebuild(weights)
 
     def rebuild(self, weights: np.ndarray) -> None:
+        # np.add.accumulate is what .cumsum() calls, without its wrapper
         self.weights = np.maximum(np.asarray(weights, dtype=float), 0.0)
         self.n = self.weights.size
-        self.cs = self.weights.cumsum()
+        self.cs = np.add.accumulate(self.weights)
 
     def update(self, idx: np.ndarray, weights: np.ndarray) -> None:
         """Set ``weights[idx]``; ``idx`` and ``weights`` are aligned arrays."""

@@ -466,12 +466,14 @@ def criterion1_game0():
 
 
 class TestGoldenCounters:
-    """Per-seed counters of one solve per front end, pinned so that a
-    refactor claimed to keep reports bit-identical per seed is checked:
-    (outer_iterations, func_evals, grad_evals, draws, accepted, total
-    oracle queries).  The quadratics case is the payload of ``maxmin gen
-    --kind quadratics --n 10 --d 4 --seed 0`` solved as ``maxmin solve``
-    does, which stops on its anchor certificate."""
+    """Per-seed counters and results of one solve per front end, pinned so
+    that a refactor claimed to keep reports bit-identical per seed is
+    checked: (outer_iterations, func_evals, grad_evals, draws, accepted,
+    total oracle queries), and the ``float.hex`` of ``f_max_value`` and of
+    ``extras["gap"]`` (None where the report has no gap).  The quadratics
+    case is the payload of ``maxmin gen --kind quadratics --n 10 --d 4
+    --seed 0`` solved as ``maxmin solve`` does, which stops on its anchor
+    certificate."""
 
     PINNED = {
         "wide": (1, 4001, 4001, 1, 1, 1),
@@ -479,6 +481,13 @@ class TestGoldenCounters:
         "meb": (192, 41122, 40392, 922, 192, 192),
         "criterion1-game0": (188, 29201, 25222, 10301, 6322, 6322),
         "quadratics": (66, 990, 736, 320, 66, 66),
+    }
+    RESULTS = {
+        "wide": ("0x1.134dc110583d0p-7", "0x1.aa642e259c541p-7"),
+        "planted": ("-0x1.33bf48d5437d1p-2", "0x1.98816e557905cp-3"),
+        "meb": ("0x1.a692e167eaddep-2", None),
+        "criterion1-game0": ("-0x1.ad70281324fd4p-8", "0x1.c6d6e480cc7a9p-6"),
+        "quadratics": ("0x1.7ec3c113d64ccp-2", "0x1.97d32e28fe360p-5"),
     }
 
     @pytest.mark.parametrize("case", list(PINNED))
@@ -499,6 +508,8 @@ class TestGoldenCounters:
         got = (rep.outer_iterations, rep.func_evals, rep.grad_evals, rep.draws, rep.accepted,
                sum(rec.oracle_queries for rec in rep.iterations))
         assert got == self.PINNED[case]
+        gap = rep.extras.get("gap")
+        assert (rep.f_max_value.hex(), gap if gap is None else gap.hex()) == self.RESULTS[case]
 
 
 class TestMeb:

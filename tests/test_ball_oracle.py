@@ -238,3 +238,62 @@ class TestRestrictedOracle:
         res = restricted_oracle(lambda x: gam * u, setup, np.zeros(2), rho, gam)
         bound = references.movement_bound(rho, 4.0, gam)
         assert res.movement <= 2.0 * bound
+
+
+def _center(kind):
+    """A setup and a center on it, off the setup's own center."""
+    if kind == "ball":
+        return ball_setup(3), np.array([0.1, -0.2, 0.3])
+    return simplex_setup(3, 0.01), np.array([0.2, 0.3, 0.5])
+
+
+class TestCenterUnwritten:
+    """LI-MD starts x, w and the last in-ball average as the center y
+    itself and only rebinds them, so every run, and every oracle call,
+    must hand y back bit-unchanged."""
+
+    @pytest.mark.parametrize("kind", ["ball", "simplex"])
+    @pytest.mark.parametrize("steps", [1, 50])
+    def test_clean_runs(self, kind, steps):
+        setup, y = _center(kind)
+        before = y.copy()
+        res = li_md(lambda x: np.array([0.3, -0.1, 0.2]), setup, y, 1.0, 1.0, 0.05, steps)
+        assert not res.out_of_bound
+        assert res.queries == steps
+        assert y.tobytes() == before.tobytes()
+        if steps == 1:
+            # one query, at y itself, and no averaging step
+            np.testing.assert_array_equal(res.z, y)
+
+    @pytest.mark.parametrize("kind", ["ball", "simplex"])
+    def test_out_of_bound_exits(self, kind):
+        setup, y = _center(kind)
+        before = y.copy()
+        g = np.array([200.0, -200.0, 0.0])
+        res = li_md(lambda x: g, setup, y, 0.05, 0.0, 0.5, 500)
+        assert res.out_of_bound
+        assert y.tobytes() == before.tobytes()
+        np.testing.assert_array_equal(res.z, res.w)
+
+    @pytest.mark.parametrize("kind", ["ball", "simplex"])
+    def test_one_step_oracle_accepts_lam_one(self, kind):
+        setup, y = _center(kind)
+        before = y.copy()
+        rho, gamma_bound = 0.5, 1e-3
+        assert step_plan(rho, 1.0, tau(setup), gamma_bound)[1] == 1
+        res = restricted_oracle(lambda x: np.array([0.3, -0.1, 0.2]), setup, y, rho,
+                                gamma_bound)
+        assert res.planned_steps == res.queries == 1
+        assert res.lam == 1.0 and res.rounds == 0
+        np.testing.assert_array_equal(res.z, y)
+        assert y.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("kind", ["ball", "simplex"])
+    def test_bisecting_oracle(self, kind):
+        setup, y = _center(kind)
+        before = y.copy()
+        gamma_bound = 0.2 if kind == "ball" else 0.05
+        u = np.array([0.6, -0.8, 0.0])
+        res = restricted_oracle(lambda x: gamma_bound * u, setup, y, 0.3, gamma_bound)
+        assert res.rounds >= 1
+        assert y.tobytes() == before.tobytes()

@@ -4,18 +4,18 @@ short vectors of a gradient query, and on the thousands of per-round
 estimator and maintainer constructions of a solve, the wrapper's
 Python-level dispatch costs more than the arithmetic.  This test reads the
 source of every function on those paths (each LI-MD query with its MEB
-value; each round's oracle call with its bisection loop, its estimator and
-maintainer construction with the MEB anchor evaluation, and its anchor
-certificate; and the game certificate and each MEB level's exact
-objective, run once per solve or level) and fails on a wrapper call, so a
-regression shows up here rather than in a benchmark."""
+value; each round of the outer loop, with its oracle call and bisection
+loop, its estimator and maintainer construction with the MEB anchor
+evaluation, and its anchor certificate; and the game certificate and each
+MEB level's exact objective, run once per solve or level) and fails on a
+wrapper call, so a regression shows up here rather than in a benchmark."""
 
 import inspect
 import re
 
 import pytest
 
-from maxmin import apps, ball_oracle, geometry
+from maxmin import accelerator, apps, ball_oracle, geometry
 from maxmin.estimator import EstimatorCounters, SoftmaxGradientEstimator
 from maxmin.maintenance import MatVecMaintainer
 from maxmin.problems import MaxProblem, QuadraticMaxProblem
@@ -35,6 +35,7 @@ HOT_PATH = [
     SumTree.rebuild,
     QuadraticMaxProblem.value,
     # per round
+    accelerator.accelerate,
     ball_oracle.restricted_oracle,
     SoftmaxGradientEstimator.__init__,
     MatVecMaintainer.__init__,
