@@ -69,7 +69,6 @@ class SolverReport(EstimatorCounters):
     wall_time: float
     t_md: float = 0.0  # oracle wall time less the evaluations inside it
     stop_reason: str = "threshold"  # or "certificate"; the iteration cap raises
-    trace: list[dict] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
     @classmethod
@@ -166,7 +165,6 @@ def accelerate(
     seed: int | np.random.SeedSequence = 0,
     stopping_scale: float = 1.0,
     certificate_eps: float | None = None,
-    record_trace: bool = False,
     oracle=restricted_oracle,
 ) -> SolverReport:
     """Minimize the problem's smoothed max to accuracy eps via restricted
@@ -198,7 +196,8 @@ def accelerate(
     When a certificate stop's anchor passes that projection unchanged (the
     ball case), ``f_max_value`` is taken from the round estimator's anchor
     values, which the report also carries as ``extras["anchor_values"]``
-    for ``solve_matrix_game`` to consume; otherwise f_max is evaluated.
+    for the front ends to pop (``solve_matrix_game`` reuses them);
+    otherwise f_max is evaluated.
     """
     start = time.perf_counter()
     x = setup.center()
@@ -235,7 +234,6 @@ def accelerate(
     seed_entropy, seed_key = seed_parts(seed)
 
     records: list[IterationRecord] = []
-    trace: list[dict] = []
     counters = EstimatorCounters()
     t_md = 0.0
     stop_reason = "threshold"
@@ -285,9 +283,6 @@ def accelerate(
 
         records.append(IterationRecord(c, a_weight, result.queries, result.movement,
                                        result.rounds, result.planned_steps))
-        if record_trace:
-            trace.append({"x": x.copy(), "v": v.copy(), "A": a_weight, "c": c,
-                          "rho": rho, "a_inc": a_inc})
         counters.add(est.counters)
         t_md += oracle_wall - (est.counters.t_eval - anchor_eval)
 
@@ -308,7 +303,6 @@ def accelerate(
         t_md=t_md,
         stop_reason=stop_reason,
         wall_time=wall,
-        trace=trace,
         extras=extras,
         **asdict(counters),
     )

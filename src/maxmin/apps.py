@@ -66,7 +66,6 @@ def solve_smooth_max(
     kind: Kind = Kind.BALL,
     r: float | None = None,
     gamma: float | None = None,
-    record_trace: bool = False,
     e0: float | None = None,
     stopping_scale: float = 1.0,
     certificate_eps: float | None = None,
@@ -109,7 +108,6 @@ def solve_smooth_max(
     report = accelerate(
         problem, setup, factory, r=radius, e0=e0, eps=eps / 8.0, gamma=gamma, seed=seed,
         stopping_scale=stopping_scale, certificate_eps=certificate_eps,
-        record_trace=record_trace,
     )
     report.extras["nu"] = setup.nu
     return report
@@ -123,15 +121,10 @@ POLISH_STEP = 0.5
 POLISH_HALVINGS = 2
 
 
-def game_domain(inst: MatrixGameInstance) -> GeometrySetup:
-    """The game's untruncated primal domain: the unit ball or the simplex."""
-    return ball_setup(inst.d) if inst.is_ball else simplex_setup(inst.d, 0.0)
-
-
 def polish_dual(inst: MatrixGameInstance, logits: np.ndarray,
                 steps: int) -> tuple[np.ndarray, float]:
     """Backtracking exponentiated-gradient ascent on the best-response
-    lower bound min_x <x, A y> over ``game_domain``, taken by
+    lower bound min_x <x, A y> over ``inst.domain()``, taken by
     ``model_min``.
 
     Starts from y = softmax(``logits``) (``solve_matrix_game`` passes
@@ -146,7 +139,7 @@ def polish_dual(inst: MatrixGameInstance, logits: np.ndarray,
     is that dual's bound; on the simplex, the row of A at argmin A y.
     """
     a = inst.matrix
-    setup = game_domain(inst)
+    setup = inst.domain()
     log_y = logits - logits.max()
     y = np.exp(log_y)
     y /= y.sum()
@@ -225,7 +218,7 @@ def solve_matrix_game(
     if not (0.0 < eps < 1.0):
         raise InvalidParams("eps must lie in (0, 1)")
     problem = inst.problem()
-    kind = Kind.BALL if inst.is_ball else Kind.TRUNCATED_SIMPLEX
+    kind = inst.domain().kind
     radius = min(1.0, math.sqrt(inst.d) * eps) if r is None else r
     report = solve_smooth_max(
         problem, eps, seed=seed, kind=kind, r=radius, certificate_eps=eps
@@ -289,8 +282,7 @@ def solve_meb(
     if not (0.0 < eps < 1.0):
         raise InvalidParams("eps must lie in (0, 1)")
     pts = inst.points
-    n, d = pts.shape
-    base = QuadraticMaxProblem(pts)
+    base = inst.problem()
     levels = meb_level_count(eps)
     if levels > MEB_MAX_LEVELS:
         raise InvalidParams(
@@ -298,7 +290,7 @@ def solve_meb(
             "the level radii fall below float64 resolution")
     root = np.random.SeedSequence(seed)
 
-    x = np.zeros(d)
+    x = np.zeros(inst.d)
     start = time.perf_counter()
     parts: list[SolverReport] = []
     certified_levels = 0
@@ -387,21 +379,13 @@ def subgradient_control(inst, eps: float) -> SolverReport:
     """The subgradient run ``maxmin bench`` sets beside each solve:
     max(1000, 4 / eps^2) steps on the instance's own family and domain.
     Deterministic: every seed's row of a bench sweep is the same run."""
-    if isinstance(inst, MatrixGameInstance):
-        problem, setup = inst.problem(), game_domain(inst)
-    elif isinstance(inst, MebInstance):
-        problem, setup = QuadraticMaxProblem(inst.points), ball_setup(inst.d)
-    elif isinstance(inst, QuadraticMaxProblem):
-        problem, setup = inst, ball_setup(inst.d)
-    else:
-        raise InvalidParams(f"no subgradient control for {type(inst).__name__}")
     if not eps > 0.0:  # NaN fails too
         raise InvalidParams(f"eps must be positive, got {eps:g}")
     try:
         steps = max(1000, int(4.0 / eps**2))
     except (ZeroDivisionError, OverflowError):
         raise InvalidParams(f"eps = {eps:g} is too small: 4 / eps^2 steps overflow") from None
-    return subgradient_baseline(problem, setup, steps)
+    return subgradient_baseline(inst.problem(), inst.domain(), steps)
 
 
 def solve_instance(
@@ -430,6 +414,8 @@ def solve_instance(
     if isinstance(inst, QuadraticMaxProblem):
         report = solve_smooth_max(inst, eps, seed=seed, kind=Kind.BALL, r=r,
                                   certificate_eps=eps)
+        # popped, so no returned report holds the n values
+        report.extras.pop("anchor_values", None)
         result = {"value": report.f_max_value, "point": report.x.tolist()}
         if "gap" in report.extras:  # a certificate stop's anchor gap
             result["gap"] = report.extras["gap"]

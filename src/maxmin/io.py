@@ -111,11 +111,3 @@ def write_report(path, report: dict) -> None:
     doc = dict(report)
     doc["schema"] = REPORT_SCHEMA
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-
-
-def read_report(path) -> dict:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != REPORT_SCHEMA:
-        raise InvalidParams(f"unexpected report schema {doc.get('schema')!r}")
-    return doc
-

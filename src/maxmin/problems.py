@@ -1,4 +1,6 @@
-"""Oracle families {f_i} and the concrete instance types built on them."""
+"""Oracle families {f_i} and the concrete instance types built on them;
+each instance type answers ``problem()``, its family, and ``domain()``,
+the untruncated domain it is minimized over."""
 
 from __future__ import annotations
 
@@ -8,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, NormBoundViolated
+from .geometry import GeometrySetup, ball_setup, simplex_setup
 
 _NORM_TOL = 1e-9
 
@@ -117,6 +120,13 @@ class QuadraticMaxProblem(MaxProblem):
     def grad_matrix(self, x):
         return x[None, :] - self.centers
 
+    # the quadratics instance is its own family
+    def problem(self) -> QuadraticMaxProblem:
+        return self
+
+    def domain(self) -> GeometrySetup:
+        return ball_setup(self.d)
+
 
 # ---------------------------------------------------------------------------
 # Instances
@@ -158,6 +168,10 @@ class MatrixGameInstance:
     def problem(self) -> LinearMaxProblem:
         return LinearMaxProblem(self.matrix.T)
 
+    def domain(self) -> GeometrySetup:
+        """The unit ball, or the untruncated simplex (nu = 0)."""
+        return ball_setup(self.d) if self.is_ball else simplex_setup(self.d, 0.0)
+
 
 @dataclass
 class MebInstance:
@@ -190,6 +204,12 @@ class MebInstance:
     @property
     def d(self) -> int:
         return self.points.shape[1]
+
+    def problem(self) -> QuadraticMaxProblem:
+        return QuadraticMaxProblem(self.points)
+
+    def domain(self) -> GeometrySetup:
+        return ball_setup(self.d)
 
     def to_input_coords(self, center: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
         return center * self.scale + self.shift, radius * self.scale

@@ -19,7 +19,7 @@ from maxmin.accelerator import (
 from maxmin.ball_oracle import OracleResult, restricted_oracle
 from maxmin.errors import InvalidParams, IterationCapExceeded
 from maxmin.estimator import EstimatorCounters, SoftmaxGradientEstimator
-from maxmin.geometry import Kind, ball_setup
+from maxmin.geometry import ball_setup
 from maxmin.problems import LinearMaxProblem, MebInstance
 
 
@@ -200,15 +200,50 @@ class TestWeightRecursions:
             assert gamma == auto_gamma(4.0, threshold, 1.0 / kw["e0"], lip, 1.0, kw["r"])
 
 
+def potential_rounds(monkeypatch, prob, eps, seed, **kw):
+    """Solve ``prob`` on the unit ball and return the report with each
+    round's (x_t, v_t, A_t, c_t, rho), rebuilt from what the loop hands
+    out: the round estimators' anchors and the oracle's w, c and rho.
+
+    Round t + 1 anchors at (x_t + beta v_t) / (1 + beta), so
+    x_t = (1 + beta) anchor_{t+1} - beta w_t with beta = (sqrt(gamma) r)^{2/3}
+    (R = 1); the last round's x is the report's."""
+    import maxmin.apps as apps
+
+    anchors, answers, radii = [], [], []
+
+    class RecordingEstimator(SoftmaxGradientEstimator):
+        def __init__(self, problem, x0, eps_prime, r, *args, **kwargs):
+            super().__init__(problem, x0, eps_prime, r, *args, **kwargs)
+            anchors.append(self.x0)
+            radii.append(self.r)
+
+    def recording_oracle(grad_est, setup, y, rho, gamma_bound):
+        out = restricted_oracle(grad_est, setup, y, rho, gamma_bound)
+        answers.append((out.w, out.c, rho))
+        return out
+
+    real = apps.accelerate
+    with monkeypatch.context() as m:
+        m.setattr(apps, "SoftmaxGradientEstimator", RecordingEstimator)
+        m.setattr(apps, "accelerate", lambda *a, **k: real(*a, oracle=recording_oracle, **k))
+        rep = apps.solve_smooth_max(prob, eps, seed=seed, **kw)
+    beta = (math.sqrt(rep.extras["gamma"]) * radii[0]) ** (2.0 / 3.0)
+    rounds = []
+    for t, ((w, c, rho), rec) in enumerate(zip(answers, rep.iterations)):
+        x = (1.0 + beta) * anchors[t + 1] - beta * w if t + 1 < len(anchors) else rep.x
+        rounds.append((x, w, rec.a_weight, c, rho))
+    return rep, rounds
+
+
 class TestPotentialDecrease:
-    def test_mean_potential_step_nonpositive(self):
+    def test_mean_potential_step_nonpositive(self, monkeypatch):
         # P_t = A_t (f_smax(x_t) - f*) + V_{v_t}(x*) against a brute-force
         # minimizer of the smoothed objective; averaged over 100 seeds the
         # oracle contract makes each step's increment at most the gamma
         # allowance
         import maxmin.refcheck as refcheck
-        from maxmin.apps import smoothing_level, solve_smooth_max
-        from maxmin.geometry import Kind, ball_setup
+        from maxmin.apps import smoothing_level
 
         rng = np.random.default_rng(99)
         rows = rng.standard_normal((4, 3))
@@ -232,24 +267,21 @@ class TestPotentialDecrease:
 
         increments = []
         for seed in range(100):
-            rep = solve_smooth_max(
-                prob, eps, seed=seed, record_trace=True,
-                gamma=1e-4, stopping_scale=1.0 / 128.0,
+            rep, rounds = potential_rounds(
+                monkeypatch, prob, eps, seed, gamma=1e-4, stopping_scale=1.0 / 128.0,
             )
             gamma = rep.extras["gamma"]
             a_prev = 1.0  # A_0 = R^2 / E0 = R / L_f with R = 1, L_f = 1
             x_prev = np.zeros(3)
             v_prev = np.zeros(3)
-            for rec in rep.trace[:40]:
+            for x, v, a_weight, c, rho in rounds[:40]:
                 p_prev = a_prev * (smax_val(x_prev) - f_star) + 0.5 * np.sum(
                     (v_prev - x_star) ** 2
                 )
-                p_cur = rec["A"] * (smax_val(rec["x"]) - f_star) + 0.5 * np.sum(
-                    (rec["v"] - x_star) ** 2
-                )
-                sign = 1.0 if rec["c"] >= 2.0 else -1.0
-                increments.append(p_cur - p_prev + gamma * sign * rec["rho"] ** 2)
-                a_prev, x_prev, v_prev = rec["A"], rec["x"], rec["v"]
+                p_cur = a_weight * (smax_val(x) - f_star) + 0.5 * np.sum((v - x_star) ** 2)
+                sign = 1.0 if c >= 2.0 else -1.0
+                increments.append(p_cur - p_prev + gamma * sign * rho**2)
+                a_prev, x_prev, v_prev = a_weight, x, v
         ucb = one_sided_upper_confidence(np.array(increments))
         assert ucb <= 0.0, f"potential increment UCB {ucb:.3e}"
 

@@ -512,6 +512,43 @@ class TestGoldenCounters:
         assert (rep.f_max_value.hex(), gap if gap is None else gap.hex()) == self.RESULTS[case]
 
 
+# (kind, setup) of each ``maxmin gen`` instance kind
+GEN_KINDS = [("game", "l2l1"), ("game", "l1l1"), ("meb", None), ("quadratics", None)]
+
+
+def gen_instance(kind, setup, n=40, d=5):
+    return io.instance_from_payload(*_gen_payload(kind, n, d, setup, 0))
+
+
+class TestGoldenControl:
+    """``subgradient_control`` on each gen kind's 40 x 5 instance at eps
+    0.1 (1000 steps), pinned as (``float.hex`` of ``f_max_value``,
+    ``func_evals``, ``grad_evals``), so a change to how the control finds
+    its family and domain is checked bit for bit."""
+
+    PINNED = {
+        "game-l2l1": ("0x1.cfff746ca4310p-10", 40000, 1000),
+        "game-l1l1": ("0x1.23a637a43c015p-2", 40000, 1000),
+        "meb": ("0x1.4883bb486e983p-2", 40000, 1000),
+        "quadratics": ("0x1.5fdd3d8ce545bp-2", 40000, 1000),
+    }
+
+    @pytest.mark.parametrize("kind, setup", GEN_KINDS)
+    def test_control_pinned_per_kind(self, kind, setup):
+        rep = apps.subgradient_control(gen_instance(kind, setup), 0.1)
+        got = (rep.f_max_value.hex(), rep.func_evals, rep.grad_evals)
+        assert got == self.PINNED[kind if setup is None else f"{kind}-{setup}"]
+
+
+@pytest.mark.parametrize("kind, setup", GEN_KINDS)
+def test_solve_instance_extras_hold_no_array(kind, setup):
+    # a certificate stop on the ball leaves the anchor's n values in the
+    # loop's extras; no front end may return them
+    rep, _ = solve_instance(gen_instance(kind, setup), 0.05, seed=0)
+    arrays = [key for key, val in rep.extras.items() if isinstance(val, np.ndarray)]
+    assert arrays == []
+
+
 class TestMeb:
     def test_levels_capped_at_float_resolution(self):
         assert meb_level_count(2.0**-51) == MEB_MAX_LEVELS

@@ -23,6 +23,13 @@ def run_cli(args):
     return main(args)
 
 
+def read_report(path) -> dict:
+    """A report written by ``maxmin solve``, checked for its schema key."""
+    doc = json.loads(Path(path).read_text())
+    assert doc.get("schema") == mio.REPORT_SCHEMA, doc.get("schema")
+    return doc
+
+
 def strip_timing(doc: dict) -> dict:
     """Drop wall-time fields (recursively) for determinism comparisons."""
     out = {}
@@ -110,7 +117,7 @@ class TestInstanceFormats:
     def test_report_roundtrip_and_schema(self, tmp_path):
         path = tmp_path / "rep.json"
         mio.write_report(path, {"result": {"value": 1.0}, "wall_time": 3.0})
-        doc = mio.read_report(path)
+        doc = read_report(path)
         assert doc["schema"] == "maxmin-report/1"
         assert "wall_time" not in strip_timing(doc)
 
@@ -170,7 +177,7 @@ class TestSolve:
         code = run_cli(["solve", "--in", str(inst), "--eps", "0.1",
                         "--seed", "0", "--out", str(out)])
         assert code == 0
-        doc = mio.read_report(out)
+        doc = read_report(out)
         assert doc["status"] == "ok"
         assert doc["result"]["gap"] <= 0.1
         assert doc["counters"]["func_evals"] > 0
@@ -213,9 +220,9 @@ class TestSolve:
             code = run_cli(["solve", "--in", str(inst), "--eps", "0.2",
                             "--seed", "7", "--out", str(out)])
             assert code == 0
-            outs.append(strip_timing(mio.read_report(out)))
+            outs.append(strip_timing(read_report(out)))
         assert json.dumps(outs[0], sort_keys=True) == json.dumps(outs[1], sort_keys=True)
-        doc = mio.read_report(tmp_path / "r1.json")
+        doc = read_report(tmp_path / "r1.json")
         for key in ("schema", "config", "result", "counters", "seed", "status"):
             assert key in doc
         # a game report times its post-hoc certificate beside t_eval and t_md
@@ -230,7 +237,7 @@ class TestSolve:
                  "--out", str(inst)])
         out = tmp_path / "rep.json"
         assert run_cli(["solve", "--in", str(inst), "--eps", eps, "--out", str(out)]) == 0
-        counters = mio.read_report(out)["counters"]
+        counters = read_report(out)["counters"]
         # every oracle query takes exactly one accepted sample
         assert counters["accepted"] == sum(counters["oracle_queries"]) > 0
         assert counters["draws"] >= counters["accepted"]
@@ -251,7 +258,7 @@ class TestSolve:
                  "--out", str(inst)])
         out = tmp_path / "rep.json"
         assert run_cli(["solve", "--in", str(inst), "--eps", "0.5", "--out", str(out)]) == 0
-        doc = mio.read_report(out)
+        doc = read_report(out)
         assert doc["stop_reason"] == stop_reason
         if kind == "game":
             # the start's gap is below eps: one oracle round, then the
@@ -272,7 +279,7 @@ class TestSolve:
         _, rows = mio.load_instance(inst)
         out = tmp_path / "rep.json"
         assert run_cli(["solve", "--in", str(inst), "--eps", "0.1", "--out", str(out)]) == 0
-        doc = mio.read_report(out)
+        doc = read_report(out)
         assert doc["stop_reason"] == "certificate"
         assert doc["counters"]["outer_iterations"] == 0
         assert doc["result"]["point"] == [1.0]
@@ -319,7 +326,7 @@ class TestSolve:
             assert exc.value.code == 2
             assert not out.exists()
         assert run_cli(["solve", "--in", str(inst), "--eps", "0.2", "--out", str(out)]) == 0
-        assert "profile" not in mio.read_report(out)["config"]
+        assert "profile" not in read_report(out)["config"]
 
     def test_stdout_carries_only_report_path(self, tmp_path, capsys):
         inst = tmp_path / "i2.txt"
@@ -517,7 +524,7 @@ class TestFailurePath:
         code = run_cli(["solve", "--in", str(inst), "--eps", "0.1", "--seed", "17",
                         "--out", str(out)])
         assert code == 3
-        doc = mio.read_report(out)
+        doc = read_report(out)
         assert doc["status"] == "failed"
         assert doc["seed"] == 17
         assert "RejectionStall" in doc["error"]
@@ -573,7 +580,7 @@ class TestFailurePath:
         code = run_cli(["solve", "--in", str(inst), "--eps", "0.1", "--seed", "5",
                         "--out", str(out)])
         assert code == 3
-        doc = mio.read_report(out)
+        doc = read_report(out)
         assert doc["status"] == "failed"
         assert doc["seed"] == 5
         assert "NonFinite" in doc["error"]
