@@ -34,7 +34,6 @@ from .ball_oracle import STEP_CONSTANT, restricted_oracle
 from .errors import InvalidParams, IterationCapExceeded
 from .estimator import COUNTER_FIELDS, EstimatorCounters, seed_parts
 from .geometry import GeometrySetup, domain_radius_bound, project, tau
-from .io import TIMING_KEYS
 
 
 def stopping_threshold(r_bound: float, e0: float, eps: float) -> float:
@@ -88,7 +87,7 @@ class SolverReport(EstimatorCounters):
     def counters_dict(self) -> dict:
         """The report's ``counters`` block; timers stay top-level keys."""
         counts = {name: getattr(self, name) for name in COUNTER_FIELDS
-                  if name not in TIMING_KEYS}
+                  if name != "t_eval"}
         return {
             "outer_iterations": self.outer_iterations,
             **counts,
@@ -192,12 +191,12 @@ def accelerate(
     ``oracle`` is called as ``oracle(grad_est, setup, y, rho,
     gamma_bound)`` and returns an ``OracleResult``.  A fresh estimator is
     anchored at Phi_t(v_t) each round, and its gradient is scaled by the
-    round weight a_{t+1}.  The report's x is projected onto the domain.
-    When a certificate stop's anchor passes that projection unchanged (the
-    ball case), ``f_max_value`` is taken from the round estimator's anchor
-    values, which the report also carries as ``extras["anchor_values"]``
-    for the front ends to pop (``solve_matrix_game`` reuses them);
-    otherwise f_max is evaluated.
+    round weight a_{t+1}.  The report's x is projected onto the domain,
+    and this is the one place x's n values are evaluated: the report
+    carries them as ``extras["values"]``, for the front ends to reuse and
+    pop, with ``f_max_value`` their max.  A certificate stop's anchor that
+    the projection leaves unchanged (the ball case) reuses the round
+    estimator's values at it.
     """
     start = time.perf_counter()
     x = setup.center()
@@ -206,9 +205,11 @@ def accelerate(
         raise InvalidParams("gamma must lie in (0, 1/2)")
     if r_bound == 0.0:
         # the one-point simplex (d = 1): the center is optimal, with gap 0
-        return SolverReport(x=x, f_max_value=problem.f_max(x), outer_iterations=0,
+        values = problem.values_all(x)
+        return SolverReport(x=x, f_max_value=float(values.max()), outer_iterations=0,
                             iterations=[], stop_reason="certificate",
-                            wall_time=time.perf_counter() - start, extras={"gap": 0.0})
+                            wall_time=time.perf_counter() - start,
+                            extras={"gap": 0.0, "values": values})
     if not (0.0 < r <= r_bound):
         raise InvalidParams("need 0 < r <= R")
     if not (0.0 < stopping_scale <= 1.0):
@@ -290,14 +291,14 @@ def accelerate(
     if stop_reason == "certificate" and projected is x:
         # the certifying anchor, unmoved by the cleanup: the last round's
         # estimator holds its values
-        extras["anchor_values"] = est.f0
-        f_max_value = float(est.f0.max())
+        values = est.f0
     else:
-        f_max_value = problem.f_max(projected)
+        values = problem.values_all(projected)
+    extras["values"] = values
     wall = time.perf_counter() - start
     return SolverReport(
         x=projected,
-        f_max_value=f_max_value,
+        f_max_value=float(values.max()),
         outer_iterations=len(records),
         iterations=records,
         t_md=t_md,

@@ -205,15 +205,15 @@ def solve_matrix_game(
 
     The query radius is ``r`` when given, else min(1, sqrt(d) eps).  The
     outer loop stops early at the first anchor whose weak-duality gap is
-    at most eps.  At the final point x, with f(x) evaluated once (or
-    taken, on the ball, from the certifying anchor's values, which the
-    report then no longer holds), ``polish_dual`` starts from
-    softmax(f(x)/eps'), the dual of the loop's stop certificate, and
-    raises its best-response lower bound.
+    at most eps.  At the final point x, with f(x) the values the loop
+    evaluated there (popped, so the report no longer holds them),
+    ``polish_dual`` starts from softmax(f(x)/eps'), the dual of the
+    loop's stop certificate, and raises its best-response lower bound.
     The reported gap is f_max(x) minus the polished bound, which is never
     below the softmax dual's, so a solve stopped on a certificate reports
     a gap of at most eps.  ``extras["t_certificate"]`` is the wall time
-    of this certificate: f(x), the softmax and the polish.
+    of this certificate: the softmax and the polish (f(x) is in the
+    loop's wall time).
     """
     if not (0.0 < eps < 1.0):
         raise InvalidParams("eps must lie in (0, 1)")
@@ -223,18 +223,15 @@ def solve_matrix_game(
     report = solve_smooth_max(
         problem, eps, seed=seed, kind=kind, r=radius, certificate_eps=eps
     )
-    x = report.x
     start = time.perf_counter()
     # popped, so no returned report holds the n values
-    values = report.extras.pop("anchor_values", None)
-    if values is None:
-        values = problem.values_all(x)
-    f_max = float(values.max())
+    values = report.extras.pop("values")
+    f_max = report.f_max_value
     logits = (values - f_max) / smoothing_level(eps, inst.n)
     _, lower = polish_dual(inst, logits, CERTIFICATE_POLISH_STEPS)
     report.extras["gap"] = f_max - lower
     report.extras["t_certificate"] = time.perf_counter() - start
-    return x, report
+    return report.x, report
 
 
 def meb_level_count(eps: float) -> int:
@@ -271,7 +268,8 @@ def solve_meb(
     the weight threshold.  A certified sub-solve ends its level; an
     uncertified one, now the rare fallback, is repeated, up to
     ``MEB_REPEATS`` sub-solves, and the level keeps the best under the
-    exact objective.  The previous level's accuracy
+    exact objective, which is evaluated once per sub-solve; the last
+    level's kept value gives the radius.  The previous level's accuracy
     guarantee seeds the next level's suboptimality bound: a level error
     of at most 2^{-(k+1)} puts the center within 2^{-k/2} of the optimum
     by strong convexity, so when every level is certified the radius is
@@ -321,9 +319,8 @@ def solve_meb(
                 # the kept candidate is no worse than this certified one
                 certified_levels += 1
                 break
-        x = best_x
+        x, f_max_value = best_x, best_val
         prev_err = eps_k
-    f_max_value = base.f_max(x)
     center_in, radius_in = inst.to_input_coords(x, math.sqrt(2.0 * f_max_value))
 
     report = SolverReport.total(
@@ -415,7 +412,7 @@ def solve_instance(
         report = solve_smooth_max(inst, eps, seed=seed, kind=Kind.BALL, r=r,
                                   certificate_eps=eps)
         # popped, so no returned report holds the n values
-        report.extras.pop("anchor_values", None)
+        report.extras.pop("values")
         result = {"value": report.f_max_value, "point": report.x.tolist()}
         if "gap" in report.extras:  # a certificate stop's anchor gap
             result["gap"] = report.extras["gap"]

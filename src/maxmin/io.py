@@ -28,9 +28,6 @@ _MAGIC = b"MXMN"
 _KIND_CODES = {"game_l2l1": 0, "game_l1l1": 1, "meb": 2, "quadratics": 3}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
-# wall-clock entries, excluded from byte-identity comparisons
-TIMING_KEYS = ("wall_time", "t_eval", "t_md", "t_certificate")
-
 
 def _payload(kind: str, rows: np.ndarray) -> np.ndarray:
     """The rows to write as a float array, after checking kind and shape."""

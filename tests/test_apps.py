@@ -542,11 +542,96 @@ class TestGoldenControl:
 
 @pytest.mark.parametrize("kind, setup", GEN_KINDS)
 def test_solve_instance_extras_hold_no_array(kind, setup):
-    # a certificate stop on the ball leaves the anchor's n values in the
-    # loop's extras; no front end may return them
+    # every loop report carries its point's n values in extras; no front
+    # end may return them
     rep, _ = solve_instance(gen_instance(kind, setup), 0.05, seed=0)
     arrays = [key for key, val in rep.extras.items() if isinstance(val, np.ndarray)]
     assert arrays == []
+
+
+def l2l1_game_5x30():
+    a = np.random.default_rng(43).standard_normal((5, 30))
+    return MatrixGameInstance(a / np.linalg.norm(a, axis=0), "l2l1")
+
+
+class TestReturnedPointEvaluation:
+    """The outer loop evaluates the point it returns, once, and hands the
+    values on; the front ends evaluate it no more."""
+
+    @pytest.mark.parametrize("domain, stop", [
+        ("ball", "certificate"), ("ball", "threshold"),
+        ("simplex", "certificate"), ("simplex", "threshold"),
+        ("one-point", "certificate"),
+    ])
+    def test_report_carries_the_point_values(self, domain, stop):
+        kind = Kind.BALL if domain == "ball" else Kind.TRUNCATED_SIMPLEX
+        if domain == "ball":
+            problem = l2l1_game_5x30().problem()
+        elif domain == "simplex":
+            problem = planted_l1l1(0.3, 6, 15, [3, 0]).problem()
+        else:  # the simplex at d = 1, returned after no round
+            problem = LinearMaxProblem(np.array([[0.5], [-0.25], [0.75]]))
+        if stop == "certificate":
+            rep = solve_smooth_max(problem, 0.1, seed=0, kind=kind, certificate_eps=0.1)
+        else:
+            rep = solve_smooth_max(problem, 0.1, seed=0, kind=kind, stopping_scale=1.0 / 64.0)
+        assert rep.stop_reason == stop
+        values = rep.extras["values"]
+        assert values.tobytes() == problem.values_all(rep.x).tobytes()
+        assert rep.f_max_value == float(values.max())
+
+    @pytest.fixture
+    def outside_calls(self, monkeypatch):
+        """Counts ``values_all`` calls made outside a round estimator's
+        construction, which evaluates each anchor."""
+        depth, calls = [0], []
+        init = estimator.SoftmaxGradientEstimator.__init__
+
+        def counted_init(est, *args, **kwargs):
+            depth[0] += 1
+            try:
+                init(est, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(estimator.SoftmaxGradientEstimator, "__init__", counted_init)
+        for family in (LinearMaxProblem, QuadraticMaxProblem):
+            def counted(problem, x, values_all=family.values_all):
+                if depth[0] == 0:
+                    calls.append(x)
+                return values_all(problem, x)
+
+            monkeypatch.setattr(family, "values_all", counted)
+        return calls
+
+    @pytest.mark.parametrize("game, expected", [("planted", 1), ("ball", 0)])
+    def test_game_certificate_stop(self, outside_calls, game, expected):
+        # a simplex anchor is moved by the projection, so the loop
+        # evaluates its point; a ball anchor's values are reused
+        inst = planted_l1l1(0.3, 6, 15, [3, 0]) if game == "planted" else l2l1_game_5x30()
+        _, rep = solve_matrix_game(inst, 0.1, seed=0)
+        assert rep.stop_reason == "certificate"
+        assert len(outside_calls) == expected
+
+    def test_game_threshold_stop(self, outside_calls, monkeypatch):
+        real = apps.solve_smooth_max
+
+        def threshold_only(*args, **kwargs):
+            kwargs.update(certificate_eps=None, stopping_scale=1.0 / 64.0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(apps, "solve_smooth_max", threshold_only)
+        _, rep = solve_matrix_game(l2l1_game_5x30(), 0.1, seed=0)
+        assert rep.stop_reason == "threshold"
+        assert len(outside_calls) == 1
+
+    def test_meb_one_evaluation_per_sub_solve(self, outside_calls):
+        # each sub-solve's candidate center is evaluated under the exact
+        # objective; the kept one gives the radius without another
+        inst = MebInstance(np.random.default_rng(78).standard_normal((200, 3)))
+        _, _, rep = solve_meb(inst, 0.01, seed=0)
+        assert rep.stop_reason == "certificate"
+        assert len(outside_calls) == rep.extras["sub_solves"]
 
 
 class TestMeb:

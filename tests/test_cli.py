@@ -30,11 +30,15 @@ def read_report(path) -> dict:
     return doc
 
 
+# wall-clock entries, excluded from byte-identity comparisons
+TIMING_KEYS = ("wall_time", "t_eval", "t_md", "t_certificate")
+
+
 def strip_timing(doc: dict) -> dict:
     """Drop wall-time fields (recursively) for determinism comparisons."""
     out = {}
     for key, val in doc.items():
-        if key in mio.TIMING_KEYS:
+        if key in TIMING_KEYS:
             continue
         out[key] = strip_timing(val) if isinstance(val, dict) else val
     return out

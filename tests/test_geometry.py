@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from maxmin.errors import InfeasibleInput, NonFinite
 from maxmin.geometry import (
     GeometrySetup,
     Kind,
+    _waterfill,
     ball_model_min,
     ball_setup,
     bregman,
@@ -138,6 +140,29 @@ class TestProxStep:
 
         ref = references.brute_minimize(s, value, grad, u, references.ReferenceBudget(tolerance=1e-11))
         np.testing.assert_allclose(out, ref, atol=1e-7)
+
+    @pytest.mark.parametrize("nu", [0.0, 1e-3, 0.25])
+    @pytest.mark.parametrize("g", [0.0, 0.5, -0.5, 3.0, -3.0, 10.0, -10.0,
+                                   701.0, -701.0, 800.0, -800.0])
+    def test_waterfill_two_point_closed_form(self, nu, g):
+        # d = 2 takes its own branch: normalize, then clamp to [nu, 1 - nu];
+        # past |g| = 700 it skips the exponential
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            w = _waterfill(vec(0.0, g), nu)
+        assert abs(w.sum() - 1.0) <= 1e-15
+        assert w.min() >= nu
+        # the exact pair, before clamping: w_0 = 1 / (1 + e^g)
+        w0 = 0.5 * (1.0 - math.tanh(g / 2.0))
+        if nu < w0 < 1.0 - nu:
+            assert math.log(w[1] / w[0]) == pytest.approx(g, abs=1e-9)
+        elif g > 0.0:
+            assert tuple(w) == (nu, 1.0 - nu)
+        else:
+            # the branch forms the second entry as 1 - w_0, so the clamp
+            # lands on nu up to the rounding of 1 - nu
+            assert w[0] == 1.0 - nu
+            assert w[1] == pytest.approx(nu, rel=0.0, abs=2.0**-53)
 
     def test_ball_closed_form_with_anchor(self):
         b = ball_setup(3)

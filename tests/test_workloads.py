@@ -75,3 +75,13 @@ def test_subgradient_copy_matches_subgradient_control(workloads, name, monkeypat
     assert (copy.func_evals, copy.grad_evals) == (lib.func_evals, lib.grad_evals)
     assert copy.f_max_value.hex() == lib.f_max_value.hex()
     assert hexes(copy.x) == hexes(lib.x)
+
+
+@pytest.mark.parametrize("name", ["game-wide", "game-simplex-planted", "meb"])
+def test_solve_copy_report_holds_no_array(workloads, name):
+    # the harness keeps every report of a run, so a per-point array left
+    # in one would be kept once per solve
+    w = workloads.WORKLOADS[name]
+    *_, report = workloads.solve(pool_instance(w), w.eps, w.solve_seed(0, 0))
+    arrays = [key for key, val in report.extras.items() if isinstance(val, np.ndarray)]
+    assert arrays == []
