@@ -105,10 +105,12 @@ def li_md(
     Returns as soon as the running average leaves the rho-ball, with
     ``out_of_bound`` set and z = w the exit point; on a clean run returns
     the average iterate and the mirror-averaged point, which weights the
-    last iterate by 1 / (lam eta), so a run that completes needs lam > 0
-    and eta > 0 (``restricted_oracle`` probes lam >= 1, and ``step_plan``
-    gives eta > 0).  The first query, and a one-step run's z, is y
-    itself; y is never written.
+    last iterate by 1 / (lam eta), so a run of T > 1 steps that completes
+    needs lam > 0 and eta > 0 (``restricted_oracle`` probes lam >= 1, and
+    ``step_plan`` gives eta > 0).  The first query, and a one-step run's
+    z, is y itself; a one-step run's w is its one prox iterate, which is
+    its mirror average, so it skips the averaging (and, on the simplex,
+    the log and the second water-fill).  y is never written.
     """
     el = eta * lam
     is_ball = setup.kind is Kind.BALL
@@ -144,9 +146,14 @@ def li_md(
             raise GradientCallbackFailed(str(exc)) from exc
         if is_ball:
             w = _prox_ball(g, eta, el, y, w)
-            term = w
         else:
             w = _prox_simplex(g, eta, el, log_y, log_w, setup.nu)
+        if steps == 1:
+            # the mirror average of one iterate is the iterate itself
+            return LimdResult(y, w, False, 0.0, 1)
+        if is_ball:
+            term = w
+        else:
             term = log_w = np.log(w)
         # the sum starts as the first iterate, which nothing else holds
         # by the time the second is added into it

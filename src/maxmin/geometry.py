@@ -152,16 +152,15 @@ def _waterfill(log_xi: np.ndarray, nu: float) -> np.ndarray:
         raise NonFinite("water-filling weights overflowed")
     d = log_xi.size
     if d == 2:
-        # closed form: normalize and clamp to [nu, 1 - nu]
+        # closed form: the smaller entry 1 / (1 + e^|g|), formed directly so
+        # that it keeps its relative precision and clamps to nu exactly, and
+        # the larger one 1 minus it; e^-|g| underflows to 0, never overflows
         g = log_xi[1] - log_xi[0]
-        if g > 700.0:
-            w0 = 0.0
-        elif g < -700.0:
-            w0 = 1.0
-        else:
-            w0 = 1.0 / (1.0 + math.exp(g))
-        w0 = min(max(w0, nu), 1.0 - nu)
-        return np.array([w0, 1.0 - w0])
+        e = math.exp(-abs(g))
+        small = max(e / (1.0 + e), nu)
+        if g >= 0.0:
+            return np.array([small, 1.0 - small])
+        return np.array([1.0 - small, small])
     xi = log_xi - np.maximum.reduce(log_xi)
     np.exp(xi, out=xi)
     order = (-xi).argsort(kind="stable")

@@ -484,7 +484,7 @@ class TestGoldenCounters:
     }
     RESULTS = {
         "wide": ("0x1.134dc110583d0p-7", "0x1.aa642e259c541p-7"),
-        "planted": ("-0x1.33bf48d5437d1p-2", "0x1.98816e557905cp-3"),
+        "planted": ("-0x1.33bf48d5437c5p-2", "0x1.98816e5579074p-3"),
         "meb": ("0x1.a692e167eaddep-2", None),
         "criterion1-game0": ("-0x1.ad70281324fd4p-8", "0x1.c6d6e480cc7a9p-6"),
         "quadratics": ("0x1.7ec3c113d64ccp-2", "0x1.97d32e28fe360p-5"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import references
 
-from maxmin import ball_oracle
+from maxmin import ball_oracle, geometry
 from maxmin.ball_oracle import (
     bisection_round_limit,
     li_md,
@@ -12,7 +12,16 @@ from maxmin.ball_oracle import (
     step_plan,
 )
 from maxmin.errors import GradientCallbackFailed, PreconditionViolated, RejectionStall
-from maxmin.geometry import ball_setup, bregman, pnorm, simplex_setup, tau
+from maxmin.geometry import (
+    Kind,
+    _waterfill,
+    ball_setup,
+    bregman,
+    pnorm,
+    prox_step,
+    simplex_setup,
+    tau,
+)
 
 
 class TestStepPlan:
@@ -297,3 +306,52 @@ class TestCenterUnwritten:
         res = restricted_oracle(lambda x: gamma_bound * u, setup, y, 0.3, gamma_bound)
         assert res.rounds >= 1
         assert y.tobytes() == before.tobytes()
+
+
+class TestOneStepRun:
+    """A one-step run's mirror average is its one prox iterate, so it
+    returns that iterate as w, and y as z, without averaging."""
+
+    G = np.array([0.3, -0.1, 0.2])
+
+    @pytest.mark.parametrize("kind", ["ball", "simplex"])
+    def test_returns_its_iterate(self, kind):
+        setup, y = _center(kind)
+        eta, lam = 0.05, 1.5
+        res = li_md(lambda x: self.G, setup, y, 1.0, lam, eta, 1)
+        assert not res.out_of_bound and res.queries == 1 and res.movement == 0.0
+        assert res.z.tobytes() == y.tobytes()
+        assert res.w.tobytes() == prox_step(setup, self.G, eta, lam, y, y).tobytes()
+
+    def test_simplex_water_fills_once(self, monkeypatch):
+        calls = []
+
+        def counting(log_xi, nu):
+            calls.append(nu)
+            return _waterfill(log_xi, nu)
+
+        # the prox step calls it through geometry, the averaging through
+        # ball_oracle
+        monkeypatch.setattr(geometry, "_waterfill", counting)
+        monkeypatch.setattr(ball_oracle, "_waterfill", counting)
+        setup, y = _center("simplex")
+        li_md(lambda x: self.G, setup, y, 1.0, 1.5, 0.05, 1)
+        assert len(calls) == 1
+        li_md(lambda x: self.G, setup, y, 1.0, 1.5, 0.05, 2)
+        assert len(calls) == 1 + 3
+
+    @pytest.mark.parametrize("kind", ["ball", "simplex"])
+    def test_two_step_run_returns_the_average(self, kind):
+        setup, y = _center(kind)
+        eta, lam = 0.05, 1.5
+        res = li_md(lambda x: self.G, setup, y, 1.0, lam, eta, 2)
+        w1 = prox_step(setup, self.G, eta, lam, y, y)
+        w2 = prox_step(setup, self.G, eta, lam, y, w1)
+        last_weight = 1.0 / (lam * eta)
+        if setup.kind is Kind.BALL:
+            expect = (w1 + w2 + last_weight * w2) / (2.0 + last_weight)
+        else:
+            log_xi = (np.log(w1) + np.log(w2) + last_weight * np.log(w2)) / (2.0 + last_weight)
+            expect = _waterfill(log_xi, setup.nu)
+        np.testing.assert_allclose(res.w, expect, rtol=1e-14, atol=0.0)
+        assert np.abs(res.w - w2).max() > 1e-6

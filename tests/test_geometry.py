@@ -142,27 +142,48 @@ class TestProxStep:
         np.testing.assert_allclose(out, ref, atol=1e-7)
 
     @pytest.mark.parametrize("nu", [0.0, 1e-3, 0.25])
-    @pytest.mark.parametrize("g", [0.0, 0.5, -0.5, 3.0, -3.0, 10.0, -10.0,
+    @pytest.mark.parametrize("g", [0.0, 0.5, -0.5, 3.0, -3.0, 10.0, -10.0, 30.0, -30.0,
                                    701.0, -701.0, 800.0, -800.0])
     def test_waterfill_two_point_closed_form(self, nu, g):
-        # d = 2 takes its own branch: normalize, then clamp to [nu, 1 - nu];
-        # past |g| = 700 it skips the exponential
+        # d = 2 takes its own branch: the smaller entry is 1 / (1 + e^|g|),
+        # clamped at nu, and the larger one is 1 minus it; no exponential
+        # may overflow
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             w = _waterfill(vec(0.0, g), nu)
         assert abs(w.sum() - 1.0) <= 1e-15
         assert w.min() >= nu
-        # the exact pair, before clamping: w_0 = 1 / (1 + e^g)
-        w0 = 0.5 * (1.0 - math.tanh(g / 2.0))
-        if nu < w0 < 1.0 - nu:
-            assert math.log(w[1] / w[0]) == pytest.approx(g, abs=1e-9)
+        # the exact smaller entry, before clamping
+        e = math.exp(-abs(g))
+        small = e / (1.0 + e)
+        if small > nu:
+            # the log ratio holds to relative precision, also where the
+            # smaller entry is far below 1e-16
+            assert math.log(w[1] / w[0]) == pytest.approx(g, rel=1e-14, abs=1e-300)
         elif g > 0.0:
             assert tuple(w) == (nu, 1.0 - nu)
         else:
-            # the branch forms the second entry as 1 - w_0, so the clamp
-            # lands on nu up to the rounding of 1 - nu
-            assert w[0] == 1.0 - nu
-            assert w[1] == pytest.approx(nu, rel=0.0, abs=2.0**-53)
+            assert tuple(w) == (1.0 - nu, nu)
+
+    def test_waterfill_two_point_clamps_exactly_at_nu(self):
+        # a clamped entry is nu itself, never 1 - (1 - nu), which can round
+        # below nu and leave the truncated simplex
+        for nu in np.random.default_rng(0).uniform(1e-4, 0.25, 2000):
+            for g, low in ((-10.0, 1), (10.0, 0)):
+                w = _waterfill(vec(0.0, g), nu)
+                assert w[low] == nu and w[1 - low] == 1.0 - nu
+
+    def test_two_point_prox_loop_keeps_going(self):
+        # KL prox steps under the constant gradient (0, 1) on the
+        # untruncated 2-simplex: after k unit steps from uniform the second
+        # entry is e^-k / (1 + e^-k), far below the precision of 1 - w_0
+        s = simplex_setup(2, 0.0)
+        g = vec(0.0, 1.0)
+        w = vec(0.5, 0.5)
+        for _ in range(100):
+            w = prox_step(s, g, 1.0, 0.0, w, w)
+        assert w[1] == pytest.approx(math.exp(-100.0), rel=1e-12)
+        assert w[0] == 1.0
 
     def test_ball_closed_form_with_anchor(self):
         b = ball_setup(3)

@@ -3,10 +3,11 @@ and ufuncs, not numpy's module-level wrappers such as ``np.sum``: on the
 short vectors of a gradient query, and on the thousands of per-round
 estimator and maintainer constructions of a solve, the wrapper's
 Python-level dispatch costs more than the arithmetic.  This test reads the
-source of every function on those paths (each LI-MD query with its MEB
-value; each round of the outer loop, with its oracle call and bisection
-loop, its estimator and maintainer construction with the MEB anchor
-evaluation, and its anchor certificate; and the game certificate and each
+source of every function on those paths (each LI-MD query with its row
+value and gradient; each round of the outer loop, with its oracle call,
+step plan and bisection loop, its estimator and maintainer construction
+with the anchor evaluation and softmax weights, and its anchor
+certificate; and the game certificate and each
 MEB level's exact objective, run once per solve or level) and fails on a
 wrapper call, so a regression shows up here rather than in a benchmark."""
 
@@ -15,10 +16,10 @@ import re
 
 import pytest
 
-from maxmin import accelerator, apps, ball_oracle, geometry
+from maxmin import accelerator, apps, ball_oracle, estimator, geometry
 from maxmin.estimator import EstimatorCounters, SoftmaxGradientEstimator
 from maxmin.maintenance import MatVecMaintainer
-from maxmin.problems import MaxProblem, QuadraticMaxProblem
+from maxmin.problems import LinearMaxProblem, MaxProblem, QuadraticMaxProblem
 from maxmin.sumtree import SumTree
 
 HOT_PATH = [
@@ -34,15 +35,24 @@ HOT_PATH = [
     SumTree.sample_batch,
     SumTree.rebuild,
     QuadraticMaxProblem.value,
+    QuadraticMaxProblem.grad,
+    LinearMaxProblem.value,
+    LinearMaxProblem.grad,
     # per round
     accelerator.accelerate,
     ball_oracle.restricted_oracle,
+    ball_oracle.step_plan,
+    geometry.tau,
     SoftmaxGradientEstimator.__init__,
     MatVecMaintainer.__init__,
     EstimatorCounters.add,
     SoftmaxGradientEstimator.anchor_gap,
     geometry.ball_model_min,
     QuadraticMaxProblem.values_all,
+    QuadraticMaxProblem.grad_matrix,
+    LinearMaxProblem.values_all,
+    estimator._softmax_weights,
+    geometry.model_min,
     # per solve
     apps.solve_matrix_game,
     apps.dual_from_samples,
