@@ -1,11 +1,15 @@
 """Instance file formats and the JSON report schema.
 
 Text instances are diff-able: a header line ``MAXMIN v1 <kind> <n> <d>``
-followed by exactly n rows of decimal values, one per line (games store
-the columns a_i as rows; quadratics append the offset as a trailing
-column).  The binary format holds the same payload as little-endian
-float64 after a 16-byte header: magic ``MXMN``, u32 n, u32 d, u32 kind
-code.
+with n, d >= 1, followed by exactly n rows of d values, one per line
+(games store the columns a_i as rows; quadratics append the offset as a
+trailing column).  A value is an ASCII decimal float as numpy's text
+reader reads it (``-0.0``, ``1e-300``, ``nan``, ``inf``); values are
+separated by whitespace; there are no comments, quotes, digit
+separators (``1_000``) or non-ASCII digits.  Non-finite values parse,
+and the instance checks reject them.  The binary format holds the same
+payload as little-endian float64 after a 16-byte header: magic
+``MXMN``, u32 n, u32 d, u32 kind code.
 
 Reports are JSON documents with a declared ``schema`` key; numeric
 arrays are kept flat.  Wall-time fields are the only nondeterministic
@@ -81,7 +85,13 @@ def _parse_instance(blob: bytes) -> tuple[str, np.ndarray]:
     kind, n, d = head[2], int(head[3]), int(head[4])
     if kind not in _KIND_CODES:
         raise InvalidParams(f"unknown instance kind {kind!r}")
-    rows = np.array([[float(v) for v in line.split()] for line in text[1 : n + 1]])
+    if n < 1 or d < 1:
+        raise InvalidParams(f"header sizes n = {n} and d = {d} must be >= 1")
+    body = text[1 : n + 1]
+    # the reader warns on a body with no data, so that case is caught here
+    if not any(line.strip() for line in body):
+        raise InvalidParams("no rows after the header")
+    rows = np.loadtxt(body, comments=None, ndmin=2)
     if rows.shape != (n, d):
         raise InvalidParams(f"expected ({n}, {d}) payload, found {rows.shape}")
     if any(line.strip() for line in text[n + 1 :]):

@@ -27,7 +27,9 @@ def check_norm(a: np.ndarray, p: int) -> None:
     ||A||_{p->inf} <= 1 on the map x -> A x."""
     if a.size == 0:
         return
-    nrm = float(np.max(np.linalg.norm(a, axis=1))) if p == 2 else float(np.max(np.abs(a)))
+    # a row norm that overflows is inf, which fails the bound below
+    with np.errstate(over="ignore"):
+        nrm = float(np.max(np.linalg.norm(a, axis=1))) if p == 2 else float(np.max(np.abs(a)))
     if nrm > 1.0 + _NORM_TOL:
         raise NormBoundViolated(f"||A||_{{{p}->inf}} = {nrm:.6g} exceeds 1")
 

@@ -35,9 +35,14 @@ from maxmin.sumtree import SumTree
 
 
 class TestInstances:
+    @pytest.mark.filterwarnings("error")
     def test_game_norm_validation(self):
         with pytest.raises(NormBoundViolated):
             MatrixGameInstance(np.full((2, 2), 0.9), "l2l1")
+        # the squares overflow float64: the norm is inf, which fails the
+        # bound, and no overflow warning escapes
+        with pytest.raises(NormBoundViolated):
+            MatrixGameInstance(np.full((2, 1), 1e200), "l2l1")
         MatrixGameInstance(np.full((2, 2), 0.9), "l1l1")  # max entry fine
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,15 +1,17 @@
+import contextlib
 import csv
 import json
 import math
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from maxmin import accelerator
@@ -44,18 +46,68 @@ def strip_timing(doc: dict) -> dict:
     return out
 
 
+@contextlib.contextmanager
+def _warnings_as_errors():
+    """Turn warnings into errors inside a Hypothesis test's body.  A
+    ``filterwarnings("error")`` mark would also cover Hypothesis's report
+    of a failing example, whose imports warn and end the pytest session."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+# value tokens of a text body: decimals that keep a game's norm bound, and
+# non-finite, overflowing or rejected spellings
+_VALUE = st.floats(-0.4, 0.4).map(repr)
+_ODD = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["-0.0", "nan", "-inf", "1e999", "1_000", "\u0661", "#", '"0.5"',
+                     "'0.5'", "0x1p-3", "0.5,", "\x00"]),
+)
+
+
+@st.composite
+def _text_instances(draw):
+    """A text file with a valid header and a random body: rows of the
+    header's width or of one width that disagrees with it, odd tokens,
+    ragged and blank rows, and too few or too many rows.  Returns
+    ((n, d), the rows' tokens, the file's bytes)."""
+    kind = draw(st.sampled_from(sorted(mio._KIND_CODES)))
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    width = draw(st.sampled_from([d, d, d, d - 1, d + 1]))
+    row = st.one_of(
+        st.lists(_VALUE, min_size=width, max_size=width),
+        st.lists(st.one_of(_VALUE, _ODD), min_size=width, max_size=width),
+        st.lists(st.one_of(_VALUE, _ODD), max_size=5),
+    )
+    count = draw(st.sampled_from([n, n, n, n - 1, n + 1, n + 2]))
+    tokens = draw(st.lists(row, min_size=count, max_size=count))
+    sep = draw(st.sampled_from([" ", " ", "\t", "  ", "\xa0", "\x0c"]))
+    lines = [f"MAXMIN v1 {kind} {n} {d}"] + [sep.join(r) for r in tokens]
+    return (n, d), tokens, ("\n".join(lines) + "\n").encode()
+
+
 class TestInstanceFormats:
     def test_text_roundtrip_byte_identical(self, tmp_path):
+        """Saving then loading returns the array byte for byte: random rows,
+        a signed zero, subnormals, the largest finite values, 0.1 + 0.2, and
+        a 10^4 x 20 array shaped like the benchmark's wide game."""
         rng = np.random.default_rng(0)
-        rows = rng.standard_normal((4, 3))
-        p1 = tmp_path / "a.txt"
-        p2 = tmp_path / "b.txt"
-        mio.save_instance_text(p1, "meb", rows)
-        kind, loaded = mio.load_instance(p1)
-        assert kind == "meb"
-        np.testing.assert_array_equal(loaded, rows)
-        mio.save_instance_text(p2, kind, loaded)
-        assert p1.read_bytes() == p2.read_bytes()
+        awkward = np.array([[-0.0, 5e-324, 2.2250738585072014e-308],
+                            [1.7976931348623157e308, 0.1 + 0.2, -1.7976931348623157e308]])
+        wide = rng.standard_normal((10_000, 20))
+        wide /= np.linalg.norm(wide, axis=1, keepdims=True)
+        cases = [("meb", rng.standard_normal((4, 3))), ("meb", awkward), ("game_l2l1", wide)]
+        for kind, rows in cases:
+            p1 = tmp_path / "a.txt"
+            p2 = tmp_path / "b.txt"
+            mio.save_instance_text(p1, kind, rows)
+            loaded_kind, loaded = mio.load_instance(p1)
+            assert loaded_kind == kind
+            assert loaded.dtype == np.float64 and loaded.shape == rows.shape
+            assert loaded.tobytes() == rows.tobytes()
+            mio.save_instance_text(p2, kind, loaded)
+            assert p1.read_bytes() == p2.read_bytes()
 
     def test_text_header(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -85,7 +137,13 @@ class TestInstanceFormats:
         b"MAXMIN v1 meb 1 2\n1.0 abc\n",  # non-numeric entry
         b"",  # empty file
         b"MAXMIN v1 meb 2 2\n0.0 0.0\n1.0 0.0\n0.0 5.0\n",  # a row past the header's n
+        b"MAXMIN v1 meb 0 2\n",  # header n = 0
+        b"MAXMIN v1 meb 1 0\n\n",  # header d = 0 with a blank row
+        b"MAXMIN v1 meb 2 2\n0.0 0.0\n\n1.0 0.0\n",  # a blank line among the rows
+        b"MAXMIN v1 meb 1 2\n1_000 0.0\n",  # a digit separator
+        "MAXMIN v1 meb 1 2\n\u0661 0.0\n".encode(),  # a non-ASCII digit
     ])
+    @pytest.mark.filterwarnings("error")
     def test_malformed_file_rejected(self, tmp_path, blob):
         path = tmp_path / "bad"
         path.write_bytes(blob)
@@ -109,14 +167,37 @@ class TestInstanceFormats:
             st.lists(st.floats(), max_size=9),
         ),
     ))
+    # a game_l2l1 column whose squared norm overflows float64
+    @example(blob=struct.pack("<4sIII", b"MXMN", 1, 2, 0) + struct.pack("<2d", 1e200, 1e200))
     def test_any_bytes_load_to_an_instance_or_a_maxmin_error(self, tmp_path, blob):
         path = tmp_path / "fuzz"
         path.write_bytes(blob)
         try:
-            inst = mio.instance_from_payload(*mio.load_instance(path))
+            with _warnings_as_errors():
+                inst = mio.instance_from_payload(*mio.load_instance(path))
         except MaxminError:
             return
         assert inst.n >= 1
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_text_instances())
+    def test_text_body_loads_to_the_header_shape_or_a_maxmin_error(self, tmp_path, case):
+        """A loaded body has the header's shape and holds, in file order, the
+        values float() reads from its tokens, bit for bit; anything else
+        raises a MaxminError."""
+        (n, d), tokens, blob = case
+        path = tmp_path / "body.txt"
+        path.write_bytes(blob)
+        try:
+            with _warnings_as_errors():
+                kind, rows = mio.load_instance(path)
+                mio.instance_from_payload(kind, rows)
+        except MaxminError:
+            return
+        assert rows.shape == (n, d)
+        expected = np.array([float(t) for row in tokens for t in row])
+        assert rows.tobytes() == expected.tobytes()
 
     def test_report_roundtrip_and_schema(self, tmp_path):
         path = tmp_path / "rep.json"
@@ -316,6 +397,20 @@ class TestSolve:
             assert run_cli(["solve", "--in", str(inst), "--eps", "0.1", "--out", str(out)]) == 2
             assert not out.exists()
             assert f"invalid input: {name} " in caplog.text
+
+    def test_empty_header_exit_two_without_traceback_or_warning(self, tmp_path):
+        inst = tmp_path / "empty.txt"
+        inst.write_text("MAXMIN v1 game_l2l1 0 3\n")
+        out = tmp_path / "rep.json"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "maxmin.cli", "solve", "--in", str(inst),
+             "--eps", "0.1", "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "invalid input" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert not out.exists()
 
     def test_profile_flag_removed(self, tmp_path):
         # the oracle has one set of constants: no flag selects another, and
