@@ -32,7 +32,7 @@ import numpy as np
 
 from .ball_oracle import STEP_CONSTANT, restricted_oracle
 from .errors import InvalidParams, IterationCapExceeded
-from .estimator import COUNTER_FIELDS, EstimatorCounters, seed_parts
+from .estimator import COUNTER_FIELDS, EstimatorCounters
 from .geometry import GeometrySetup, domain_radius_bound, project, tau
 
 
@@ -100,7 +100,7 @@ class SolverReport(EstimatorCounters):
         }
 
 
-EstimatorFactory = Callable[[np.ndarray, object], object]
+EstimatorFactory = Callable[[np.ndarray, np.random.Generator], object]
 
 # the outer loop raises IterationCapExceeded past this multiple of
 # expected_iteration_bound
@@ -185,9 +185,10 @@ def accelerate(
     A_0 = R^2 / E0 to the plan weight: the threshold, or min(threshold,
     ``CERTIFICATE_PLAN_FACTOR`` R^2 / ``certificate_eps``) when the
     level is positive.  A level of 0 checks every anchor but keeps the
-    threshold's gamma.  ``estimator_factory(anchor, seed)`` builds the
-    per-round gradient estimator, where ``seed`` is round t's
-    (entropy, spawn_key) pair: ``seed``'s spawn key extended by (t,).
+    threshold's gamma.  ``estimator_factory(anchor, rng)`` builds the
+    per-round gradient estimator, where ``rng`` is round t's sampler
+    stream, keyed here and nowhere else: a Philox generator over
+    ``seed``'s entropy with its spawn key extended by (t, 202).
     ``oracle`` is called as ``oracle(grad_est, setup, y, rho,
     gamma_bound)`` and returns an ``OracleResult``.  A fresh estimator is
     anchored at Phi_t(v_t) each round, and its gradient is scaled by the
@@ -232,7 +233,10 @@ def accelerate(
     cap = math.ceil(ITERATION_CAP_FACTOR * expected)
 
     v = x.copy()
-    seed_entropy, seed_key = seed_parts(seed)
+    if isinstance(seed, np.random.SeedSequence):
+        seed_entropy, seed_key = seed.entropy, seed.spawn_key
+    else:
+        seed_entropy, seed_key = seed, ()
 
     records: list[IterationRecord] = []
     counters = EstimatorCounters()
@@ -251,9 +255,8 @@ def accelerate(
         a_next = a_weight + a_inc
         anchor = (a_weight * x + a_inc * v) / a_next
         gamma_bound = a_inc * problem.lip
-        # the round's (entropy, spawn key); the estimator derives its
-        # sampler stream from it, so no SeedSequence is built here
-        est = estimator_factory(anchor, (seed_entropy, seed_key + (t,)))
+        round_seed = np.random.SeedSequence(seed_entropy, spawn_key=seed_key + (t, 202))
+        est = estimator_factory(anchor, np.random.Generator(np.random.Philox(round_seed)))
         if certificate_eps is not None and t > 1:
             gap = est.anchor_gap(setup)
             if gap <= certificate_eps:

@@ -94,15 +94,9 @@ def solve_smooth_max(
     if e0 is None:
         e0 = problem.lip * r_bound
 
-    def factory(anchor, child_seed):
+    def factory(anchor, rng):
         return SoftmaxGradientEstimator(
-            problem,
-            anchor,
-            eps_prime,
-            radius,
-            ESTIMATOR_DELTA,
-            rng_seed=child_seed,
-            p=setup.p,
+            problem, anchor, eps_prime, radius, ESTIMATOR_DELTA, rng, p=setup.p
         )
 
     report = accelerate(

@@ -20,8 +20,9 @@ event the accepted index has exactly the softmax law, so the output is
 an unbiased estimator of the smoothed-max gradient, and it is always
 bounded by the family's Lipschitz constant.
 
-The sampler's random stream is keyed off the seed alone, so the output
-distribution carries no dependence on a randomized maintainer's bits.
+The sampler draws from the generator it is given alone (``accelerate``
+keys one per round from the solve's seed), so the output distribution
+carries no dependence on a randomized maintainer's bits.
 """
 
 from __future__ import annotations
@@ -82,15 +83,6 @@ def _softmax_weights(logits: np.ndarray) -> np.ndarray:
     return np.exp(logits, out=logits)
 
 
-def seed_parts(rng_seed) -> tuple[object, tuple]:
-    """The (entropy, spawn_key) of an int, a SeedSequence, or such a pair."""
-    if isinstance(rng_seed, np.random.SeedSequence):
-        return rng_seed.entropy, rng_seed.spawn_key
-    if isinstance(rng_seed, tuple):
-        return rng_seed
-    return rng_seed, ()
-
-
 class SoftmaxGradientEstimator:
     """Stateful estimator anchored at x0 with query radius r.
 
@@ -101,9 +93,8 @@ class SoftmaxGradientEstimator:
     unless ``mvm_factory(a)`` is given, which builds one over the rows
     a = grad f_i(x0) / L_f started at offset 0 (for the selftests'
     ``DyadicMaintainer``).  A sketch maintainer's ``BudgetExceeded``
-    propagates to the caller.  ``rng_seed`` is an int, a SeedSequence, or
-    the (entropy, spawn_key) pair of one; the sampler's stream is keyed by
-    spawn_key + (202,).
+    propagates to the caller.  The sampler's proposals and coins are
+    drawn from ``rng``.
     """
 
     def __init__(
@@ -113,7 +104,7 @@ class SoftmaxGradientEstimator:
         eps_prime: float,
         r: float,
         delta: float,
-        rng_seed=0,
+        rng: np.random.Generator,
         p: int = 2,
         mvm_factory=None,
     ):
@@ -131,9 +122,7 @@ class SoftmaxGradientEstimator:
         self.max_consecutive_rejections = max(8, math.ceil(200.0 * math.log(1.0 / delta)))
         self.counters = EstimatorCounters()
 
-        entropy, key = seed_parts(rng_seed)
-        sampler_seed = np.random.SeedSequence(entropy=entropy, spawn_key=key + (202,))
-        self.sampler_rng = np.random.Generator(np.random.Philox(sampler_seed))
+        self.sampler_rng = rng
 
         t0 = time.perf_counter()
         self.f0 = np.asarray(problem.values_all(self.x0), dtype=float)

@@ -251,13 +251,12 @@ def project(setup: GeometrySetup, x: np.ndarray) -> np.ndarray:
             return x / nrm
         return x
     w = np.maximum(x, setup.nu if setup.nu > 0.0 else _MIN_POSITIVE)
-    free = 1.0 - setup.nu * setup.dim
-    if setup.nu > 0.0 and free > 0.0:
+    if setup.nu > 0.0:
         excess = w - setup.nu
         s = float(excess.sum())
         if s <= 0.0:
             return np.full(setup.dim, 1.0 / setup.dim)
-        return setup.nu + excess * (free / s)
+        return setup.nu + excess * ((1.0 - setup.nu * setup.dim) / s)
     return w / float(w.sum())
 
 

@@ -1,7 +1,8 @@
 """Instance file formats and the JSON report schema.
 
 Text instances are diff-able: a header line ``MAXMIN v1 <kind> <n> <d>``
-with n, d >= 1, followed by exactly n rows of d values, one per line
+with n, d >= 1 written in ASCII digits alone (no sign, digit separator
+or other digit), followed by exactly n rows of d values, one per line
 (games store the columns a_i as rows; quadratics append the offset as a
 trailing column).  A value is an ASCII decimal float as numpy's text
 reader reads it (``-0.0``, ``1e-300``, ``nan``, ``inf``); values are
@@ -82,7 +83,10 @@ def _parse_instance(blob: bytes) -> tuple[str, np.ndarray]:
     head = text[0].split()
     if len(head) != 5 or head[0] != "MAXMIN" or head[1] != "v1":
         raise InvalidParams(f"bad instance header: {text[0]!r}")
-    kind, n, d = head[2], int(head[3]), int(head[4])
+    kind, sizes = head[2], head[3:]
+    if not all(size.isascii() and size.isdigit() for size in sizes):
+        raise InvalidParams(f"header sizes must be ASCII digits: {text[0]!r}")
+    n, d = map(int, sizes)
     if kind not in _KIND_CODES:
         raise InvalidParams(f"unknown instance kind {kind!r}")
     if n < 1 or d < 1:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import refcheck
 from .errors import InvalidParams
-from .estimator import SoftmaxGradientEstimator, seed_parts
+from .estimator import SoftmaxGradientEstimator
 from .geometry import GeometrySetup, Kind, ball_setup, bregman_pairwise, simplex_setup, tau
 from .maintenance import DyadicMaintainer
 from .problems import LinearMaxProblem
@@ -93,15 +93,14 @@ def mvm_walk_check(
     return [CheckResult(f"mvm p={p} walk error-rate", observed <= bound, observed, bound)]
 
 
-def dyadic_factory(rng_seed, r_budget: float, eps: float, delta: float, p: int):
+def dyadic_factory(seed: int, r_budget: float, eps: float, delta: float, p: int):
     """An estimator's ``mvm_factory``: a ``DyadicMaintainer`` with budget R
-    started at offset 0, whose sketches draw from ``rng_seed``'s
-    spawn_key + (101, 0)."""
-    entropy, key = seed_parts(rng_seed)
+    started at offset 0, whose sketches draw from ``seed`` keyed by the
+    spawn key (101, 0)."""
 
     def build(a: np.ndarray) -> DyadicMaintainer:
-        seed = np.random.SeedSequence(entropy=entropy, spawn_key=key + (101, 0))
-        return DyadicMaintainer(a, np.zeros(a.shape[1]), r_budget, eps, delta, p, seed)
+        sketch_seed = np.random.SeedSequence(seed, spawn_key=(101, 0))
+        return DyadicMaintainer(a, np.zeros(a.shape[1]), r_budget, eps, delta, p, sketch_seed)
 
     return build
 
@@ -121,8 +120,9 @@ def sampler_fidelity_check(
     eps_prime = 0.05
     r = 0.2
     r_budget = 4.0 * eps_prime / problem.lip  # keeps the maintainer depth small
+    sampler = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(202,))))
     est = SoftmaxGradientEstimator(
-        problem, x0, eps_prime, r, delta=0.05, rng_seed=seed, p=2,
+        problem, x0, eps_prime, r, 0.05, sampler, p=2,
         mvm_factory=dyadic_factory(seed, r_budget, eps_prime / problem.lip, 0.025, 2),
     )
     x_t = x0.copy()

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import nnls
 
 from maxmin.ball_oracle import STEP_CONSTANT, bisection_round_limit
 from maxmin.errors import InvalidParams
 from maxmin.geometry import GeometrySetup, Kind
-from maxmin.problems import MaxProblem
+from maxmin.problems import MatrixGameInstance, MaxProblem
 
 _FEAS_TOL = 1e-9
 
@@ -147,6 +148,32 @@ def duality_gap(inst, x: np.ndarray, y: np.ndarray) -> float:
     fmax = float(np.max(inst.matrix.T @ x))
     lower = best_response_value(inst.matrix @ y, inst.is_ball)
     return fmax - lower
+
+
+def shifted_game(d: int, n: int) -> MatrixGameInstance:
+    """An l2l1 game with unit columns a_i = normalize(g_i / sqrt(d) + 0.5 u)
+    for Gaussian g_i and one unit drift u, drawn from
+    ``default_rng([0, d, n])``.  The drift keeps the origin out of the
+    columns' hull, so the start x0 = 0, where f_max = 0, misses v* < 0."""
+    rng = np.random.default_rng([0, d, n])
+    g = rng.standard_normal((d, n))
+    u = rng.standard_normal(d)
+    a = g / math.sqrt(d) + 0.5 * (u / np.linalg.norm(u))[:, None]
+    return MatrixGameInstance(a / np.linalg.norm(a, axis=0), "l2l1")
+
+
+def ball_game_value(inst: MatrixGameInstance, weight: float = 1e3) -> float:
+    """v* = -||p|| of an l2l1 game, for p the min-norm point of its
+    columns' hull: nonnegative least squares on [A; w 1^T] lam ~ [0; w]
+    puts the sum-to-one row in with weight w, and lam is normalized.  The
+    KKT condition of p, min_i <a_i, p> = ||p||^2, is asserted to 1e-12."""
+    a = inst.matrix
+    d, n = a.shape
+    lam, _ = nnls(np.vstack([a, np.full((1, n), weight)]), np.append(np.zeros(d), weight))
+    p = a @ (lam / lam.sum())
+    pp = float(p @ p)
+    assert abs(float((a.T @ p).min()) - pp) <= 1e-12
+    return -math.sqrt(pp)
 
 
 # Formulas the solver is checked against

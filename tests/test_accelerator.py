@@ -75,7 +75,7 @@ def run_accel(oracle, d=2, **kw):
     prob = LinearMaxProblem(np.zeros((1, d)))
     setup = ball_setup(d)
     return accelerate(
-        prob, setup, lambda anchor, seed: StubEstimator(), oracle=oracle, **kw
+        prob, setup, lambda anchor, rng: StubEstimator(), oracle=oracle, **kw
     )
 
 

@@ -123,9 +123,8 @@ class TestSolveSmoothMax:
             assert abs(references.f_smax(p, x, eps_prime) - p.f_max(x)) <= eps / 2 + 1e-12
 
     def test_one_seed_sequence_per_round(self, monkeypatch):
-        """Each round hashes only its sampler's SeedSequence: the outer
-        loop passes the round's (entropy, spawn key) pair, and exact mode
-        builds no maintainer stream."""
+        """Each round hashes only its sampler's SeedSequence, which the
+        outer loop keys, and exact mode builds no maintainer stream."""
         keys = []
 
         class CountingSeedSequence(np.random.SeedSequence):
@@ -410,6 +409,25 @@ def patience_polish(inst, y0, steps, patience=10):
 def unit_column_game(d, n, seed):
     a = np.random.default_rng(seed).standard_normal((d, n))
     return MatrixGameInstance(a / np.linalg.norm(a, axis=0), "l2l1")
+
+
+class TestShiftedGames:
+    """An accuracy gate the start point cannot pass: on a shifted game the
+    start x0 = 0 sits -v* > eps above the value, so the solve must move
+    to end within eps.  The eval ceilings are the counts at seed 0
+    (125,517 and 517,732) plus about 2%."""
+
+    @pytest.mark.parametrize("n, max_evals", [(100, 128_000), (1000, 528_000)])
+    def test_solve_moves_within_eps_of_the_value(self, n, max_evals):
+        eps = 0.05
+        inst = references.shifted_game(50, n)
+        v_star = references.ball_game_value(inst)
+        assert -v_star > eps
+        x, rep = solve_matrix_game(inst, eps, seed=0)
+        err = float((inst.matrix.T @ x).max()) - v_star
+        assert err <= eps
+        assert rep.extras["gap"] >= err - 1e-9
+        assert rep.evaluations <= max_evals
 
 
 class TestCertificatePolish:

@@ -142,6 +142,9 @@ class TestInstanceFormats:
         b"MAXMIN v1 meb 2 2\n0.0 0.0\n\n1.0 0.0\n",  # a blank line among the rows
         b"MAXMIN v1 meb 1 2\n1_000 0.0\n",  # a digit separator
         "MAXMIN v1 meb 1 2\n\u0661 0.0\n".encode(),  # a non-ASCII digit
+        "MAXMIN v1 meb \u0661 2\n0.0 0.0\n".encode(),  # a non-ASCII digit in the header
+        b"MAXMIN v1 meb +1 2\n0.0 0.0\n",  # a signed header size
+        b"MAXMIN v1 meb 0_1 2\n0.0 0.0\n",  # a digit separator in the header
     ])
     @pytest.mark.filterwarnings("error")
     def test_malformed_file_rejected(self, tmp_path, blob):
@@ -444,6 +447,17 @@ class TestSelftestAndBench:
         assert code == 0
         doc = json.loads(out.read_text())
         assert all(row["passed"] for row in doc["checks"])
+
+    def test_sampler_selftest_pinned(self, tmp_path):
+        """The sampler check's observed TV distance and acceptance rate at
+        seed 0, bit for bit: a change to its sampler stream's key
+        (seed, (202,)) moves both."""
+        out = tmp_path / "st.json"
+        code = run_cli(["selftest", "--which", "sampler", "--seed", "0", "--scale", "0.05",
+                        "--out", str(out)])
+        assert code == 0
+        observed = [row["observed"].hex() for row in json.loads(out.read_text())["checks"]]
+        assert observed == ["0x1.69819f6e25eb6p-6", "0x1.7b3064dd41bdfp-2"]
 
     def test_bench_csv_rows(self, tmp_path):
         inst = tmp_path / "g.txt"

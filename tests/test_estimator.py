@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from stat_checks import chi_square_pvalue
 
-from maxmin import refcheck
+from maxmin import apps, refcheck
 from maxmin.ball_oracle import li_md
 from maxmin.errors import (
     BudgetExceeded,
@@ -18,7 +19,7 @@ from maxmin.errors import (
 from maxmin.estimator import SoftmaxGradientEstimator
 from maxmin.geometry import ball_model_min, ball_setup, model_min, pnorm, simplex_setup
 from maxmin.maintenance import DyadicMaintainer
-from maxmin.problems import LinearMaxProblem, MebInstance, QuadraticMaxProblem
+from maxmin.problems import LinearMaxProblem, MatrixGameInstance, MebInstance, QuadraticMaxProblem
 from maxmin.selftests import dyadic_factory
 from maxmin.sumtree import SumTree
 
@@ -29,16 +30,23 @@ def linear_problem(rng, n, d, scale=0.9):
     return LinearMaxProblem(rows * scale)
 
 
+def sampler_stream(seed):
+    """The Philox stream keyed by ``seed`` and the spawn key (202,), as the
+    selftests' sampler check keys its own; every estimator built here
+    draws from one, so each pinned statistical test keeps its numbers."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(202,))))
+
+
 def make_estimator(problem, d, eps_prime=0.05, r=0.2, seed=0, **kw):
     return SoftmaxGradientEstimator(
-        problem, np.zeros(d), eps_prime, r, delta=0.05, rng_seed=seed, p=2, **kw
+        problem, np.zeros(d), eps_prime, r, 0.05, sampler_stream(seed), p=2, **kw
     )
 
 
-def dyadic(rng_seed, eps_prime, r_budget, lip=1.0):
+def dyadic(seed, eps_prime, r_budget, lip=1.0):
     """A factory of sketch chains at accuracy eps' / L_f and failure
     probability 0.025, half the delta = 0.05 these estimators run at."""
-    return dyadic_factory(rng_seed, r_budget, eps_prime / lip, 0.025, 2)
+    return dyadic_factory(seed, r_budget, eps_prime / lip, 0.025, 2)
 
 
 class TestSumTree:
@@ -114,9 +122,11 @@ class TestInit:
     def test_preconditions_named(self):
         prob = QuadraticMaxProblem(np.zeros((3, 2)))  # L_g = 1
         with pytest.raises(PreconditionViolated, match="L_g r"):
-            SoftmaxGradientEstimator(prob, np.zeros(2), 0.001, r=1.0, delta=0.1)
+            SoftmaxGradientEstimator(prob, np.zeros(2), 0.001, r=1.0, delta=0.1,
+                                     rng=sampler_stream(0))
         with pytest.raises(InvalidParams, match="R/2"):
             SoftmaxGradientEstimator(prob, np.zeros(2), 0.05, r=0.2, delta=0.1,
+                                     rng=sampler_stream(0),
                                      mvm_factory=dyadic(0, 0.05, 0.001, prob.lip))
 
     def test_linear_any_radius(self):
@@ -130,7 +140,8 @@ class TestInit:
         prob = QuadraticMaxProblem(centers)
         r = 0.05
         eps_prime = 2.0 * 0.5 * prob.smooth * r * r
-        est = SoftmaxGradientEstimator(prob, np.zeros(5), eps_prime, r, delta=0.1)
+        est = SoftmaxGradientEstimator(prob, np.zeros(5), eps_prime, r, delta=0.1,
+                                       rng=sampler_stream(0))
         assert est.counters.evaluations == 2 * 20
 
     def test_fresh_estimator_state_at_anchor(self):
@@ -138,17 +149,53 @@ class TestInit:
         prob = QuadraticMaxProblem(rng.standard_normal((40, 4)) * 0.3)
         x0 = rng.standard_normal(4) * 0.1
         eps_prime = 0.05
-        est = SoftmaxGradientEstimator(prob, x0, eps_prime, r=0.1, delta=0.05, rng_seed=4)
+        est = SoftmaxGradientEstimator(prob, x0, eps_prime, r=0.1, delta=0.05,
+                                       rng=sampler_stream(4))
         assert not est.y.any()
         np.testing.assert_array_equal(est.f0, prob.values_all(x0))
         logits = est.f0 / eps_prime
         np.testing.assert_array_equal(est.tree.weights, np.exp(logits - logits.max()))
 
-    @pytest.mark.parametrize("form", ["seed_sequence", "pair"])
-    def test_seed_forms_give_the_same_streams(self, monkeypatch, form):
-        """A SeedSequence and its (entropy, spawn_key) pair key the same
-        sampler stream, and the selftests' dyadic factory builds its one
-        maintainer from spawn_key + (101, 0), as its pinned seeds expect."""
+    @pytest.mark.parametrize("front_end", ["game", "meb"])
+    def test_each_round_draws_from_its_keyed_stream(self, monkeypatch, front_end):
+        """``accelerate`` hands round t's estimator factory the Philox
+        stream keyed by the solve seed's entropy and its spawn key extended
+        by (t, 202): an int seed for a game, a spawned child SeedSequence
+        for each MEB sub-solve."""
+        solves = []
+        accelerate = apps.accelerate
+
+        def recording_accelerate(problem, setup, factory, *, seed, **kw):
+            firsts = []
+            solves.append((seed, firsts))
+
+            def recording_factory(anchor, rng):
+                firsts.append(copy.deepcopy(rng).random())
+                return factory(anchor, rng)
+
+            return accelerate(problem, setup, recording_factory, seed=seed, **kw)
+
+        monkeypatch.setattr(apps, "accelerate", recording_accelerate)
+        rng = np.random.default_rng(34)
+        if front_end == "game":
+            a = 0.7 * rng.uniform(-1.0, 1.0, size=(6, 15))
+            a[0] = -0.3
+            apps.solve_matrix_game(MatrixGameInstance(a, "l1l1"), 0.2, seed=5)
+            assert [seed for seed, _ in solves] == [5]
+        else:
+            apps.solve_meb(MebInstance(rng.standard_normal((12, 2))), 0.1, seed=5)
+            assert all(seed.spawn_key for seed, _ in solves)
+        for seed, firsts in solves:
+            if not isinstance(seed, np.random.SeedSequence):
+                seed = np.random.SeedSequence(seed)
+            assert len(firsts) > 1
+            for t, first in enumerate(firsts, start=1):
+                key = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (t, 202))
+                assert first == np.random.Generator(np.random.Philox(key)).random()
+
+    def test_dyadic_factory_keys_its_sketches(self, monkeypatch):
+        """The selftests' dyadic factory builds its one maintainer from the
+        seed with the spawn key (101, 0), as its pinned seeds expect."""
         seeds = []
         init = DyadicMaintainer.__init__
 
@@ -158,14 +205,8 @@ class TestInit:
 
         monkeypatch.setattr(DyadicMaintainer, "__init__", logged_init)
         prob = linear_problem(np.random.default_rng(32), 8, 3)
-        ss = np.random.SeedSequence(entropy=91, spawn_key=(3, 7))
-        rng_seed = ss if form == "seed_sequence" else (91, (3, 7))
-        est = make_estimator(prob, 3, seed=rng_seed, mvm_factory=dyadic(rng_seed, 0.05, 0.2))
-        sampler = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=91, spawn_key=(3, 7, 202))))
-        assert est.sampler_rng.random() == sampler.random()
-        keys = [(s.entropy, s.spawn_key) for s in seeds]
-        assert keys == [(91, (3, 7, 101, 0))]
+        make_estimator(prob, 3, mvm_factory=dyadic(91, 0.05, 0.2))
+        assert [(s.entropy, s.spawn_key) for s in seeds] == [(91, (101, 0))]
 
     def test_single_function_degenerate(self):
         prob = linear_problem(np.random.default_rng(2), 1, 3)
@@ -299,7 +340,7 @@ class TestEstimate:
         prob = linear_problem(rng, 5, 4)
         eps_prime = 0.05
         est = SoftmaxGradientEstimator(
-            prob, np.zeros(4), eps_prime, r=1.0, delta=0.05, rng_seed=18, p=2,
+            prob, np.zeros(4), eps_prime, r=1.0, delta=0.05, rng=sampler_stream(18), p=2,
             mvm_factory=dyadic(18, eps_prime, 2.0 * eps_prime / prob.lip * 1.05),
         )
         # out to b and back: 0.2 of movement against a budget of 0.117
@@ -328,7 +369,7 @@ class TestEstimate:
         # the budget covers the whole walk: 20 steps of 0.03, 40 of 0.002
         walk_length = 20 * 0.03 + 40 * 0.002
         est = SoftmaxGradientEstimator(
-            prob, np.zeros(3), eps_prime, r=0.3, delta=0.05, rng_seed=21, p=2,
+            prob, np.zeros(3), eps_prime, r=0.3, delta=0.05, rng=sampler_stream(21), p=2,
             mvm_factory=dyadic(21, eps_prime, 1.05 * walk_length, prob.lip),
         )
         refreshed = set()
@@ -362,7 +403,7 @@ class TestEstimate:
         prob = QuadraticMaxProblem(rng.standard_normal((30, 3)) * 0.4)
         x0 = rng.standard_normal(3) * 0.1
         eps_prime, r = 0.05, 0.3
-        est = SoftmaxGradientEstimator(prob, x0, eps_prime, r, delta=0.05, rng_seed=41)
+        est = SoftmaxGradientEstimator(prob, x0, eps_prime, r, delta=0.05, rng=sampler_stream(41))
         grads = prob.grad_matrix(x0)
         walked = 0.0
         x_t = x0.copy()
@@ -385,7 +426,8 @@ class TestEstimate:
         rng = np.random.default_rng(42)
         prob = QuadraticMaxProblem(rng.standard_normal((50, 3)) * 0.4)
         eps_prime, r = 0.01, 0.1
-        est = SoftmaxGradientEstimator(prob, np.zeros(3), eps_prime, r, delta=0.05, rng_seed=43)
+        est = SoftmaxGradientEstimator(prob, np.zeros(3), eps_prime, r, delta=0.05,
+                                       rng=sampler_stream(43))
         tops = set()
         x_t = est.x0.copy()
         for _ in range(100):
@@ -434,7 +476,7 @@ class TestEnvelope:
         prob = LinearMaxProblem(rows)
         eps_prime = 0.05
         est = SoftmaxGradientEstimator(
-            prob, np.zeros(3), eps_prime, r=0.3, delta=0.05, rng_seed=p, p=p,
+            prob, np.zeros(3), eps_prime, r=0.3, delta=0.05, rng=sampler_stream(p), p=p,
         )
         assert est.envelope == 0.5
         assert self.walk(est, rng, 300, 0.6 * eps_prime) <= 1e-12
@@ -447,7 +489,8 @@ class TestEnvelope:
         # close to L_f, so the maintainer's error term is close to tight
         far = prob.centers[np.argmax(np.linalg.norm(prob.centers, axis=1))]
         x0 = -0.9 * far / np.linalg.norm(far)
-        est = SoftmaxGradientEstimator(prob, x0, eps_prime, r, delta=0.05, rng_seed=3, p=2)
+        est = SoftmaxGradientEstimator(prob, x0, eps_prime, r, delta=0.05,
+                                       rng=sampler_stream(3), p=2)
         assert est.envelope == pytest.approx(0.5 * prob.smooth * r * r / eps_prime + 0.5,
                                              rel=1e-15)
         assert self.walk(est, rng, 300, 0.05) <= 1e-12
@@ -474,13 +517,17 @@ class TestObliviousness:
 
         logs = []
         for mvm_variant in (0, 1):
-            seed = np.random.SeedSequence(entropy=77, spawn_key=(mvm_variant,))
+            sketch_seed = np.random.SeedSequence(77, spawn_key=(mvm_variant, 101, 0))
+
+            def mvm_factory(a, sketch_seed=sketch_seed):
+                return DyadicMaintainer(a, np.zeros(6), 4.0 * eps_prime, eps_prime, 0.025, 2,
+                                        sketch_seed)
+
+            # the same sampler stream for both maintainer seeds
             est = SoftmaxGradientEstimator(
-                prob, np.zeros(6), eps_prime, r=0.3, delta=0.05, rng_seed=seed, p=2,
-                mvm_factory=dyadic(seed, eps_prime, 4.0 * eps_prime),
+                prob, np.zeros(6), eps_prime, r=0.3, delta=0.05,
+                rng=np.random.Generator(np.random.Philox(12345)), p=2, mvm_factory=mvm_factory,
             )
-            # align the sampler streams regardless of the maintainer seed
-            est.sampler_rng = np.random.Generator(np.random.Philox(12345))
             log.clear()
             for x_t in walk:
                 est.estimate(x_t)
@@ -526,7 +573,8 @@ class TestAnchorGap:
         x0 = rng.standard_normal(d)
         x0 *= anchor_norm / max(float(np.linalg.norm(x0)), 1e-12)
         r = math.sqrt(eps_prime)
-        est = SoftmaxGradientEstimator(prob, x0, eps_prime, r, delta=0.05, rng_seed=seed)
+        est = SoftmaxGradientEstimator(prob, x0, eps_prime, r, delta=0.05,
+                                       rng=sampler_stream(seed))
         gap = est.anchor_gap(ball_setup(d))
         assert gap >= prob.f_max(x0) - 0.5 * w_radius**2 - 1e-9
         # the Frank-Wolfe polish only keeps steps that raise the bound
@@ -540,7 +588,8 @@ class TestAnchorGap:
         for seed in range(20):
             prob = linear_problem(rng, 30, 4)
             x0 = setup.center() + 0.1 * rng.standard_normal(4)
-            est = SoftmaxGradientEstimator(prob, x0, 0.02, 0.1, delta=0.05, rng_seed=seed)
+            est = SoftmaxGradientEstimator(prob, x0, 0.02, 0.1, delta=0.05,
+                                           rng=sampler_stream(seed))
             y = est.tree.weights / est.tree.total
             g = y @ prob.rows
             lower = float(y @ est.f0) - float(g @ x0) + model_min(setup, g)
