@@ -10,15 +10,16 @@ first anchor from round 2 on whose weak-duality gap
 (``SoftmaxGradientEstimator.anchor_gap``) is at most that level.  The gap
 reuses the round's anchor evaluation (n values, n gradients and the
 sampler's softmax weights) and adds one n x d product and O(n) work per
-round, plus at most ``CERTIFICATE_FW_STEPS`` = 3 more products for the
-Frank-Wolfe polish of a strongly convex family's dual; it evaluates no f
-or gradient.  It uses the family's strong-convexity modulus, so it is
-exact for linear families (games) and for the quadratic family (MEB
-levels); its minimization runs over the ball or the full simplex, not
-the truncated one the loop walks on.  ``auto_gamma`` sizes the oracle
-quality for the weight the run is planned to reach: the threshold, or,
-with a positive certificate level c, the smaller weight
-``CERTIFICATE_PLAN_FACTOR`` R^2 / c by which the certificate can fire.
+round, plus one more product for a strongly convex family, whose dual
+weights the loop carries from check to check and moves by one
+Frank-Wolfe step each; it evaluates no f or gradient.  It uses the
+family's strong-convexity modulus, so it is exact for linear families
+(games) and for the quadratic family (MEB levels); its minimization runs
+over the ball or the full simplex, not the truncated one the loop walks
+on.  ``auto_gamma`` sizes the oracle quality for the weight the run is
+planned to reach: the threshold, or, with a positive certificate level
+c, the smaller weight ``CERTIFICATE_PLAN_FACTOR`` R^2 / c by which the
+certificate can fire.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def stopping_threshold(r_bound: float, e0: float, eps: float) -> float:
     return 40.0 * r_bound**2 * math.log(80.0 * e0 / eps) / eps
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     c: float
     a_weight: float
@@ -173,14 +174,17 @@ def accelerate(
     ``e0`` bounds the start's suboptimality; the run stops once the weight
     passes ``stopping_scale`` times the worst-case threshold (1.0 is the
     published stopping rule; the MEB recursion caps its levels lower, a
-    fallback for the rare level the polished certificate does not end).
+    fallback for the rare level the carried-dual certificate does not end).
     With ``certificate_eps`` set, the run also stops, with
     ``stop_reason`` "certificate", at the first anchor from round 2 on
     whose ``anchor_gap`` is at most it, and returns that anchor with the
     gap as ``extras["gap"]``; its n values and n gradients are counted,
-    and ``outer_iterations`` counts the oracle rounds before it.  On a
-    one-point domain (R = 0, the simplex at d = 1) it returns the center
-    after no round, with ``stop_reason`` "certificate" and gap 0.
+    and ``outer_iterations`` counts the oracle rounds before it.  Each
+    check after the first passes ``anchor_gap`` the dual weights the one
+    before returned: a strongly convex family's Frank-Wolfe dual, carried
+    through the run, or None for games.  On a one-point domain (R = 0,
+    the simplex at d = 1) it returns the center after no round, with
+    ``stop_reason`` "certificate" and gap 0.
     ``gamma`` defaults to ``auto_gamma`` of this run's schedule from
     A_0 = R^2 / E0 to the plan weight: the threshold, or min(threshold,
     ``CERTIFICATE_PLAN_FACTOR`` R^2 / ``certificate_eps``) when the
@@ -233,6 +237,7 @@ def accelerate(
     cap = math.ceil(ITERATION_CAP_FACTOR * expected)
 
     v = x.copy()
+    dual = None  # the certificate's dual weights, carried from check to check
     if isinstance(seed, np.random.SeedSequence):
         seed_entropy, seed_key = seed.entropy, seed.spawn_key
     else:
@@ -258,7 +263,7 @@ def accelerate(
         round_seed = np.random.SeedSequence(seed_entropy, spawn_key=seed_key + (t, 202))
         est = estimator_factory(anchor, np.random.Generator(np.random.Philox(round_seed)))
         if certificate_eps is not None and t > 1:
-            gap = est.anchor_gap(setup)
+            gap, dual = est.anchor_gap(setup, dual)
             if gap <= certificate_eps:
                 counters.add(est.counters)
                 x = anchor

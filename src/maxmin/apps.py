@@ -256,8 +256,9 @@ def solve_meb(
     Level k solves the smooth-max problem restricted to the ball of
     radius 2^{-(k-1)/2} around the previous center, rescaled to the unit
     ball, at accuracy 2^{-(k+1)}.  Each sub-solve stops at the first
-    anchor whose strong-convexity duality gap (``anchor_gap``, its
-    softmax-weighted centroid dual polished by Frank-Wolfe steps)
+    anchor whose strong-convexity duality gap (``anchor_gap``, whose
+    weighted-centroid dual starts at the first check's softmax weights
+    and is carried through the sub-solve, one Frank-Wolfe step per check)
     certifies the level's accuracy, or else at ``MEB_STOPPING_SCALE`` of
     the weight threshold.  A certified sub-solve ends its level; an
     uncertified one, now the rare fallback, is repeated, up to

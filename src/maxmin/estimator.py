@@ -40,8 +40,6 @@ from .problems import MaxProblem
 from .sumtree import SumTree
 
 _BATCH = 8
-# most Frank-Wolfe steps anchor_gap takes on a strongly convex family's dual
-CERTIFICATE_FW_STEPS = 3
 
 
 @dataclass
@@ -132,6 +130,7 @@ class SoftmaxGradientEstimator:
         self.counters.t_eval += time.perf_counter() - t0
 
         self.lip = problem.lip
+        self._grads = grads
         self._a = grads if self.lip == 1.0 else grads / self.lip
         if mvm_factory is None:
             self.mvm = MatVecMaintainer(self._a, self.eps_prime / self.lip, self.p)
@@ -143,58 +142,79 @@ class SoftmaxGradientEstimator:
         self.y = np.zeros(problem.n)
         self.tree = SumTree(_softmax_weights(self.f0 / self.eps_prime))
 
-    def anchor_gap(self, setup: GeometrySetup) -> float:
+    def anchor_gap(self, setup: GeometrySetup,
+                   dual: np.ndarray | None = None) -> tuple[float, np.ndarray | None]:
         """Weak-duality bound on f_max(x0) - min_X f_max from the anchor's
         own evaluations, valid for any convex family and exact for linear
-        and quadratic ones.
+        and quadratic ones, and the dual weights it was taken at.
 
         For weights y in the simplex, with g = sum_i y_i grad f_i(x0) and
         the family's strong-convexity modulus mu, f_max(x) >= sum_i y_i
         f_i(x) >= y.f0 + <g, x - x0> + (mu/2) ||x - x0||^2 for every x, so
         min_X f_max >= D(y) = y.f0 - <g, x0> + min_X [<g, x> + (mu/2)
-        ||x - x0||^2].  That minimum is ``ball_model_min``'s on the ball
-        with mu > 0; otherwise it is ``model_min``'s, over the ball or the
-        full simplex, which drops the quadratic term (a valid but weaker
-        bound).  The bound starts from the sampler's
-        softmax weights (proportional to exp(f0 / eps')).  Games (mu = 0)
-        keep that dual: their D is non-smooth in g.  For a strongly convex
-        family on the ball (the MEB levels, mu = 1) D's dual is a
-        weighted centroid of the points, the core-set certificate of
-        Badoiu and Clarkson, and at small eps' the softmax puts it on one
-        or two far points.  There up to ``CERTIFICATE_FW_STEPS``
-        Frank-Wolfe steps with exact line search polish it: at D's best
-        response x*, take the vertex j maximizing the lower model
-        f0_j + <grad f_j(x0), x* - x0>, move y toward e_j by the step
-        gamma that maximizes D without the ball constraint, and keep the
-        step only if the exact D rises.  Costs one n x d product, one
-        more per polish step, and O(n) work; no f or grad evaluation.
+        ||x - x0||^2], at any anchor and for any y.  That minimum is
+        ``ball_model_min``'s on the ball with mu > 0; otherwise it is
+        ``model_min``'s, over the ball or the full simplex, which drops
+        the quadratic term (a valid but weaker bound).  Games (mu = 0) and
+        the simplex take the sampler's softmax weights (proportional to
+        exp(f0 / eps')), ignore ``dual`` and return ``(gap, None)``: their
+        D is non-smooth in g.
+
+        On the ball with mu > 0 (the MEB levels) D's dual is a weighted
+        centroid of the points, the core-set certificate of Badoiu and
+        Clarkson, and a solve's checks carry one Frank-Wolfe run on it: y
+        is ``dual`` (the softmax weights when None), and one step with
+        exact line search moves it on.  With the lower models m_i = f0_i +
+        <grad f_i(x0), x* - x0> at D's best response x*, the step moves y
+        toward the vertex j maximizing m_i, or moves the weight of the
+        vertex k maximizing y_k (m_j - m_k) to j: Lacoste-Julien and
+        Jaggi's pairwise step, which can empty a vertex an earlier anchor
+        weighted.  Each maximizes D without the ball constraint, clipped
+        to the simplex, and the larger exact D is kept if it rises.  Costs
+        one n x d product for g, one for the models, and O(n) work; no f
+        or grad evaluation.
         """
-        x0, a, f0, lip = self.x0, self._a, self.f0, self.lip
-        y = self.tree.weights / self.tree.total
-        g = lip * (y @ a)
-        yf = float(y.dot(f0))
+        x0, f0, grads = self.x0, self.f0, self._grads
         f_max = float(np.maximum.reduce(f0))
         mu = self.problem.mu
         if mu == 0.0 or setup.kind is not Kind.BALL:
-            return f_max - (yf - float(g.dot(x0)) + model_min(setup, g))
-        value, x_star = ball_model_min(g, x0, mu)
-        lower = yf - float(g.dot(x0)) + value
-        for _ in range(CERTIFICATE_FW_STEPS):
-            j = int((f0 + lip * (a @ (x_star - x0))).argmax())
-            h = lip * a[j] - g
+            y = self.tree.weights / self.tree.total
+            g = y @ grads
+            return f_max - (float(y.dot(f0)) - float(g.dot(x0)) + model_min(setup, g)), None
+        y = self.tree.weights / self.tree.total if dual is None else dual
+        g = y @ grads
+        yf, gx, gg, xx = float(y.dot(f0)), float(g.dot(x0)), float(g.dot(g)), float(x0.dot(x0))
+        value, s = ball_model_min(gx, gg, xx, mu)
+        lower = yf - gx + value
+        # each f_i's lower model at the best response (x0 - g/mu) / s
+        model = f0 + grads @ ((x0 - g / mu) / s - x0)
+        j = int(model.argmax())
+        k = int((y * (model.item(j) - model)).argmax())
+        g_j, f_j = grads[j], f0.item(j)
+        step = None
+        # toward j, y + t (e_j - y) for t in [0, 1], or k's weight to j,
+        # y + t (e_j - e_k) for t in [0, y_k]; g and y.f0 move along h and rise
+        for h, rise, t_hi, pair in ((g_j - g, f_j - yf, 1.0, False),
+                                    (g_j - grads[k], f_j - f0.item(k), y.item(k), True)):
             hh = float(h.dot(h))
-            if hh == 0.0:
-                break
-            rise = float(f0[j]) - yf
-            gamma = min(max((mu * rise - float(g.dot(h))) / hh, 0.0), 1.0)
-            g_next = g + gamma * h
-            yf_next = yf + gamma * rise
-            value, x_next = ball_model_min(g_next, x0, mu)
-            lower_next = yf_next - float(g_next.dot(x0)) + value
-            if not lower_next > lower:
-                break
-            g, yf, lower, x_star = g_next, yf_next, lower_next, x_next
-        return f_max - lower
+            if not hh > 0.0:
+                continue
+            gh, hx = float(g.dot(h)), float(h.dot(x0))
+            t = min(max((mu * rise - gh) / hh, 0.0), t_hi)
+            gx_t = gx + t * hx
+            value, _ = ball_model_min(gx_t, gg + t * (2.0 * gh + t * hh), xx, mu)
+            lower_t = yf + t * rise - gx_t + value
+            if lower_t > lower:
+                lower, step = lower_t, (t, pair)
+        if step is not None:
+            t, pair = step
+            if pair:
+                y = y.copy()
+                y[k] -= t
+            else:
+                y = y * (1.0 - t)
+            y[j] += t
+        return f_max - lower, y
 
     def estimate(self, x_t: np.ndarray) -> tuple[int, np.ndarray, EstimateStats]:
         """Sample i ~ softmax(f(x_t)/eps') and return (i, grad f_i(x_t), stats)."""

@@ -274,12 +274,14 @@ def model_min(setup: GeometrySetup, g: np.ndarray) -> float:
     return -math.sqrt(g.dot(g))
 
 
-def ball_model_min(g: np.ndarray, x0: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
+def ball_model_min(gx: float, gg: float, xx: float, mu: float) -> tuple[float, float]:
     """The minimum of <g, x> + (mu/2) ||x - x0||^2 over the unit ball, for
-    mu > 0, and its minimizer: the projection of x0 - g/mu onto the ball."""
-    c = x0 - g / mu
-    nrm = math.sqrt(c.dot(c))
-    if nrm > 1.0:
-        c = c / nrm
-    step = c - x0
-    return float(g.dot(c)) + 0.5 * mu * float(step.dot(step)), c
+    mu > 0, from the scalars gx = <g, x0>, gg = ||g||^2 and xx = ||x0||^2,
+    and the divisor s >= 1 of its minimizer (x0 - g/mu) / s: the
+    projection of c = x0 - g/mu onto the ball, s = max(1, ||c||)."""
+    cc = xx - 2.0 * gx / mu + gg / (mu * mu)
+    if cc <= 1.0:
+        return gx - 0.5 * gg / mu, 1.0
+    s = math.sqrt(cc)
+    # <g, c/s> and ||c/s - x0||^2 = 1 - 2 <c, x0>/s + xx
+    return (gx - gg / mu) / s + 0.5 * mu * (1.0 - 2.0 * (xx - gx / mu) / s + xx), s

@@ -110,9 +110,12 @@ def sampler_fidelity_check(
 ) -> list[CheckResult]:
     """Accepted-index frequencies of an estimator over the dyadic sketch
     chain against the exact softmax law, plus the mean acceptance-rate
-    floor e^-2, at a fixed in-ball query point: with a linear family every
-    acceptance exponent lies in [-2 s, 0] on the sketch maintainer's good
-    event, where the envelope s is 1."""
+    floor e^-2, at a fixed query point at distance r/2 with every
+    coordinate nonzero, so each sketch level hashes all d coordinates:
+    with a linear family every acceptance exponent lies in [-2 s, 0] on
+    the sketch maintainer's good event, where the envelope s is 1.  At
+    d = 6 against hundreds of buckets per level, the median over a
+    level's repetitions still returns A x to rounding."""
     rng = np.random.Generator(np.random.Philox(seed))
     rows = _unit_rows(rng, n, d, 2) * 0.9
     problem = LinearMaxProblem(rows)
@@ -125,8 +128,7 @@ def sampler_fidelity_check(
         problem, x0, eps_prime, r, 0.05, sampler, p=2,
         mvm_factory=dyadic_factory(seed, r_budget, eps_prime / problem.lip, 0.025, 2),
     )
-    x_t = x0.copy()
-    x_t[0] = r / 2.0
+    x_t = np.full(d, r / (2.0 * math.sqrt(d)))
     counts = np.zeros(n)
     for _ in range(draws):
         i, _, _ = est.estimate(x_t)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize import minimize, nnls
 
 from maxmin.ball_oracle import STEP_CONSTANT, bisection_round_limit
 from maxmin.errors import InvalidParams
@@ -174,6 +174,28 @@ def ball_game_value(inst: MatrixGameInstance, weight: float = 1e3) -> float:
     pp = float(p @ p)
     assert abs(float((a.T @ p).min()) - pp) <= 1e-12
     return -math.sqrt(pp)
+
+
+def ball_min_upper(problem: MaxProblem) -> float:
+    """f_max at a point of the unit ball near its minimizer, so at least
+    min_ball f_max and, for a convex family, tight to SLSQP's accuracy:
+    min t subject to t >= f_i(x) and ||x||^2 <= 1, with the solution
+    projected onto the ball to keep it feasible whatever SLSQP returns."""
+    d = problem.d
+    x0 = np.zeros(d)
+    res = minimize(
+        lambda z: z[-1], np.append(x0, problem.f_max(x0)),
+        jac=lambda z: np.append(np.zeros(d), 1.0), method="SLSQP",
+        constraints=[
+            {"type": "ineq", "fun": lambda z: z[-1] - problem.values_all(z[:-1]),
+             "jac": lambda z: np.hstack([-problem.grad_matrix(z[:-1]),
+                                         np.ones((problem.n, 1))])},
+            {"type": "ineq", "fun": lambda z: 1.0 - z[:-1] @ z[:-1],
+             "jac": lambda z: np.append(-2.0 * z[:-1], 0.0)},
+        ],
+        options={"ftol": 1e-14, "maxiter": 500},
+    )
+    return problem.f_max(project_ball(res.x[:-1]))
 
 
 # Formulas the solver is checked against

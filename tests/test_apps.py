@@ -210,10 +210,10 @@ class TestMatrixGames:
         seen = []
         anchor_gap = estimator.SoftmaxGradientEstimator.anchor_gap
 
-        def recording(est, setup):
-            gap = anchor_gap(est, setup)
+        def recording(est, setup, dual=None):
+            gap, dual = anchor_gap(est, setup, dual)
             seen.append((est.x0.copy(), gap, a @ (est.tree.weights / est.tree.total), setup.nu))
-            return gap
+            return gap, dual
 
         monkeypatch.setattr(estimator.SoftmaxGradientEstimator, "anchor_gap", recording)
         kind = Kind.BALL if inst.is_ball else Kind.TRUNCATED_SIMPLEX
@@ -501,16 +501,16 @@ class TestGoldenCounters:
     PINNED = {
         "wide": (1, 4001, 4001, 1, 1, 1),
         "planted": (129, 13206, 13133, 206, 133, 133),
-        "meb": (192, 41122, 40392, 922, 192, 192),
+        "meb": (181, 38868, 38181, 868, 181, 181),
         "criterion1-game0": (188, 29201, 25222, 10301, 6322, 6322),
         "quadratics": (66, 990, 736, 320, 66, 66),
     }
     RESULTS = {
         "wide": ("0x1.134dc110583d0p-7", "0x1.aa642e259c541p-7"),
         "planted": ("-0x1.33bf48d5437c5p-2", "0x1.98816e5579074p-3"),
-        "meb": ("0x1.a692e167eaddep-2", None),
+        "meb": ("0x1.a6d93daf32922p-2", None),
         "criterion1-game0": ("-0x1.ad70281324fd4p-8", "0x1.c6d6e480cc7a9p-6"),
-        "quadratics": ("0x1.7ec3c113d64ccp-2", "0x1.97d32e28fe360p-5"),
+        "quadratics": ("0x1.7ec3c113d64ccp-2", "0x1.964cffa4fe780p-5"),
     }
 
     @pytest.mark.parametrize("case", list(PINNED))
@@ -690,8 +690,9 @@ class TestMeb:
     def test_polished_certificate_ends_every_level(self):
         """The benchmark's meb pool, seed 1, instance 0 at its solve seed.
         The raw softmax centroid left two of its nine levels uncertified,
-        each run to the weight cap twice; the Frank-Wolfe-polished anchor
-        dual certifies every level on its first sub-solve."""
+        each run to the weight cap twice; the Frank-Wolfe anchor dual,
+        carried from check to check, certifies every level on its first
+        sub-solve."""
         inst = MebInstance(np.random.default_rng([1, 0]).standard_normal((200, 3)))
         eps = 0.01
         _, r, rep = solve_meb(inst, eps, seed=1000)
@@ -721,6 +722,35 @@ class TestMeb:
         wc_in, wr_in = inst.to_input_coords(wc, wr)
         assert r <= 1.02 * wr_in
         assert np.max(np.linalg.norm(pts - c, axis=1)) <= r + 1e-6
+
+    def test_zero_level_meb_gap_holds_at_every_anchor(self, monkeypatch):
+        """A MEB level checked at every anchor from round 2 on: the first
+        check starts from the softmax weights, each later one gets the
+        dual the check before returned, and every gap is at least the
+        anchor's true error, f_max(x0) - (1/2) r^2 for Welzl's radius r
+        (its center lies in the points' hull, inside the unit ball)."""
+        pts = MebInstance(np.random.default_rng(7).standard_normal((60, 3))).points
+        _, w_radius = refcheck.welzl_meb(pts)
+        prob = QuadraticMaxProblem(pts)
+        seen = []
+        anchor_gap = estimator.SoftmaxGradientEstimator.anchor_gap
+
+        def recording(est, setup, dual=None):
+            gap, out = anchor_gap(est, setup, dual)
+            seen.append((est.x0.copy(), gap, dual, out))
+            return gap, out
+
+        monkeypatch.setattr(estimator.SoftmaxGradientEstimator, "anchor_gap", recording)
+        solve_smooth_max(prob, 0.01, seed=0, kind=Kind.BALL, stopping_scale=1.0 / 1024.0,
+                         certificate_eps=0.0)
+        assert len(seen) > 20
+        assert seen[0][2] is None
+        for (*_, returned), (_, _, passed, _) in zip(seen, seen[1:]):
+            assert passed is returned
+        for x, gap, _, out in seen:
+            assert gap >= prob.f_max(x) - 0.5 * w_radius**2 - 1e-12
+            assert out.min() >= 0.0
+            assert abs(float(out.sum()) - 1.0) <= 1e-12
 
 
 class TestCrossMethodAgreement:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import references
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from stat_checks import chi_square_pvalue
@@ -575,15 +576,51 @@ class TestAnchorGap:
         r = math.sqrt(eps_prime)
         est = SoftmaxGradientEstimator(prob, x0, eps_prime, r, delta=0.05,
                                        rng=sampler_stream(seed))
-        gap = est.anchor_gap(ball_setup(d))
+        gap, _ = est.anchor_gap(ball_setup(d))
         assert gap >= prob.f_max(x0) - 0.5 * w_radius**2 - 1e-9
-        # the Frank-Wolfe polish only keeps steps that raise the bound
+        # the Frank-Wolfe step is kept only if it raises the bound
         assert gap <= softmax_gap(prob, x0, eps_prime, 1.0) + 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 30),
+        d=st.integers(1, 5),
+        spread=st.floats(0.1, 3.0),
+        offsets=st.booleans(),
+        support=st.integers(1, 30),
+    )
+    def test_carried_dual_bound_never_below_the_true_error(
+        self, seed, n, d, spread, offsets, support
+    ):
+        """Any simplex weights give a valid bound at any anchor, by strong
+        convexity: random weights on ``support`` points, carried through
+        three random anchors of a random quadratic family, each give a gap
+        of at least the anchor's true error, taken against f_max at a
+        near-minimizer over the ball, which is no less than min f_max; and
+        every returned dual lies in the simplex."""
+        rng = np.random.default_rng(seed)
+        prob = QuadraticMaxProblem(spread * rng.standard_normal((n, d)),
+                                   rng.uniform(-0.5, 0.5, n) if offsets else None)
+        f_star_upper = references.ball_min_upper(prob)
+        dual = np.zeros(n)
+        points = rng.choice(n, size=min(support, n), replace=False)
+        dual[points] = rng.dirichlet(np.ones(points.size))
+        for _ in range(3):
+            x0 = rng.standard_normal(d)
+            x0 *= rng.random() / max(float(np.linalg.norm(x0)), 1e-12)
+            est = SoftmaxGradientEstimator(prob, x0, 0.1, math.sqrt(0.1), delta=0.05,
+                                           rng=sampler_stream(seed))
+            gap, dual = est.anchor_gap(ball_setup(d), dual)
+            assert gap >= prob.f_max(x0) - f_star_upper - 1e-12
+            assert dual.min() >= 0.0
+            assert abs(float(dual.sum()) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("setup", [ball_setup(4), simplex_setup(4, 0.0)],
                              ids=["ball", "simplex"])
     def test_linear_gap_is_the_softmax_dual_bit_for_bit(self, setup):
-        """Games keep the raw softmax dual: no polish step runs at mu = 0."""
+        """Games keep the raw softmax dual: no Frank-Wolfe step runs at
+        mu = 0, a passed dual is ignored, and none is returned."""
         rng = np.random.default_rng(41)
         for seed in range(20):
             prob = linear_problem(rng, 30, 4)
@@ -593,7 +630,10 @@ class TestAnchorGap:
             y = est.tree.weights / est.tree.total
             g = y @ prob.rows
             lower = float(y @ est.f0) - float(g @ x0) + model_min(setup, g)
-            assert est.anchor_gap(setup) == float(est.f0.max()) - lower
+            expected = (float(est.f0.max()) - lower, None)
+            assert est.anchor_gap(setup) == expected
+            dual = np.random.default_rng(seed).dirichlet(np.ones(30))
+            assert est.anchor_gap(setup, dual) == expected
 
 
 def softmax_gap(prob, x0, eps_prime, mu):
@@ -604,4 +644,5 @@ def softmax_gap(prob, x0, eps_prime, mu):
     y = np.exp((f0 - f0.max()) / eps_prime)
     y /= y.sum()
     g = y @ prob.grad_matrix(x0)
-    return float(f0.max()) - (float(y @ f0) - float(g @ x0) + ball_model_min(g, x0, mu)[0])
+    value, _ = ball_model_min(float(g @ x0), float(g @ g), float(x0 @ x0), mu)
+    return float(f0.max()) - (float(y @ f0) - float(g @ x0) + value)

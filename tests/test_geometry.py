@@ -300,10 +300,12 @@ class TestModelMin:
         for _ in range(20):
             g = rng.standard_normal(3) * rng.choice([0.1, 1.0, 5.0])
             x0 = _sample_ball(rng, 1, 3)[0]
-            got, _ = ball_model_min(g, x0, mu)
+            got, s = ball_model_min(float(g @ x0), float(g @ g), float(x0 @ x0), mu)
             pts = np.vstack([_sample_ball(rng, 4000, 3), x0])
             vals = pts @ g + 0.5 * mu * np.sum((pts - x0) ** 2, axis=1)
             assert got <= vals.min() + 1e-12
-            # attained: the projection of x0 - g/mu is a feasible point
+            # attained: the projection of x0 - g/mu is a feasible point,
+            # and the returned divisor gives it
             c = project(setup, x0 - g / mu)
             assert got == pytest.approx(float(c @ g) + 0.5 * mu * float((c - x0) @ (c - x0)))
+            np.testing.assert_allclose((x0 - g / mu) / s, c, rtol=0, atol=1e-12)

@@ -30,11 +30,11 @@ def evals(report):
 
 def test_tracer_binds_fires_and_restores(monkeypatch):
     spans = load_spans(monkeypatch)
-    inst = MebInstance(np.random.default_rng(5).standard_normal((20, 3)))
-    # at eps 0.001 the finest levels run long enough to refresh the
-    # maintainer's product; at the benchmark's eps 0.01 the polished
-    # certificate stops every level before the query point leaves the
-    # refresh radius
+    inst = MebInstance(np.random.default_rng(1).standard_normal((20, 3)))
+    # at eps 0.001 this instance's finest levels run long enough to refresh
+    # the maintainer's product (49 refreshes at seed 0); at the benchmark's
+    # eps 0.01, and on many instances at 0.001, the certificate stops every
+    # level before the query point leaves the refresh radius
     eps = 0.001
     _, _, plain = apps.solve_meb(inst, eps, seed=0)
 
