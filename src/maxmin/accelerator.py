@@ -238,10 +238,8 @@ def accelerate(
 
     v = x.copy()
     dual = None  # the certificate's dual weights, carried from check to check
-    if isinstance(seed, np.random.SeedSequence):
-        seed_entropy, seed_key = seed.entropy, seed.spawn_key
-    else:
-        seed_entropy, seed_key = seed, ()
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
 
     records: list[IterationRecord] = []
     counters = EstimatorCounters()
@@ -260,7 +258,7 @@ def accelerate(
         a_next = a_weight + a_inc
         anchor = (a_weight * x + a_inc * v) / a_next
         gamma_bound = a_inc * problem.lip
-        round_seed = np.random.SeedSequence(seed_entropy, spawn_key=seed_key + (t, 202))
+        round_seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (t, 202))
         est = estimator_factory(anchor, np.random.Generator(np.random.Philox(round_seed)))
         if certificate_eps is not None and t > 1:
             gap, dual = est.anchor_gap(setup, dual)

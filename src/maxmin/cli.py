@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -136,10 +137,7 @@ def cmd_selftest(args) -> int:
     names = [which.strip() for which in args.which.split(",")]
     for res in run_selftests(names, seed=args.seed, scale=args.scale):
         print(res.row(), file=sys.stderr)
-        rows.append(
-            {"name": res.name, "passed": res.passed, "observed": res.observed,
-             "bound": res.bound}
-        )
+        rows.append(dataclasses.asdict(res))
         ok = ok and res.passed
     if args.out:
         Path(args.out).write_text(json.dumps({"checks": rows, "seed": args.seed}, indent=1))

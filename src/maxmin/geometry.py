@@ -83,37 +83,25 @@ def simplex_setup(dim: int, nu: float) -> GeometrySetup:
     return GeometrySetup(Kind.TRUNCATED_SIMPLEX, dim, nu)
 
 
-def _check_pair(setup: GeometrySetup, x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape != (setup.dim,) or y.shape != (setup.dim,):
-        raise DimensionMismatch(f"expected shape ({setup.dim},), got {x.shape} and {y.shape}")
-
-
-def bregman(setup: GeometrySetup, x: np.ndarray, y: np.ndarray) -> float:
-    """Divergence V_x(y) of ``y`` from reference point ``x``.
+def bregman(setup: GeometrySetup, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """Divergence V_x(y) of ``y`` from reference point ``x``, along the last
+    axis: a float for two points, one value per row for (m, d) batches.
 
     Ball: ``0.5 * ||x - y||_2^2``.  Simplex: ``sum_i y_i log(y_i / x_i)``
-    (KL of y from x), which requires strictly positive entries.
+    (KL of y from x), which requires strictly positive entries.  A batch's
+    rows give the values the per-row calls give.
     """
-    _check_pair(setup, x, y)
+    if x.shape != y.shape or x.shape[-1:] != (setup.dim,):
+        raise DimensionMismatch(f"expected shape (..., {setup.dim}), got {x.shape} and {y.shape}")
     if setup.kind is Kind.BALL:
         d = x - y
-        return 0.5 * float(np.dot(d, d))
+        return 0.5 * np.vecdot(d, d)
     if (x < _MIN_POSITIVE).any() or (y < _MIN_POSITIVE).any():
         raise NonFinite("KL divergence needs strictly positive entries")
-    v = float((y * (np.log(y) - np.log(x))).sum())
-    if not math.isfinite(v):
+    v = (y * (np.log(y) - np.log(x))).sum(axis=-1)
+    if not np.isfinite(v).all():
         raise NonFinite("KL divergence evaluated to a non-finite value")
     return v
-
-
-def bregman_pairwise(setup: GeometrySetup, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Row-wise V_{xs[i]}(ys[i]) for (m, d) batches; used by the fuzz suites."""
-    if setup.kind is Kind.BALL:
-        d = xs - ys
-        return 0.5 * np.sum(d * d, axis=-1)
-    if np.any(xs < _MIN_POSITIVE) or np.any(ys < _MIN_POSITIVE):
-        raise NonFinite("KL divergence needs strictly positive entries")
-    return np.sum(ys * (np.log(ys) - np.log(xs)), axis=-1)
 
 
 def tau(setup: GeometrySetup) -> float:
@@ -193,9 +181,10 @@ def prox_step(
     in log space followed by the water-filling projection onto the
     truncated simplex.
     """
-    _check_pair(setup, x, y)
-    if g.shape != (setup.dim,):
-        raise DimensionMismatch(f"gradient shape {g.shape} != ({setup.dim},)")
+    if not x.shape == y.shape == g.shape == (setup.dim,):
+        raise DimensionMismatch(
+            f"expected shape ({setup.dim},), got {x.shape}, {y.shape} and gradient {g.shape}"
+        )
     if not np.all(np.isfinite(g)):
         raise NonFinite("gradient has non-finite entries")
     if eta <= 0.0 or lam < 0.0:

@@ -4,7 +4,8 @@ Three interchangeable backends answer ``query(x) ~= A x`` with an
 l-infinity guarantee relative to ``||A||_{p->inf} ||x||_p``:
 
 * ``CountSketchMve`` (p = 2): per-row CountSketch with median decoding.
-* ``SampleMve`` (p = 1): importance sampling of coordinates by |x|.
+* ``SampleMve`` (p = 1): importance sampling of coordinates by |x|,
+  drawn with ``SumTree``.
 * ``ExactMve``: stores A and multiplies; the solver's product, which the
   test suites also compare against.
 """
@@ -16,6 +17,7 @@ import math
 import numpy as np
 
 from .problems import check_norm
+from .sumtree import SumTree
 
 # Repetition / bucket constants for CountSketch: the per-repetition
 # variance is at most ||a||^2 ||x||^2 / b, so b = ceil(6 / eps^2) makes a
@@ -84,13 +86,11 @@ class SampleMve:
 
     def query(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        l1 = float(np.sum(np.abs(x)))
-        if l1 == 0.0:
+        tree = SumTree(np.abs(x))
+        if tree.total == 0.0:
             return np.zeros(self.n)
-        cs = np.cumsum(np.abs(x))
-        j = np.searchsorted(cs, self.rng.random(self.sample_count) * l1, side="right")
-        j = np.minimum(j, self.d - 1)
-        return (l1 / self.sample_count) * (self.a[:, j] @ np.sign(x[j]))
+        j = tree.sample_batch(self.rng, self.sample_count)
+        return (tree.total / self.sample_count) * (self.a[:, j] @ np.sign(x[j]))
 
 
 class ExactMve:

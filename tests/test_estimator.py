@@ -21,7 +21,7 @@ from maxmin.estimator import SoftmaxGradientEstimator
 from maxmin.geometry import ball_model_min, ball_setup, model_min, pnorm, simplex_setup
 from maxmin.maintenance import DyadicMaintainer
 from maxmin.problems import LinearMaxProblem, MatrixGameInstance, MebInstance, QuadraticMaxProblem
-from maxmin.selftests import dyadic_factory
+from maxmin.selftests import dyadic_factory, sampler_fidelity_check
 from maxmin.sumtree import SumTree
 
 
@@ -208,6 +208,32 @@ class TestInit:
         prob = linear_problem(np.random.default_rng(32), 8, 3)
         make_estimator(prob, 3, mvm_factory=dyadic(91, 0.05, 0.2))
         assert [(s.entropy, s.spawn_key) for s in seeds] == [(91, (101, 0))]
+
+    @pytest.mark.parametrize("seed", [0, 55])
+    def test_sampler_check_sees_sketch_error(self, monkeypatch, seed):
+        """The selftests' sampler check queries its sketch chain where the
+        chain's answer y differs from A x, by no more than the chain's
+        ``error_bound``: the check runs on a sketch error, not only on the
+        exact case."""
+        built, answers = [], []
+        init, query = DyadicMaintainer.__init__, DyadicMaintainer.query
+
+        def logged_init(self, a, *args):
+            built.append((self, a))
+            init(self, a, *args)
+
+        def logged_query(self, x):
+            y, refreshed = query(self, x)
+            answers.append((x.copy(), y.copy()))
+            return y, refreshed
+
+        monkeypatch.setattr(DyadicMaintainer, "__init__", logged_init)
+        monkeypatch.setattr(DyadicMaintainer, "query", logged_query)
+        sampler_fidelity_check(draws=100, seed=seed)
+        [(mvm, a)] = built
+        x, y = answers[0]
+        err = float(np.abs(y - a @ x).max())
+        assert 0.0 < err <= mvm.error_bound
 
     def test_single_function_degenerate(self):
         prob = linear_problem(np.random.default_rng(2), 1, 3)

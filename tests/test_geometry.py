@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import references
 
-from maxmin.errors import InfeasibleInput, NonFinite
+from maxmin import geometry, selftests
+from maxmin.errors import DimensionMismatch, InfeasibleInput, NonFinite
 from maxmin.geometry import (
     GeometrySetup,
     Kind,
@@ -61,6 +62,53 @@ class TestBregman:
         s = simplex_setup(2, 0.0)
         with pytest.raises(NonFinite):
             bregman(s, vec(0.0, 1.0), vec(0.5, 0.5))
+        with pytest.raises(NonFinite):  # in one row of a batch
+            bregman(s, np.full((2, 2), 0.5), np.array([[0.5, 0.5], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("d", [2, 6, 100])
+    def test_batch_rows_equal_point_calls(self, d):
+        """On an (m, d) batch each row's value is the value of the call on
+        that row's two points: bit for bit on the simplex, within one ulp
+        on the ball."""
+        rng = np.random.default_rng(d)
+        ball, simplex = ball_setup(d), simplex_setup(d, 0.1 / d)
+        for setup, sample in ((ball, lambda: _sample_ball(rng, 300, d)),
+                              (simplex, lambda: _sample_simplex(rng, 300, simplex))):
+            xs, ys = sample(), sample()
+            batch = bregman(setup, xs, ys)
+            rows = np.array([bregman(setup, x, y) for x, y in zip(xs, ys)])
+            assert batch.shape == (300,)
+            if setup is simplex:
+                np.testing.assert_array_equal(batch, rows)
+            else:
+                np.testing.assert_array_max_ulp(batch, rows, maxulp=1)
+
+    @pytest.mark.parametrize("setup", [ball_setup(3), simplex_setup(3, 0.0)])
+    @pytest.mark.parametrize("x_shape, y_shape", [
+        ((3,), (4, 3)), ((4, 3), (3,)), ((4, 3), (5, 3)),  # mismatched shapes
+        ((2,), (2,)), ((4, 2), (4, 2)), ((3, 1), (3, 1)),  # last axis is not dim
+        ((), ()),
+    ])
+    def test_shapes_are_checked(self, setup, x_shape, y_shape):
+        x, y = np.full(x_shape, 0.25), np.full(y_shape, 0.25)
+        with pytest.raises(DimensionMismatch):
+            bregman(setup, x, y)
+
+    @pytest.mark.parametrize("setup", [ball_setup(4), simplex_setup(4, 0.02)])
+    def test_fuzz_suite_evaluates_the_solvers_divergence(self, monkeypatch, setup):
+        """Criterion 10's fuzz suite calls ``bregman``, the divergence the
+        ball oracle's bisection calls, on batches; there is no batch copy."""
+        shapes = []
+
+        def counting(setup_, xs, ys):
+            shapes.append(xs.shape)
+            return bregman(setup_, xs, ys)
+
+        monkeypatch.setattr(selftests, "bregman", counting)
+        for res in geometry_fuzz_check(setup, count=500, seed=2):
+            assert res.passed, res.row()
+        assert shapes and set(shapes) == {(500, 4)}
+        assert not hasattr(geometry, "bregman_pairwise")
 
 
 class TestPnorm:

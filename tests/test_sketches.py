@@ -12,6 +12,7 @@ from maxmin.sketches import (
     SampleMve,
     mve_init,
 )
+from maxmin.sumtree import SumTree
 
 
 def unit_rows(rng, n, d, p):
@@ -59,6 +60,44 @@ class TestQueries:
         m = SampleMve(a, 0.5, 0.1, 2)
         e3 = np.eye(6)[3]
         np.testing.assert_allclose(m.query(e3), a[:, 3], rtol=1e-12)
+
+    def test_p1_draws_with_sumtree(self, monkeypatch):
+        """SampleMve draws its coordinates with ``SumTree.sample_batch`` over
+        |x|, on its own stream, and scales by the tree's total."""
+        rng = np.random.default_rng(3)
+        a = unit_rows(rng, 7, 40, 1)
+        x = rng.standard_normal(40)
+        drawn = []
+        sample_batch = SumTree.sample_batch
+
+        def logged_batch(self, rng_, count):
+            idx = sample_batch(self, rng_, count)
+            drawn.append(idx)
+            return idx
+
+        monkeypatch.setattr(SumTree, "sample_batch", logged_batch)
+        m = SampleMve(a, 0.4, 0.1, 11)
+        got = m.query(x)
+        tree = SumTree(np.abs(x))
+        same = np.random.Generator(np.random.Philox(11))
+        expected = sample_batch(tree, same, m.sample_count)
+        [idx] = drawn
+        np.testing.assert_array_equal(idx, expected)
+        np.testing.assert_array_equal(
+            got, (tree.total / m.sample_count) * (a[:, expected] @ np.sign(x[expected]))
+        )
+
+    def test_p1_never_draws_a_zero_coordinate(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(30)
+        x[::3] = 0.0
+        a = np.eye(30)
+        # eps = 0.01 plans more than 10^5 draws in one query
+        m = SampleMve(a, 0.01, 0.1, 4)
+        assert m.sample_count >= 100_000
+        est = m.query(x)
+        assert not est[::3].any()
+        assert np.all(est[x != 0.0] != 0.0)
 
     def test_p2_identity_basis_vector(self):
         # 200 fresh (init, query) pairs; failures bounded by delta plus slack
